@@ -93,6 +93,8 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("invalid JSON: nested too deeply") from exc
 
 
 def _json_doc(path: Optional[str]):

@@ -215,6 +215,8 @@ def shedding_certificate_from_json(obj: dict) -> SheddingCertificate:
     if "shed" in obj:
         if "del" not in obj or "lk" not in obj:
             raise InputError('shed node needs "del" and "lk" subtrees')
+        if not isinstance(obj["shed"], str):
+            raise InputError("shed vertex must be a string label")
         return Shed(
             obj["shed"],
             shedding_certificate_from_json(obj["del"]),

@@ -102,7 +102,14 @@ def split(ideal: SquareFreeIdeal, y: str) -> tuple[SquareFreeIdeal, SquareFreeId
 
 def is_valid_geometric_decomposition(ideal: SquareFreeIdeal, y: str) -> bool:
     """Does intersecting C with N + (y) reproduce the ideal over the full
-    universe?"""
+    universe?
+
+    For a square-free ideal this always holds.  Every generator lies in C,
+    and in N or in (y).  Conversely, a monomial of C ∩ (N + (y)) lies in
+    N ⊆ I, or is divisible by y and by a generator with y removed, hence by
+    that generator.  So `is_gvd` and `validate_certificate` never call
+    this; it stays for the `gvd split` verb and the tests.
+    """
     c_part, n_part = split(ideal, y)
     u = ideal.universe
     recombined = c_part.extended_to(u).intersect(
@@ -115,69 +122,138 @@ def _memo_key(ideal: SquareFreeIdeal) -> tuple:
     return (ideal.universe.labels, ideal.generators.masks)
 
 
+def _split_height(
+    c_part: SquareFreeIdeal,
+    c_height: Optional[int],
+    n_part: SquareFreeIdeal,
+    n_height: int,
+) -> Optional[int]:
+    """Height of a square-free ideal I from its split at a variable y, or
+    None when I is mixed.  C and N must be unmixed (C may be the unit
+    ideal) of heights c_height and n_height; I must not be the unit ideal.
+
+    Read over the full ring, I = C ∩ (N + (y)), so every minimal prime of
+    I is minimal over C or over N + (y).  N ⊆ C, so every minimal prime Q
+    of C contains a minimal prime P of N and misses y, hence Q ⊉ P + (y);
+    and P + (y) contains a minimal prime of C exactly when C ⊆ P.  Hence
+
+        Min(I) = Min(C) ∪ {P + (y) : P ∈ Min(N), C ⊄ P}.
+
+    If C is the unit ideal, Min(C) is empty and every P qualifies: I is
+    unmixed of height ht N + 1.  If C = N (no generator uses y), no P
+    qualifies and Min(I) = Min(N).  Otherwise C is neither unit nor zero
+    (a zero C would equal N ⊆ C), and some P ∈ Min(N) has C ⊄ P, since
+    C ⊆ P for all of them would give C ⊆ √N = N ⊆ C.  Then I has minimal primes of height ht C and of
+    height ht N + 1, and is unmixed exactly when those agree.
+    """
+    if c_part.is_unit:
+        return n_height + 1
+    if c_part.generators.masks == n_part.generators.masks:
+        return n_height
+    return c_height if c_height == n_height + 1 else None
+
+
+_MIXED = object()  # search verdict for an ideal shown to be mixed
+
+
 def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
     """Decide geometric vertex decomposability, with a witness.
 
-    Bases come first (unit, zero, generated by variables), then the
-    unmixedness gate, then the canonical-order variable loop; the first
-    witness found is the one reported.  Failures are memoized on the
-    canonical form so isomorphic subproblems reached along different
-    split orders are shared within the call.
+    Each node looks up the memo first, then the bases (unit, zero,
+    generated by variables), then loops over variables in canonical order:
+    the first variable whose C and N are both GVD yields the witness
+    reported.  A GVD ideal must also be unmixed.  Rather than dualize, the
+    search carries heights up from the bases and settles unmixedness at
+    that first variable with `_split_height`; it does not depend on the
+    variable, so a mixed ideal fails there.  Every minimal prime of C is
+    one of I (see `_split_height`), so a C shown to be mixed shows I mixed
+    at once, which keeps the search out of the rest of a mixed ideal.
+    Results are memoized on the canonical form, so isomorphic subproblems
+    reached along different split orders share one certificate node within
+    the call.
     """
-    memo: dict[tuple, Optional[GvdCertificate]] = {}
+    memo: dict[tuple, object] = {}
 
-    def search(current: SquareFreeIdeal) -> Optional[GvdCertificate]:
-        if current.is_unit:
-            return Base(BASE_UNIT)
-        if current.is_zero:
-            return Base(BASE_ZERO)
-        if current.is_variable_generated:
-            return Base(BASE_VARIABLES)
-        if not current.is_unmixed():
-            return None
+    def search(current: SquareFreeIdeal):
+        """(certificate, height) if GVD, _MIXED if shown mixed, else None."""
         key = _memo_key(current)
         if key in memo:
             return memo[key]
-        found: Optional[GvdCertificate] = None
+        if current.is_unit:
+            return Base(BASE_UNIT), None
+        if current.is_zero:
+            return Base(BASE_ZERO), 0
+        if current.is_variable_generated:
+            return Base(BASE_VARIABLES), len(current.generators)
+        found = None
         for y in current.universe.labels:
-            if not is_valid_geometric_decomposition(current, y):
-                continue
             c_part, n_part = split(current, y)
-            c_cert = search(c_part)
-            if c_cert is None:
+            c_found = search(c_part)
+            if c_found is _MIXED:
+                found = _MIXED
+                break
+            if c_found is None:
                 continue
-            n_cert = search(n_part)
-            if n_cert is None:
+            n_found = search(n_part)
+            if n_found is None or n_found is _MIXED:
                 continue
-            found = Split(y, c_cert, n_cert)
+            height = _split_height(c_part, c_found[1], n_part, n_found[1])
+            found = _MIXED if height is None else (Split(y, c_found[0], n_found[0]), height)
             break
         memo[key] = found
         return found
 
-    cert = search(ideal)
-    return cert is not None, cert
+    found = search(ideal)
+    return (True, found[0]) if isinstance(found, tuple) else (False, None)
+
+
+class _Rejected(Exception):
+    """A certificate node failed replay."""
 
 
 def validate_certificate(ideal: SquareFreeIdeal, cert: GvdCertificate) -> bool:
-    """Replay the decomposition checks the certificate records."""
+    """Replay the decomposition the certificate records.
+
+    Each node costs one `split` and no dualization: heights flow up from
+    the bases, and `_split_height` checks that every split ideal is
+    unmixed.  Replays are memoized per call on (certificate node, ideal),
+    so the shared nodes of the DAG certificates `is_gvd` returns are
+    replayed once.
+    """
+    try:
+        _replay(ideal, cert, {})
+    except _Rejected:
+        return False
+    return True
+
+
+def _replay(ideal: SquareFreeIdeal, cert: GvdCertificate, memo: dict) -> Optional[int]:
+    """Height of `ideal` (None if unit) when `cert` certifies it; raises
+    _Rejected otherwise."""
+    key = (id(cert), ideal.universe.labels, ideal.generators.masks)
+    if key in memo:
+        return memo[key]
     if isinstance(cert, Base):
         if cert.kind == BASE_UNIT:
-            return ideal.is_unit
-        if cert.kind == BASE_ZERO:
-            return ideal.is_zero
-        if cert.kind == BASE_VARIABLES:
-            return not ideal.is_unit and ideal.is_variable_generated
-        return False
-    if cert.variable not in ideal.universe:
-        return False
-    if ideal.is_unit or not ideal.is_unmixed():
-        return False
-    if not is_valid_geometric_decomposition(ideal, cert.variable):
-        return False
-    c_part, n_part = split(ideal, cert.variable)
-    return validate_certificate(c_part, cert.c_branch) and validate_certificate(
-        n_part, cert.n_branch
-    )
+            ok = ideal.is_unit
+        elif cert.kind == BASE_ZERO:
+            ok = ideal.is_zero
+        else:
+            ok = cert.kind == BASE_VARIABLES and not ideal.is_unit and ideal.is_variable_generated
+        if not ok:
+            raise _Rejected
+        height = None if ideal.is_unit else len(ideal.generators)
+    else:
+        if cert.variable not in ideal.universe or ideal.is_unit:
+            raise _Rejected
+        c_part, n_part = split(ideal, cert.variable)
+        c_height = _replay(c_part, cert.c_branch, memo)
+        n_height = _replay(n_part, cert.n_branch, memo)
+        height = _split_height(c_part, c_height, n_part, n_height)
+        if height is None:
+            raise _Rejected
+    memo[key] = height
+    return height
 
 
 def _vars_or_zero(ideal: SquareFreeIdeal) -> GvdCertificate:

@@ -1,7 +1,8 @@
 """Slow, independent reference implementations.
 
 Everything here is deliberately naive: plain set arithmetic over explicit
-subset enumeration, plus networkx for chordality.  The tests trust these
+subset enumeration, networkx for chordality, and the GVD search and replay
+that re-check unmixedness and the split identity at every node.  The tests trust these
 against the package's bitmask kernels on small instances.
 """
 
@@ -14,6 +15,8 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 import networkx as nx
+
+from oni_kit import Base, Split, is_valid_geometric_decomposition, split
 
 Sets = set[frozenset[str]]
 
@@ -171,3 +174,69 @@ def faces_oracle(facets: Iterable[frozenset[str]]) -> Sets:
         for r in range(len(elems) + 1):
             out.update(frozenset(c) for c in combinations(elems, r))
     return out
+
+
+# ---------------------------------------------------------------------------
+# geometric vertex decomposition, checked the long way
+
+
+def reference_is_gvd(ideal):
+    """GVD search straight from the definition: every non-base node passes
+    an unmixedness test by dualization before its memo lookup, and every
+    split is checked to recombine.  Same canonical order, same memo, so it
+    returns the same certificate as `is_gvd`."""
+    memo = {}
+
+    def search(current):
+        if current.is_unit:
+            return Base("unit")
+        if current.is_zero:
+            return Base("zero")
+        if current.is_variable_generated:
+            return Base("vars")
+        if not current.is_unmixed():
+            return None
+        key = (current.universe.labels, current.generators.masks)
+        if key in memo:
+            return memo[key]
+        found = None
+        for y in current.universe.labels:
+            if not is_valid_geometric_decomposition(current, y):
+                continue
+            c_part, n_part = split(current, y)
+            c_cert = search(c_part)
+            if c_cert is None:
+                continue
+            n_cert = search(n_part)
+            if n_cert is None:
+                continue
+            found = Split(y, c_cert, n_cert)
+            break
+        memo[key] = found
+        return found
+
+    cert = search(ideal)
+    return cert is not None, cert
+
+
+def reference_validate_certificate(ideal, cert) -> bool:
+    """Replay with an unmixedness test and a recombination check at every
+    Split node."""
+    if isinstance(cert, Base):
+        if cert.kind == "unit":
+            return ideal.is_unit
+        if cert.kind == "zero":
+            return ideal.is_zero
+        if cert.kind == "vars":
+            return not ideal.is_unit and ideal.is_variable_generated
+        return False
+    if cert.variable not in ideal.universe:
+        return False
+    if ideal.is_unit or not ideal.is_unmixed():
+        return False
+    if not is_valid_geometric_decomposition(ideal, cert.variable):
+        return False
+    c_part, n_part = split(ideal, cert.variable)
+    return reference_validate_certificate(
+        c_part, cert.c_branch
+    ) and reference_validate_certificate(n_part, cert.n_branch)

@@ -151,6 +151,11 @@ def test_malformed_inputs_exit_2(invoke):
     assert code == 2 and json.loads(out)["error"].startswith("bad arguments:")
     code, out = invoke(["ideal", "equal"], stdin=ZERO_IDEAL)
     assert code == 2 and json.loads(out)["error"].startswith("bad arguments:")
+    deep = '{"base":"zero"}'
+    for _ in range(3000):
+        deep = '{"split":{"y":"a","C":%s,"N":{"base":"zero"}}}' % deep
+    code, out = invoke(["gvd", "validate"], stdin='{"ideal":%s,"certificate":%s}' % (ZERO_IDEAL, deep))
+    assert code == 2 and out == '{"error":"invalid JSON: nested too deeply"}\n'
 
 
 # ---------------------------------------------------------------------------

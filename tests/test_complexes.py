@@ -328,6 +328,10 @@ def test_certificate_json_round_trip_and_errors():
         shedding_certificate_from_json({"leaf": "cone"})
     with pytest.raises(InputError, match='"del" and "lk" subtrees'):
         shedding_certificate_from_json({"shed": "a", "del": {"leaf": "empty"}})
+    with pytest.raises(InputError, match="shed vertex must be a string"):
+        shedding_certificate_from_json(
+            {"shed": ["a"], "del": {"leaf": "empty"}, "lk": {"leaf": "empty"}}
+        )
     with pytest.raises(InputError, match='"leaf" or "shed"'):
         shedding_certificate_from_json({"vertex": "a"})
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oni_kit import (
     Base,
     Graph,
@@ -24,7 +25,9 @@ from oni_kit import (
     stanley_reisner_ideal,
     validate_certificate,
 )
-from oni_kit.fixtures import p6, t_a, twin_broom
+from oni_kit.fixtures import beg_a, p6, t_a, twin_broom
+from oni_kit import gvd as gvd_module
+from oni_kit.gvd import _split_height
 
 LABELS = tuple("abcde")
 
@@ -78,6 +81,36 @@ def test_square_free_splits_always_recombine(case):
         assert is_valid_geometric_decomposition(ideal, y)
 
 
+def prime_sizes(ideal):
+    """Sizes of the minimal primes; the zero ideal's one prime is (0)."""
+    if ideal.is_zero:
+        return {0}
+    return {p.bit_count() for p in ideal.minimal_primes().masks}
+
+
+@given(ideals())
+@settings(max_examples=300, deadline=None)
+def test_height_rule_matches_dualization(case):
+    labels, supports = case
+    ideal = build(labels, supports)
+    if ideal.is_unit:
+        return
+    sizes = prime_sizes(ideal)
+    for y in labels:
+        c_part, n_part = split(ideal, y)
+        if not (c_part.is_unit or c_part.is_unmixed()):
+            # every minimal prime of C is one of I
+            assert len(sizes) > 1
+            continue
+        if not n_part.is_unmixed():
+            continue
+        c_height = None if c_part.is_unit else min(prime_sizes(c_part))
+        height = _split_height(c_part, c_height, n_part, min(prime_sizes(n_part)))
+        assert (height is not None) == ideal.is_unmixed() == (len(sizes) == 1)
+        if height is not None:
+            assert {height} == sizes
+
+
 # ---------------------------------------------------------------------------
 # the decision procedure
 
@@ -110,10 +143,120 @@ def test_seven_cycle_edge_ideal_is_not_gvd():
     assert not ok and cert is None
 
 
+def test_search_cuts_off_below_a_mixed_c_branch(monkeypatch):
+    # Many subproblems of this 22-variable ideal are mixed.  The search
+    # makes about 1,000 splits; searching each mixed subproblem until the
+    # height rule applies would take more than 300,000.
+    tree = o_sequence(
+        ["4", "5", "p1_1", "3", "p1_2", "1", "p1_1", "p1_3", "5", "p5_1", "p5_3", "p5_3"]
+    )
+    calls = 0
+
+    def counted_split(ideal, y):
+        nonlocal calls
+        calls += 1
+        if calls > 5000:
+            raise AssertionError("search kept splitting inside mixed subproblems")
+        return split(ideal, y)
+
+    monkeypatch.setattr(gvd_module, "split", counted_split)
+    ok, _ = is_gvd(odd_oni(tree))
+    assert ok
+
+
 def test_mixed_ideal_is_rejected_without_certificate():
     mixed = build("abc", [["a", "b"], ["b", "c"]])
     assert not mixed.is_unmixed()
     assert is_gvd(mixed) == (False, None)
+
+
+def dag_shape(cert):
+    """The certificate with every repeated node object replaced by the
+    index of its first appearance: equal shapes mean equal sharing."""
+    seen = {}
+
+    def walk(node):
+        if id(node) in seen:
+            return seen[id(node)]
+        seen[id(node)] = len(seen)
+        if isinstance(node, Base):
+            return node.kind
+        return node.variable, walk(node.c_branch), walk(node.n_branch)
+
+    return walk(cert)
+
+
+def assert_matches_reference(ideal):
+    ok, cert = is_gvd(ideal)
+    ref_ok, ref_cert = oracles.reference_is_gvd(ideal)
+    assert ok == ref_ok
+    if ok:
+        assert certificate_to_json_obj(cert) == certificate_to_json_obj(ref_cert)
+        assert dag_shape(cert) == dag_shape(ref_cert)
+    else:
+        assert cert is None and ref_cert is None
+
+
+@given(ideals(max_gens=6))
+@settings(max_examples=300, deadline=None)
+def test_is_gvd_matches_reference(case):
+    assert_matches_reference(build(*case))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [p6, t_a, twin_broom, lambda: o_sequence(["3", "1", "4"]), lambda: o_sequence(["3", "3", "3"])],
+)
+def test_is_gvd_matches_reference_on_trees(make):
+    # grown trees' certificates share nodes: 19 and 20 distinct splits
+    # stand for 105 and 199 in the expanded tree
+    assert_matches_reference(odd_oni(make()))
+
+
+def test_is_gvd_matches_reference_on_beg_a():
+    assert_matches_reference(SquareFreeIdeal(beg_a()))
+
+
+def forged_certificates(ideal, cert):
+    """Certificates that differ from a genuine one at the root: every other
+    split variable, the branches swapped, and a split whose C and N carry
+    their own genuine certificates (rejected exactly when the ideal is
+    mixed)."""
+    labels = ideal.universe.labels
+    if isinstance(cert, Split):
+        yield Split(cert.variable, cert.n_branch, cert.c_branch)
+        for y in labels:
+            if y != cert.variable:
+                yield Split(y, cert.c_branch, cert.n_branch)
+    for y in labels:
+        c_part, n_part = split(ideal, y)
+        c_ok, c_cert = is_gvd(c_part)
+        n_ok, n_cert = is_gvd(n_part)
+        if c_ok and n_ok:
+            yield Split(y, c_cert, n_cert)
+
+
+certificates = st.recursive(
+    st.sampled_from([Base("unit"), Base("zero"), Base("vars")]),
+    lambda kids: st.builds(Split, st.sampled_from(LABELS), kids, kids),
+    max_leaves=10,
+)
+
+
+@given(ideals(max_gens=6), ideals(max_gens=6), certificates)
+@settings(max_examples=300, deadline=None)
+def test_validate_certificate_matches_reference(case, other, random_cert):
+    ideal = build(*case)
+    _, cert = is_gvd(ideal)
+    _, other_cert = is_gvd(build(*other))
+    candidates = [random_cert, *forged_certificates(ideal, cert)]
+    candidates += [c for c in (cert, other_cert) if c is not None]
+    for candidate in candidates:
+        assert validate_certificate(ideal, candidate) == (
+            oracles.reference_validate_certificate(ideal, candidate)
+        )
+    if cert is not None:
+        assert validate_certificate(ideal, cert)
 
 
 def all_pure_complexes(n):
