@@ -518,8 +518,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return _run(argv)
     except (InputError, CapExceeded) as exc:
-        sys.stdout.write(json.dumps({"error": str(exc)}, separators=(",", ":")) + "\n")
-        return 2
+        message = str(exc)
+    except RecursionError:
+        # valid input can still nest deeper than the interpreter's stack
+        message = "input too deep to process"
+    sys.stdout.write(json.dumps({"error": message}, separators=(",", ":")) + "\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .universe import (
     Universe,
     VertexSet,
     _bits,
+    _component_masks,
     maximal_masks,
     minimal_transversals,
     sort_key,
@@ -170,14 +171,32 @@ def join(left: SimplicialComplex, right: SimplicialComplex) -> SimplicialComplex
     return SimplicialComplex(combined, facets)
 
 
+def _shed(
+    facets: tuple[int, ...], bit: int
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(deletion facets, link facets) at the vertex `bit` if it sheds, else
+    None; `facets` is in canonical order, and so are both results.
+
+    The vertex sheds when every facet of its deletion is a facet of the
+    complex: each facet through it, less the vertex, lies in a facet that
+    misses it, and those are then the deletion's facets.  The link's facets
+    are the facets through the vertex less that one vertex, which keeps
+    them an antichain in canonical order.  Both stay pure when the complex
+    is, since the deletion keeps a subset of the facets and the link's
+    facets all lose the same vertex; so purity is checked once, at the root.
+    """
+    kept = tuple(f for f in facets if not f & bit)
+    link_facets = tuple(f ^ bit for f in facets if f & bit)
+    if any(not any(h & g == h for g in kept) for h in link_facets):
+        return None
+    return kept, link_facets
+
+
 def is_shedding_vertex(cx: SimplicialComplex, v: str) -> bool:
-    """Literal facet-subset test: every facet of the deletion at v is a
-    facet of the complex itself."""
+    """Is every facet of the deletion at v a facet of the complex itself?"""
     if cx.kind != ORDINARY:
         raise InputError("shedding test needs an ordinary complex")
-    cx.universe.position(v)
-    del_facets = deletion(cx, (v,)).facets.masks
-    return set(del_facets) <= set(cx.facets.masks)
+    return _shed(cx.facets.masks, 1 << cx.universe.position(v)) is not None
 
 
 @dataclass(frozen=True)
@@ -234,7 +253,8 @@ def is_vertex_decomposable(
     Candidate shedding vertices are tried in canonical label order and only
     among vertices lying in some facet (others make no progress), so the
     returned certificate is the canonically first witness.  Subproblems are
-    memoized per call on their facet form.
+    memoized per call on their facet form.  Purity is checked once, at the
+    root, since `_shed` keeps it.
     """
     if cx.kind in (VOID, EMPTY):
         return True, Leaf("empty" if cx.kind == VOID else "simplex")
@@ -246,35 +266,21 @@ def is_vertex_decomposable(
     def search(facets: tuple[int, ...]) -> Optional[SheddingCertificate]:
         if facets in facet_set_cache:
             return facet_set_cache[facets]
-        if len(facets) <= 1:
-            cert: Optional[SheddingCertificate] = Leaf(
-                "simplex" if facets else "empty"
-            )
-            facet_set_cache[facets] = cert
-            return cert
-        if len({f.bit_count() for f in facets}) > 1:
-            facet_set_cache[facets] = None
-            return None
+        if len(facets) == 1:
+            facet_set_cache[facets] = Leaf("simplex")
+            return facet_set_cache[facets]
         support = 0
         for f in facets:
             support |= f
         result: Optional[SheddingCertificate] = None
         for p in _bits(support):
-            bit = 1 << p
-            del_facets = tuple(f for f in facets if not f & bit)
-            # shedding: every truncated facet must be absorbed by a survivor,
-            # so the deletion's facets are exactly the surviving ones
-            if any(
-                not any(f & ~bit & g == f & ~bit for g in del_facets)
-                for f in facets
-                if f & bit
-            ):
+            parts = _shed(facets, 1 << p)
+            if parts is None:
                 continue
-            link_facets = maximal_masks(f & ~bit for f in facets if f & bit)
-            cert_del = search(del_facets)
+            cert_del = search(parts[0])
             if cert_del is None:
                 continue
-            cert_link = search(link_facets)
+            cert_link = search(parts[1])
             if cert_link is None:
                 continue
             result = Shed(cx.universe.labels[p], cert_del, cert_link)
@@ -289,21 +295,23 @@ def is_vertex_decomposable(
 def validate_shedding_certificate(
     cx: SimplicialComplex, cert: SheddingCertificate
 ) -> bool:
-    """Replay a certificate: every Shed node must pass the shedding test on
-    a pure complex, every Leaf must match its base case."""
+    """Replay a certificate: every Shed node must pass one `_shed` test on
+    an ordinary complex, every Leaf must match its base case.  Purity is
+    checked once, at the root, because `_shed` keeps it."""
+    return cx.is_pure() and _replay(cx.universe, cx.facets.masks, cert)
+
+
+def _replay(universe: Universe, facets: tuple[int, ...], cert: SheddingCertificate) -> bool:
     if isinstance(cert, Leaf):
         if cert.kind == "empty":
-            return cx.kind in (VOID, EMPTY)
-        return len(cx.facets.masks) == 1
-    if cx.kind != ORDINARY or not cx.is_pure():
+            return facets in ((), (0,))
+        return len(facets) == 1
+    if facets in ((), (0,)) or cert.vertex not in universe:
         return False
-    if cert.vertex not in cx.universe:
-        return False
-    if not is_shedding_vertex(cx, cert.vertex):
-        return False
-    return validate_shedding_certificate(
-        deletion(cx, (cert.vertex,)), cert.deletion
-    ) and validate_shedding_certificate(link(cx, (cert.vertex,)), cert.link)
+    parts = _shed(facets, 1 << universe.position(cert.vertex))
+    return parts is not None and (
+        _replay(universe, parts[0], cert.deletion) and _replay(universe, parts[1], cert.link)
+    )
 
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> SquareFreeIdeal:
@@ -415,17 +423,8 @@ def is_connected_complex(cx: SimplicialComplex) -> bool:
     """Facet connectivity through shared vertices; degenerate kinds count
     as connected."""
     facets = cx.facets.masks
-    if len(facets) <= 1:
-        return True
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(len(facets)):
-            if j not in seen and facets[i] & facets[j]:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == len(facets)
+    meets = [sum(1 << j for j, g in enumerate(facets) if f & g) for f in facets]
+    return len(_component_masks(meets, (1 << len(facets)) - 1)) <= 1
 
 
 def is_simplicial_tree(cx: SimplicialComplex, cap: int = FOREST_FACET_CAP) -> bool:

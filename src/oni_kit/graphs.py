@@ -22,6 +22,7 @@ from .universe import (
     Universe,
     VertexSet,
     _bits,
+    _component_masks,
     minimal_transversals,
 )
 
@@ -120,20 +121,7 @@ class Graph:
         return self.delete_vertices(self.closed_neighbors(v).members)
 
     def component_masks(self) -> tuple[int, ...]:
-        out = []
-        seen = 0
-        for start in range(len(self.adj)):
-            if seen >> start & 1:
-                continue
-            comp = 1 << start
-            frontier = [start]
-            while frontier:
-                nxt = self.adj[frontier.pop()] & ~comp
-                comp |= nxt
-                frontier.extend(_bits(nxt))
-            seen |= comp
-            out.append(comp)
-        return tuple(out)
+        return _component_masks(self.adj, self.universe.full_mask())
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.universe.labels_of(m) for m in self.component_masks())
@@ -204,14 +192,16 @@ class Graph:
 
 def _heights_of_adj(
     adj: Sequence[int], present: int
-) -> tuple[dict[int, Optional[int]], bool]:
-    """Leaf-distance heights and forest flag for the subgraph on `present`
-    positions with the given (possibly non-induced) adjacency masks."""
+) -> tuple[dict[int, Optional[int]], int, bool, bool]:
+    """Leaf-distance heights, component count, forest flag and balance flag
+    for the subgraph on `present` positions with the given (possibly
+    non-induced) adjacency masks.  Balanced means a forest in which no edge
+    joins two vertices of equal height; every height of a forest is
+    defined, since each of its components has a vertex of degree <= 1."""
     heights: dict[int, Optional[int]] = {}
     queue: deque[int] = deque()
-    n = edge_twice = 0
+    edge_twice = 0
     for p in _bits(present):
-        n += 1
         deg = (adj[p] & present).bit_count()
         edge_twice += deg
         if deg <= 1:
@@ -227,20 +217,12 @@ def _heights_of_adj(
             if heights[q] is None:
                 heights[q] = h + 1
                 queue.append(q)
-    comps = 0
-    seen = 0
-    for start in _bits(present):
-        if seen >> start & 1:
-            continue
-        comps += 1
-        comp = 1 << start
-        frontier = [start]
-        while frontier:
-            nxt = adj[frontier.pop()] & present & ~comp
-            comp |= nxt
-            frontier.extend(_bits(nxt))
-        seen |= comp
-    return heights, edge_twice // 2 == n - comps
+    comps = len(_component_masks(adj, present))
+    forest = edge_twice // 2 == len(heights) - comps
+    balanced = forest and not any(
+        heights[q] == h for p, h in heights.items() for q in _bits(adj[p] & present)
+    )
+    return heights, comps, forest, balanced
 
 
 class HeightProfile:
@@ -249,21 +231,13 @@ class HeightProfile:
     __slots__ = ("universe", "heights", "is_forest", "is_tree", "balanced")
 
     def __init__(self, graph: Graph):
-        present = graph.universe.full_mask()
-        by_pos, forest = _heights_of_adj(graph.adj, present)
+        by_pos, comps, forest, balanced = _heights_of_adj(
+            graph.adj, graph.universe.full_mask()
+        )
         self.universe = graph.universe
-        self.heights = tuple(by_pos.get(p) for p in range(len(graph.universe)))
+        self.heights = tuple(by_pos[p] for p in range(len(graph.universe)))
         self.is_forest = forest
-        self.is_tree = graph.is_tree()
-        balanced = forest and all(h is not None for h in self.heights)
-        if balanced:
-            for i, mask in enumerate(graph.adj):
-                for j in _bits(mask):
-                    if j > i and self.heights[i] == self.heights[j]:
-                        balanced = False
-                        break
-                if not balanced:
-                    break
+        self.is_tree = forest and comps == 1
         self.balanced = balanced
 
     def height_of(self, v: str) -> Optional[int]:
@@ -588,21 +562,13 @@ def _masked_balanced_even(tree: Graph, a_mask: int, b_mask: int) -> Optional[int
     """Even-stratum mask of the candidate piece, or None when the piece is
     not a balanced forest.  Works in ambient positions."""
     present = a_mask | b_mask
-    adj = _piece_adj(tree, a_mask, b_mask)
-    by_pos, forest = _heights_of_adj(adj, present)
-    if not forest:
+    by_pos, _, _, balanced = _heights_of_adj(_piece_adj(tree, a_mask, b_mask), present)
+    if not balanced:
         return None
     even = 0
-    for p in _bits(present):
-        h = by_pos[p]
-        if h is None:
-            return None
+    for p, h in by_pos.items():
         if h % 2 == 0:
             even |= 1 << p
-    for p in _bits(present):
-        for q in _bits(adj[p] & present):
-            if q > p and by_pos[p] == by_pos[q]:
-                return None
     return even
 
 
@@ -639,26 +605,12 @@ def search_decomposition(
 
     stemless = [tree.adj[p] & w_mask for p in range(len(u))]
     comp_classes: list[tuple[int, int]] = []
-    seen_mask = 0
-    for start in _bits(w_mask):
-        if seen_mask >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = [start]
-        while frontier:
-            nxt = stemless[frontier.pop()] & ~comp
-            comp |= nxt
-            frontier.extend(_bits(nxt))
-        seen_mask |= comp
-        by_pos, _ = _heights_of_adj(stemless, comp)
-        ev = od = 0
-        for p in _bits(comp):
-            h = by_pos[p]
+    for comp in _component_masks(stemless, w_mask):
+        ev = 0
+        for p, h in _heights_of_adj(stemless, comp)[0].items():
             if h is not None and h % 2 == 0:
                 ev |= 1 << p
-            else:
-                od |= 1 << p
-        comp_classes.append((ev, od))
+        comp_classes.append((ev, comp & ~ev))
     if len(comp_classes) <= 12:
         for vector in range(1 << len(comp_classes)):
             a = 0

@@ -310,13 +310,12 @@ def _merge(
 
 def _chain_certificate(ideal: SquareFreeIdeal) -> GvdCertificate:
     """Certificate for a single nonempty square-free monomial: peel the
-    support one variable at a time."""
-    mask = ideal.generators.masks[0]
-    if mask.bit_count() == 1:
-        return Base(BASE_VARIABLES)
-    y = ideal.universe.labels[next(_bits(mask))]
-    shorter = split(ideal, y)[0]
-    return Split(y, _chain_certificate(shorter), Base(BASE_ZERO))
+    support one variable at a time, in label order."""
+    support = ideal.universe.labels_of(ideal.generators.masks[0])
+    cert: GvdCertificate = Base(BASE_VARIABLES)
+    for y in reversed(support[:-1]):
+        cert = Split(y, cert, Base(BASE_ZERO))
+    return cert
 
 
 def _component_ideal(piece: Graph, odd: frozenset[str]) -> SquareFreeIdeal:

@@ -8,7 +8,7 @@ single machine operations and every iteration order is deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InputError
 
@@ -23,16 +23,38 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _component_masks(adj: Sequence[int], present: int) -> tuple[int, ...]:
+    """Connected components of the graph with adjacency masks `adj`,
+    restricted to the `present` positions, as masks ordered by their lowest
+    position."""
+    out = []
+    seen = 0
+    for start in _bits(present):
+        if seen >> start & 1:
+            continue
+        comp = 1 << start
+        frontier = [start]
+        while frontier:
+            nxt = adj[frontier.pop()] & present & ~comp
+            comp |= nxt
+            frontier.extend(_bits(nxt))
+        seen |= comp
+        out.append(comp)
+    return tuple(out)
+
+
 class Universe:
     """An ordered ground set of distinct string labels (lexicographic)."""
 
     __slots__ = ("labels", "_index")
 
     def __init__(self, labels: Iterable[str]):
-        ordered = tuple(sorted(labels))
-        for lab in ordered:
+        given = list(labels)
+        for lab in given:
             if not isinstance(lab, str) or not lab:
                 raise InputError(f"labels must be non-empty strings, got {lab!r}")
+        given.sort()
+        ordered = tuple(given)
         if len(set(ordered)) != len(ordered):
             dupes = sorted({x for x in ordered if ordered.count(x) > 1})
             raise InputError(f"duplicate labels: {', '.join(dupes)}")
@@ -57,7 +79,7 @@ class Universe:
     def position(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise InputError(f"unknown label {label!r}") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:

@@ -1,9 +1,10 @@
 """Slow, independent reference implementations.
 
 Everything here is deliberately naive: plain set arithmetic over explicit
-subset enumeration, networkx for chordality, and the GVD search and replay
-that re-check unmixedness and the split identity at every node.  The tests trust these
-against the package's bitmask kernels on small instances.
+subset enumeration, networkx for chordality and forests, the GVD search and
+replay that re-check unmixedness and the split identity at every node, and
+the shedding test and replay that rebuild deletion and link complexes.  The
+tests trust these against the package's bitmask kernels on small instances.
 """
 
 from __future__ import annotations
@@ -16,7 +17,19 @@ from typing import Iterable, Optional
 
 import networkx as nx
 
-from oni_kit import Base, Split, is_valid_geometric_decomposition, split
+from oni_kit import (
+    EMPTY,
+    ORDINARY,
+    VOID,
+    Base,
+    InputError,
+    Leaf,
+    Split,
+    deletion,
+    is_valid_geometric_decomposition,
+    link,
+    split,
+)
 
 Sets = set[frozenset[str]]
 
@@ -121,6 +134,16 @@ def is_chordal_oracle(
     return nx.is_chordal(graph)
 
 
+def forest_oracle(vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
+    """(is_forest, is_tree, components) by networkx; components are sorted
+    label tuples, in order of their smallest label."""
+    graph = nx.Graph()
+    graph.add_nodes_from(vertices)
+    graph.add_edges_from(edges)
+    comps = tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(graph)))
+    return nx.is_forest(graph), nx.is_tree(graph), comps
+
+
 def random_tree_edges(rng: random.Random, n: int) -> list[tuple[str, str]]:
     """Uniform labeled tree on "0".."n-1" via a random Pruefer sequence."""
     if n <= 1:
@@ -165,6 +188,33 @@ def vd_oracle(facets: frozenset[frozenset[str]]) -> bool:
         if vd_oracle(frozenset(del_facets)) and vd_oracle(frozenset(link_facets)):
             return True
     return False
+
+
+def reference_is_shedding_vertex(cx, v: str) -> bool:
+    """Literal facet-subset test: every facet of the deletion at v is a
+    facet of the complex itself."""
+    if cx.kind != ORDINARY:
+        raise InputError("shedding test needs an ordinary complex")
+    cx.universe.position(v)
+    return set(deletion(cx, (v,)).facets.masks) <= set(cx.facets.masks)
+
+
+def reference_validate_shedding_certificate(cx, cert) -> bool:
+    """Replay that rebuilds the deletion and link complexes and re-checks
+    purity and the literal shedding test at every Shed node."""
+    if isinstance(cert, Leaf):
+        if cert.kind == "empty":
+            return cx.kind in (VOID, EMPTY)
+        return len(cx.facets.masks) == 1
+    if cx.kind != ORDINARY or not cx.is_pure():
+        return False
+    if cert.vertex not in cx.universe:
+        return False
+    if not reference_is_shedding_vertex(cx, cert.vertex):
+        return False
+    return reference_validate_shedding_certificate(
+        deletion(cx, (cert.vertex,)), cert.deletion
+    ) and reference_validate_shedding_certificate(link(cx, (cert.vertex,)), cert.link)
 
 
 def faces_oracle(facets: Iterable[frozenset[str]]) -> Sets:

@@ -1,8 +1,9 @@
 """Acceptance criteria: ten pinned end-to-end checks, each reported on a
 single PASS/FAIL line with its runtime and held to a time budget.
 
-Golden values in this module were derived with the naive reference code in
-tests/oracles.py before the bitmask kernels existed, then frozen."""
+The frozen golden values are the tables in oni_kit.verify, which the
+`verify-paper` command checks too; test_path_reference_values re-derives
+them with the naive reference code in tests/oracles.py."""
 
 import random
 import time
@@ -50,6 +51,14 @@ from oni_kit import (
     verify_decomposition,
 )
 from oni_kit.fixtures import beg_a, p6, t_a
+from oni_kit.verify import (
+    FAMILY_TAU,
+    P6_EVEN_STABLE_FACETS,
+    P6_ODD_ONI_GENS,
+    P6_ODD_TD_SETS,
+    P6_ONI_GENS,
+    P6_TD_SETS,
+)
 
 
 def run_criterion(label, bound, body):
@@ -65,43 +74,11 @@ def run_criterion(label, bound, body):
 
 
 # ---------------------------------------------------------------------------
-# frozen golden values
+# frozen golden values: oni_kit.verify's tables, read as sets
 
-FAMILY_TAU = {
-    frozenset({"v1", "v3"}),
-    frozenset({"v1", "v5"}),
-    frozenset({"v2", "v3"}),
-    frozenset({"v2", "v4"}),
-    frozenset({"v3", "v4"}),
-}
 
-P6_TD_SETS = {
-    frozenset({"0", "1", "4", "5"}),
-    frozenset({"1", "2", "4", "5"}),
-    frozenset({"1", "2", "5", "6"}),
-}
-P6_ODD_TD_SETS = {
-    frozenset({"0", "4"}),
-    frozenset({"2", "4"}),
-    frozenset({"2", "6"}),
-}
-P6_ONI_GENS = {
-    frozenset({"1"}),
-    frozenset({"5"}),
-    frozenset({"0", "2"}),
-    frozenset({"2", "4"}),
-    frozenset({"4", "6"}),
-}
-P6_ODD_ONI_GENS = {
-    frozenset({"0", "2"}),
-    frozenset({"2", "4"}),
-    frozenset({"4", "6"}),
-}
-P6_EVEN_STABLE_FACETS = {
-    frozenset({"0", "4"}),
-    frozenset({"0", "6"}),
-    frozenset({"2", "6"}),
-}
+def golden(table):
+    return {frozenset(members) for members in table}
 
 
 def family_sets(family):
@@ -158,11 +135,11 @@ def test_realization_golden_values():
     def body():
         family = beg_a()
         tau = minimal_transversals(family)
-        assert family_sets(tau) == FAMILY_TAU
+        assert family_sets(tau) == golden(FAMILY_TAU)
         graph = realize_as_oni(family)
         assert len(graph) == 10
         assert family_sets(minimal_td_sets(graph)) == family_sets(family)
-        assert family_sets(oni(graph).minimal_generators()) == FAMILY_TAU
+        assert family_sets(oni(graph).minimal_generators()) == golden(FAMILY_TAU)
         assert is_chordal(graph)
 
     run_criterion("realization-golden", 1.0, body)
@@ -386,35 +363,37 @@ def test_structural_unmixedness_agreement():
 
 def test_path_reference_values():
     def body():
+        assert oracles.transversals_oracle(beg_a().members) == golden(FAMILY_TAU)
+
         tree = path_graph(6)
         labels = tree.vertices
         edges = tree.edges
 
         td = oracles.td_sets_oracle(labels, edges)
-        assert td == P6_TD_SETS
+        assert td == golden(P6_TD_SETS)
         assert family_sets(minimal_td_sets(tree)) == td
 
         odd_td = oracles.odd_td_sets_oracle(labels, edges)
-        assert odd_td == P6_ODD_TD_SETS
+        assert odd_td == golden(P6_ODD_TD_SETS)
         assert family_sets(minimal_odd_td_sets(tree)) == odd_td
 
         adjacency = oracles.adjacency(labels, edges)
         neighborhoods = oracles.minimalize(
             frozenset(adjacency[v]) for v in labels
         )
-        assert neighborhoods == P6_ONI_GENS
+        assert neighborhoods == golden(P6_ONI_GENS)
         assert family_sets(oni(tree).minimal_generators()) == neighborhoods
 
         height_map = oracles.heights_oracle(labels, edges)
         odd_hoods = oracles.minimalize(
             frozenset(adjacency[v]) for v in labels if height_map[v] % 2 == 1
         )
-        assert odd_hoods == P6_ODD_ONI_GENS
+        assert odd_hoods == golden(P6_ODD_ONI_GENS)
         assert family_sets(odd_oni(tree).minimal_generators()) == odd_hoods
 
         evens = {v for v in labels if height_map[v] % 2 == 0}
         stable_facets = {frozenset(evens - s) for s in odd_td}
-        assert stable_facets == P6_EVEN_STABLE_FACETS
+        assert stable_facets == golden(P6_EVEN_STABLE_FACETS)
         assert {
             frozenset(f) for f in even_stable_complex(tree).facets.members
         } == stable_facets

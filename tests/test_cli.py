@@ -3,11 +3,12 @@ format switches, and the self-check's fault sensitivity."""
 
 import io
 import json
+import sys
 
 import pytest
 
 import oni_kit.verify
-from oni_kit import SpernerFamily, cli
+from oni_kit import Graph, SpernerFamily, Split, certify_tree_gvd, cli
 
 P6_DOC = (
     '{"vertices":["0","1","2","3","4","5","6"],'
@@ -156,6 +157,20 @@ def test_malformed_inputs_exit_2(invoke):
         deep = '{"split":{"y":"a","C":%s,"N":{"base":"zero"}}}' % deep
     code, out = invoke(["gvd", "validate"], stdin='{"ideal":%s,"certificate":%s}' % (ZERO_IDEAL, deep))
     assert code == 2 and out == '{"error":"invalid JSON: nested too deeply"}\n'
+    for doc in ('{"universe":["a",["b"]],"sets":[]}', '{"universe":["a"],"sets":[[["a"]]]}'):
+        code, out = invoke(["dualize"], stdin=doc)
+        assert code == 2 and out.count("\n") == 1 and "error" in json.loads(out)
+
+
+def test_input_deeper_than_the_stack_exits_2(invoke):
+    # a star is a balanced TD-unmixed tree; its certificate is a chain with
+    # one split per leaf, too deep to encode as JSON
+    leaves = [f"l{i}" for i in range(sys.getrecursionlimit() + 100)]
+    star = Graph.from_vertices(["c", *leaves], [("c", v) for v in leaves])
+    cert = certify_tree_gvd(star)
+    assert isinstance(cert, Split) and cert.variable == sorted(leaves)[0]
+    code, out = invoke(["gvd", "certify-tree"], stdin=json.dumps(star.to_json_obj()))
+    assert code == 2 and out == '{"error":"input too deep to process"}\n'
 
 
 # ---------------------------------------------------------------------------

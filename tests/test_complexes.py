@@ -266,8 +266,12 @@ def test_decomposability_base_cases():
     assert validate_shedding_certificate(empty, cert)
     assert not validate_shedding_certificate(void, Leaf("simplex"))
 
+    mixed = cx("abc", [["a", "b"], ["c"]])
     with pytest.raises(InputError, match="pure complexes"):
-        is_vertex_decomposable(cx("abc", [["a", "b"], ["c"]]))
+        is_vertex_decomposable(mixed)
+    # c sheds and both leaves match, but replay checks purity at the root
+    assert is_shedding_vertex(mixed, "c")
+    assert not validate_shedding_certificate(mixed, Shed("c", Leaf("simplex"), Leaf("empty")))
 
 
 def test_decomposability_with_certificate():
@@ -282,6 +286,65 @@ def test_decomposability_with_certificate():
     # tampering with the shed vertex fails
     forged = Shed("0", cert.deletion, cert.link)
     assert not validate_shedding_certificate(stable, forged)
+
+
+def shedding_witness(complex_):
+    """A certificate whose Shed nodes all pass the literal shedding test
+    and whose leaves all match, found in label order without regard to
+    purity; None when there is none."""
+    if complex_.kind != ORDINARY:
+        return Leaf("empty")
+    if len(complex_.facets.masks) == 1:
+        return Leaf("simplex")
+    for v in complex_.universe.labels:
+        if complex_.is_face([v]) and oracles.reference_is_shedding_vertex(complex_, v):
+            cert_del = shedding_witness(deletion(complex_, [v]))
+            cert_link = shedding_witness(link(complex_, [v]))
+            if cert_del is not None and cert_link is not None:
+                return Shed(v, cert_del, cert_link)
+    return None
+
+
+def forged_shedding_certificates(complex_, cert):
+    """The certificate with its branches swapped, and with each other root
+    vertex."""
+    if isinstance(cert, Shed):
+        yield Shed(cert.vertex, cert.link, cert.deletion)
+        for v in complex_.universe.labels:
+            if v != cert.vertex:
+                yield Shed(v, cert.deletion, cert.link)
+
+
+shedding_certificates = st.recursive(
+    st.sampled_from([Leaf("simplex"), Leaf("empty")]),
+    lambda kids: st.builds(Shed, st.sampled_from(LABELS), kids, kids),
+    max_leaves=10,
+)
+
+
+@given(complexes(), complexes(), shedding_certificates)
+@settings(max_examples=300, deadline=None)
+def test_shedding_matches_reference(case, other, random_cert):
+    # complexes() draws non-pure complexes too
+    complex_ = cx(*case)
+    if complex_.kind == ORDINARY:
+        for v in complex_.universe.labels:
+            assert is_shedding_vertex(complex_, v) == (
+                oracles.reference_is_shedding_vertex(complex_, v)
+            )
+    candidates = [random_cert]
+    for source in (complex_, cx(*other)):
+        witness = shedding_witness(source)
+        if witness is not None:
+            candidates += [witness, *forged_shedding_certificates(complex_, witness)]
+        if source.is_pure():
+            _, cert = is_vertex_decomposable(source)
+            if cert is not None:
+                candidates += [cert, *forged_shedding_certificates(complex_, cert)]
+    for candidate in candidates:
+        assert validate_shedding_certificate(complex_, candidate) == (
+            oracles.reference_validate_shedding_certificate(complex_, candidate)
+        )
 
 
 def all_pure_complexes(n):

@@ -152,9 +152,19 @@ def test_cycle_heights_are_undefined():
 @settings(max_examples=150, deadline=None)
 def test_heights_match_oracle(case):
     labels, edges = case
-    profile = heights(graph(labels, edges))
+    g = graph(labels, edges)
+    profile = heights(g)
     expected = oracles.heights_oracle(labels, edges)
     assert {v: profile.height_of(v) for v in labels} == expected
+    forest, tree, comps = oracles.forest_oracle(labels, edges)
+    assert (profile.is_forest, profile.is_tree) == (forest, tree)
+    assert (g.is_forest(), g.is_tree()) == (forest, tree)
+    assert profile.balanced == (
+        forest
+        and all(h is not None for h in expected.values())
+        and all(expected[a] != expected[b] for a, b in edges)
+    )
+    assert tuple(g.universe.labels_of(m) for m in g.component_masks()) == comps
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,20 @@ def test_forest_certificate_validates():
     assert validate_certificate(odd_oni(forest), cert)
 
 
+def test_star_certificate_is_a_chain():
+    # one generator, the product of the leaves: peeled in label order
+    star = Graph(Universe("abcd"), [("c", "a"), ("c", "b"), ("c", "d")])
+    cert = certify_tree_gvd(star)
+    assert certificate_to_json_obj(cert) == {
+        "split": {
+            "y": "a",
+            "C": {"split": {"y": "b", "C": {"base": "vars"}, "N": {"base": "zero"}}},
+            "N": {"base": "zero"},
+        }
+    }
+    assert validate_certificate(odd_oni(star), cert)
+
+
 def test_certificates_survive_universe_extension():
     ideal = p6_odd_ideal()
     cert = certify_tree_gvd(p6())
