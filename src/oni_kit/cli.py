@@ -255,11 +255,11 @@ def _cmd_graph_heights(args) -> Result:
 
 def _cmd_graph_unmixed(args) -> Result:
     graph = _graph_in(args)
-    profile = HeightProfile(graph)
     flag = is_td_unmixed(graph)
-    structural = None
-    if profile.is_tree and profile.balanced:
+    try:
         structural = is_structurally_td_unmixed(graph)
+    except InputError:  # not a balanced tree: the structural test does not apply
+        structural = None
     return {"td_unmixed": flag, "structurally_td_unmixed": structural}, flag
 
 

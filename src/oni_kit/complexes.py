@@ -19,6 +19,7 @@ from .universe import (
     VertexSet,
     _bits,
     _component_masks,
+    _json_sets,
     maximal_masks,
     minimal_transversals,
     sort_key,
@@ -133,10 +134,7 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimplicialComplex":
-        if not isinstance(obj, dict) or "universe" not in obj or "facets" not in obj:
-            raise InputError('complex JSON needs "universe" and "facets" keys')
-        universe = Universe(obj["universe"])
-        cx = cls.from_facets(universe, obj["facets"])
+        cx = cls.from_facets(*_json_sets(obj, "complex", "universe", "facets"))
         if "kind" in obj and obj["kind"] != cx.kind:
             raise InputError(f'complex JSON kind "{obj["kind"]}" contradicts the facets')
         return cx

@@ -23,6 +23,7 @@ from .universe import (
     VertexSet,
     _bits,
     _component_masks,
+    _json_sets,
     minimal_transversals,
 )
 
@@ -153,12 +154,10 @@ class Graph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Graph":
-        if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
-            raise InputError('graph JSON needs "vertices" and "edges" keys')
-        universe = Universe(obj["vertices"])
+        universe, pairs = _json_sets(obj, "graph", "vertices", "edges")
         edges = []
-        for e in obj["edges"]:
-            if not isinstance(e, (list, tuple)) or len(e) != 2:
+        for e in pairs:
+            if len(e) != 2:
                 raise InputError(f"edge {e!r} is not a pair")
             edges.append((e[0], e[1]))
         return cls(universe, edges)
@@ -353,18 +352,25 @@ def is_td_unmixed(graph: Graph) -> bool:
     return len(sizes) <= 1
 
 
-def _components_structurally_unmixed(graph: Graph, profile: HeightProfile) -> bool:
-    one = profile.stratum(1).mask
-    two = profile.stratum(2).mask
-    for comp in graph.component_masks():
-        comp_height = max(profile.heights[p] for p in _bits(comp))
+def _structurally_unmixed(
+    adj: Sequence[int], present: int, heights: dict[int, Optional[int]]
+) -> bool:
+    """Height and stem/branch counting conditions, per component of the
+    balanced forest on `present` with the heights `_heights_of_adj` gave:
+    height at most 3, every height-2 vertex next to exactly one height-1
+    vertex, and every height-1 vertex next to at most one height-2 vertex,
+    exactly one when its component has height 3."""
+    one = sum(1 << p for p, h in heights.items() if h == 1)
+    two = sum(1 << p for p, h in heights.items() if h == 2)
+    for comp in _component_masks(adj, present):
+        comp_height = max(heights[p] for p in _bits(comp))
         if comp_height > 3:
             return False
         for p in _bits(comp & two):
-            if (graph.adj[p] & one).bit_count() != 1:
+            if (adj[p] & one).bit_count() != 1:
                 return False
         for p in _bits(comp & one):
-            hits = (graph.adj[p] & two).bit_count()
+            hits = (adj[p] & two).bit_count()
             if hits > 1 or (comp_height == 3 and hits != 1):
                 return False
     return True
@@ -373,19 +379,19 @@ def _components_structurally_unmixed(graph: Graph, profile: HeightProfile) -> bo
 def is_td_unmixed_balanced_forest(graph: Graph) -> bool:
     """Structural test applied per component; false (not an error) when the
     graph is not a balanced forest at all."""
-    profile = heights(graph)
-    if not profile.balanced:
-        return False
-    return _components_structurally_unmixed(graph, profile)
+    full = graph.universe.full_mask()
+    by_pos, _, _, balanced = _heights_of_adj(graph.adj, full)
+    return balanced and _structurally_unmixed(graph.adj, full, by_pos)
 
 
 def is_structurally_td_unmixed(tree: Graph) -> bool:
     """Height and stem/branch counting conditions on a balanced tree,
     equivalent to unmixedness without enumerating a single TD-set."""
-    profile = heights(tree)
-    if not profile.is_tree or not profile.balanced:
+    full = tree.universe.full_mask()
+    by_pos, comps, _, balanced = _heights_of_adj(tree.adj, full)
+    if comps != 1 or not balanced:
         raise InputError("structural unmixedness test needs a balanced tree")
-    return _components_structurally_unmixed(tree, profile)
+    return _structurally_unmixed(tree.adj, full, by_pos)
 
 
 def stable_complex(graph: Graph) -> SimplicialComplex:
@@ -470,23 +476,29 @@ def o_sequence(picks: Iterable[str]) -> Graph:
     return tree
 
 
-def find_split_vertex(tree: Graph) -> str:
-    """Canonically first height-2 vertex of degree 2 in a TD-unmixed
-    balanced height-3 tree."""
-    profile = heights(tree)
+def _split_vertex(adj: Sequence[int], present: int) -> int:
+    """Position of the first height-2 vertex of degree 2 in the TD-unmixed
+    balanced height-3 tree on `present`, heights taken inside it."""
+    by_pos, comps, _, balanced = _heights_of_adj(adj, present)
     if (
-        not profile.is_tree
-        or not profile.balanced
-        or profile.graph_height != 3
-        or not _components_structurally_unmixed(tree, profile)
+        comps != 1
+        or not balanced
+        or max(by_pos.values()) != 3
+        or not _structurally_unmixed(adj, present, by_pos)
     ):
         raise InputError(
             "split vertex requires a TD-unmixed balanced tree of height 3"
         )
-    for v in profile.stratum(2).members:
-        if tree.degree(v) == 2:
-            return v
+    for p in _bits(present):
+        if by_pos[p] == 2 and (adj[p] & present).bit_count() == 2:
+            return p
     raise RuntimeError("no degree-2 height-2 vertex found; this cannot happen")
+
+
+def find_split_vertex(tree: Graph) -> str:
+    """Canonically first height-2 vertex of degree 2 in a TD-unmixed
+    balanced height-3 tree."""
+    return tree.universe.labels[_split_vertex(tree.adj, tree.universe.full_mask())]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ forests that never searches.
 
 Recursion works over shrinking universes (the variable is dropped from
 the ring) rather than quotient rings; for square-free monomial ideals
-the two views agree.
+the two views agree.  The forest certifier recurses on vertex masks of
+the forest instead, a piece's ideal being the minimal masks of its odd
+vertices' neighborhoods in it; position order is label order, so these
+certificates are the ones per-piece universes would give.
 """
 
 from __future__ import annotations
@@ -16,14 +19,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InputError
-from .graphs import (
-    Graph,
-    _components_structurally_unmixed,
-    find_split_vertex,
-    heights,
-)
+from .graphs import Graph, _heights_of_adj, _split_vertex, _structurally_unmixed
 from .ideals import SquareFreeIdeal
-from .universe import Universe, _bits
+from .universe import Universe, _bits, _component_masks, minimal_masks
 
 BASE_UNIT = "unit"
 BASE_ZERO = "zero"
@@ -256,126 +254,102 @@ def _replay(ideal: SquareFreeIdeal, cert: GvdCertificate, memo: dict) -> Optiona
     return height
 
 
-def _vars_or_zero(ideal: SquareFreeIdeal) -> GvdCertificate:
-    return Base(BASE_ZERO) if ideal.is_zero else Base(BASE_VARIABLES)
-
-
 def _merge_certs(
-    a: SquareFreeIdeal,
+    a: tuple[int, ...],
     ca: GvdCertificate,
-    b: SquareFreeIdeal,
+    b: tuple[int, ...],
     cb: GvdCertificate,
+    u: Universe,
 ) -> GvdCertificate:
-    """Certificate for a sum of ideals on disjoint variable sets.
+    """Certificate for the sum of the ideals generated by the masks `a` and
+    `b` (positions in `u`, disjoint supports), from the summands' ones.
 
     Splits of one summand commute with adding the other, so a Split node
-    descends with the untouched summand carried along; variable bases
-    peel one generator at a time (its C is the unit ideal)."""
-    if isinstance(ca, Base) and ca.kind == BASE_ZERO:
+    descends with the untouched summand carried along; a variable base,
+    on either side, peels one generator at a time first (its C is the unit
+    ideal)."""
+    if ca == Base(BASE_ZERO):
         return cb
-    if isinstance(cb, Base) and cb.kind == BASE_ZERO:
+    if cb == Base(BASE_ZERO):
         return ca
-    if isinstance(ca, Base) and ca.kind == BASE_UNIT:
-        return Base(BASE_UNIT)
-    if isinstance(cb, Base) and cb.kind == BASE_UNIT:
+    if Base(BASE_UNIT) in (ca, cb):
         return Base(BASE_UNIT)
     if isinstance(ca, Base) and isinstance(cb, Base):
         return Base(BASE_VARIABLES)
-    if isinstance(ca, Base):
-        y = a.universe.labels[next(_bits(a.generators.masks[0]))]
-        remainder = split(a, y)[1]
-        return Split(y, Base(BASE_UNIT), _merge_certs(remainder, _vars_or_zero(remainder), b, cb))
     if isinstance(cb, Base):
-        y = b.universe.labels[next(_bits(b.generators.masks[0]))]
-        remainder = split(b, y)[1]
-        return Split(y, Base(BASE_UNIT), _merge_certs(a, ca, remainder, _vars_or_zero(remainder)))
-    c_part, n_part = split(a, ca.variable)
+        return _merge_certs(b, cb, a, ca, u)
+    if isinstance(ca, Base):
+        y = next(_bits(a[0]))
+        rest = tuple(m for m in a if not m >> y & 1)
+        rest_cert = Base(BASE_VARIABLES) if rest else Base(BASE_ZERO)
+        return Split(u.labels[y], Base(BASE_UNIT), _merge_certs(rest, rest_cert, b, cb, u))
+    ybit = 1 << u.position(ca.variable)
     return Split(
         ca.variable,
-        _merge_certs(c_part, ca.c_branch, b, cb),
-        _merge_certs(n_part, ca.n_branch, b, cb),
+        _merge_certs(minimal_masks(m & ~ybit for m in a), ca.c_branch, b, cb, u),
+        _merge_certs(tuple(m for m in a if not m & ybit), ca.n_branch, b, cb, u),
     )
 
 
-def _merge(
-    a: SquareFreeIdeal,
-    ca: GvdCertificate,
-    b: SquareFreeIdeal,
-    cb: GvdCertificate,
-) -> tuple[SquareFreeIdeal, GvdCertificate]:
-    combined = Universe(a.universe.labels + b.universe.labels)
-    total = a.extended_to(combined).sum(b.extended_to(combined))
-    return total, _merge_certs(a, ca, b, cb)
-
-
-def _chain_certificate(ideal: SquareFreeIdeal) -> GvdCertificate:
-    """Certificate for a single nonempty square-free monomial: peel the
-    support one variable at a time, in label order."""
-    support = ideal.universe.labels_of(ideal.generators.masks[0])
+def _chain_certificate(support: tuple[str, ...]) -> GvdCertificate:
+    """Certificate for a single nonempty square-free monomial with the
+    given support: peel it one variable at a time, in label order."""
     cert: GvdCertificate = Base(BASE_VARIABLES)
     for y in reversed(support[:-1]):
         cert = Split(y, cert, Base(BASE_ZERO))
     return cert
 
 
-def _component_ideal(piece: Graph, odd: frozenset[str]) -> SquareFreeIdeal:
-    even = Universe(v for v in piece.vertices if v not in odd)
-    supports = [
-        piece.neighbors(v).members for v in piece.vertices if v in odd
-    ]
-    return SquareFreeIdeal.from_supports(even, supports)
-
-
-def _certify_piece(
-    piece: Graph, odd: frozenset[str], memo: dict
-) -> tuple[SquareFreeIdeal, GvdCertificate]:
-    total = SquareFreeIdeal.zero(Universe(()))
-    cert: GvdCertificate = Base(BASE_ZERO)
-    for comp in piece.components():
-        comp_ideal, comp_cert = _certify_component(piece.induced(comp), odd, memo)
-        total, cert = _merge(total, cert, comp_ideal, comp_cert)
-    return total, cert
-
-
-def _certify_component(
-    comp: Graph, odd: frozenset[str], memo: dict
-) -> tuple[SquareFreeIdeal, GvdCertificate]:
-    ideal = _component_ideal(comp, odd)
-    key = _memo_key(ideal)
-    if key in memo:
-        return ideal, memo[key]
-    masks = ideal.generators.masks
-    if ideal.is_zero:
-        cert: GvdCertificate = Base(BASE_ZERO)
-    elif len(masks) == 1:
-        cert = _chain_certificate(ideal)
-    else:
-        singleton = next((m for m in masks if m.bit_count() == 1), None)
-        if singleton is not None:
-            # A stranded branch vertex kept a lone neighbor: its variable
-            # generates, so C is unit and N drops the closed neighborhood.
-            y = ideal.universe.labels[next(_bits(singleton))]
-            _, rest_cert = _certify_piece(comp.delete_closed_neighborhood(y), odd, memo)
-            cert = Split(y, Base(BASE_UNIT), rest_cert)
-        else:
-            u = find_split_vertex(comp)
-            _, c_cert = _certify_piece(comp.delete_vertices([u]), odd, memo)
-            _, n_cert = _certify_piece(comp.delete_closed_neighborhood(u), odd, memo)
-            cert = Split(u, c_cert, n_cert)
-    memo[key] = cert
-    return ideal, cert
-
-
 def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     """Structural certificate for the odd-vertex neighborhood ideal of a
     TD-unmixed balanced forest; no search, recursion mirrors deleting a
-    degree-2 branch vertex or its closed neighborhood."""
-    profile = heights(forest)
-    if not profile.balanced or not _components_structurally_unmixed(forest, profile):
+    degree-2 branch vertex or its closed neighborhood.  Certificates are
+    memoized per call on a piece's even vertices and generators, so equal
+    ideals reached along different deletions share one node."""
+    u = forest.universe
+    adj = forest.adj
+    full = u.full_mask()
+    by_pos, _, _, balanced = _heights_of_adj(adj, full)
+    if not balanced or not _structurally_unmixed(adj, full, by_pos):
         raise InputError(
             "certificate construction needs a TD-unmixed balanced forest"
         )
-    odd = frozenset(profile.v_odd.members)
-    memo: dict = {}
-    _, cert = _certify_piece(forest, odd, memo)
-    return cert
+    odd = sum(1 << p for p, h in by_pos.items() if h % 2)
+    memo: dict[tuple, GvdCertificate] = {}
+
+    def piece_cert(piece: int) -> GvdCertificate:
+        """Merge the certificates of the piece's components, in order."""
+        gens: tuple[int, ...] = ()
+        cert: GvdCertificate = Base(BASE_ZERO)
+        for comp in _component_masks(adj, piece):
+            comp_gens, comp_cert = component_cert(comp)
+            cert = _merge_certs(gens, cert, comp_gens, comp_cert, u)
+            gens = minimal_masks(gens + comp_gens)
+        return cert
+
+    def component_cert(comp: int) -> tuple[tuple[int, ...], GvdCertificate]:
+        gens = minimal_masks(adj[p] & comp for p in _bits(comp & odd))
+        key = (comp & ~odd, gens)
+        if key in memo:
+            return gens, memo[key]
+        if not gens:
+            cert: GvdCertificate = Base(BASE_ZERO)
+        elif len(gens) == 1:
+            cert = _chain_certificate(u.labels_of(gens[0]))
+        elif gens[0].bit_count() == 1:
+            # A stranded branch vertex kept a lone neighbor: its variable
+            # generates, so C is unit and N drops the closed neighborhood.
+            y = gens[0].bit_length() - 1
+            cert = Split(u.labels[y], Base(BASE_UNIT),
+                         piece_cert(comp & ~(adj[y] | 1 << y)))
+        else:
+            y = _split_vertex(adj, comp)
+            cert = Split(
+                u.labels[y],
+                piece_cert(comp & ~(1 << y)),
+                piece_cert(comp & ~(adj[y] | 1 << y)),
+            )
+        memo[key] = cert
+        return gens, cert
+
+    return piece_cert(full)

@@ -14,6 +14,7 @@ from .errors import InputError
 from .universe import (
     SpernerFamily,
     Universe,
+    _json_sets,
     minimal_masks,
     minimal_transversals,
 )
@@ -140,11 +141,11 @@ class SquareFreeIdeal:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SquareFreeIdeal":
-        if not isinstance(obj, dict) or "universe" not in obj or "generators" not in obj:
-            raise InputError('ideal JSON needs "universe" and "generators" keys')
-        universe = Universe(obj["universe"])
-        ideal = cls.from_supports(universe, obj["generators"])
+        ideal = cls.from_supports(*_json_sets(obj, "ideal", "universe", "generators"))
         for flag, actual in (("zero", ideal.is_zero), ("unit", ideal.is_unit)):
-            if flag in obj and bool(obj[flag]) != actual:
+            given = obj.get(flag, actual)
+            if not isinstance(given, bool):
+                raise InputError(f'ideal JSON flag "{flag}" must be true or false')
+            if given != actual:
                 raise InputError(f'ideal JSON flag "{flag}" contradicts the generators')
         return ideal

@@ -105,6 +105,20 @@ class Universe:
         return Universe(keep)
 
 
+def _json_sets(obj: object, kind: str, labels_key: str, sets_key: str) -> tuple[Universe, list]:
+    """The universe and the list of sets of a JSON document of the given
+    kind.  Both must be JSON lists, and so must every set: a string is
+    never read as a list of one-character labels."""
+    if not isinstance(obj, dict) or labels_key not in obj or sets_key not in obj:
+        raise InputError(f'{kind} JSON needs "{labels_key}" and "{sets_key}" keys')
+    labels, sets = obj[labels_key], obj[sets_key]
+    if not isinstance(labels, list):
+        raise InputError(f'{kind} JSON "{labels_key}" must be a list')
+    if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+        raise InputError(f'{kind} JSON "{sets_key}" must be a list of lists')
+    return Universe(labels), sets
+
+
 class VertexSet:
     """An immutable subset of a Universe, stored as a bitmask."""
 
@@ -253,10 +267,7 @@ class SpernerFamily:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SpernerFamily":
-        if not isinstance(obj, dict) or "universe" not in obj or "sets" not in obj:
-            raise InputError('family JSON needs "universe" and "sets" keys')
-        universe = Universe(obj["universe"])
-        return cls.from_sets(universe, obj["sets"])
+        return cls.from_sets(*_json_sets(obj, "family", "universe", "sets"))
 
 
 def minimize_family(universe: Universe, sets: Iterable[Iterable[str]]) -> SpernerFamily:

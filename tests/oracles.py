@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: plain set arithmetic over explicit
 subset enumeration, networkx for chordality and forests, the GVD search and
-replay that re-check unmixedness and the split identity at every node, and
-the shedding test and replay that rebuild deletion and link complexes.  The
+replay that re-check unmixedness and the split identity at every node, the
+shedding test and replay that rebuild deletion and link complexes, and the
+tree certifier that rebuilds every piece as a graph and an ideal.  The
 tests trust these against the package's bitmask kernels on small instances.
 """
 
@@ -25,11 +26,15 @@ from oni_kit import (
     InputError,
     Leaf,
     Split,
+    SquareFreeIdeal,
+    Universe,
     deletion,
+    heights,
     is_valid_geometric_decomposition,
     link,
     split,
 )
+from oni_kit.universe import _bits
 
 Sets = set[frozenset[str]]
 
@@ -290,3 +295,147 @@ def reference_validate_certificate(ideal, cert) -> bool:
     return reference_validate_certificate(
         c_part, cert.c_branch
     ) and reference_validate_certificate(n_part, cert.n_branch)
+
+
+# ---------------------------------------------------------------------------
+# structural tree certificates, built piece by piece as graphs and ideals
+
+
+def reference_structurally_unmixed(graph, profile) -> bool:
+    """Height and stem/branch counting conditions per component, read off
+    a HeightProfile."""
+    one = profile.stratum(1).mask
+    two = profile.stratum(2).mask
+    for comp in graph.component_masks():
+        comp_height = max(profile.heights[p] for p in _bits(comp))
+        if comp_height > 3:
+            return False
+        for p in _bits(comp & two):
+            if (graph.adj[p] & one).bit_count() != 1:
+                return False
+        for p in _bits(comp & one):
+            hits = (graph.adj[p] & two).bit_count()
+            if hits > 1 or (comp_height == 3 and hits != 1):
+                return False
+    return True
+
+
+def reference_find_split_vertex(tree) -> str:
+    """First height-2 vertex of degree 2, after a full HeightProfile and
+    the profile-based structural check."""
+    profile = heights(tree)
+    if (
+        not profile.is_tree
+        or not profile.balanced
+        or profile.graph_height != 3
+        or not reference_structurally_unmixed(tree, profile)
+    ):
+        raise InputError("split vertex requires a TD-unmixed balanced tree of height 3")
+    for v in profile.stratum(2).members:
+        if tree.degree(v) == 2:
+            return v
+    raise RuntimeError("no degree-2 height-2 vertex found; this cannot happen")
+
+
+def _component_ideal(piece, odd):
+    even = Universe(v for v in piece.vertices if v not in odd)
+    supports = [piece.neighbors(v).members for v in piece.vertices if v in odd]
+    return SquareFreeIdeal.from_supports(even, supports)
+
+
+def _vars_or_zero(ideal):
+    return Base("zero") if ideal.is_zero else Base("vars")
+
+
+def _first_variable(ideal):
+    return ideal.universe.labels[next(_bits(ideal.generators.masks[0]))]
+
+
+def _merge_certs(a, ca, b, cb):
+    """Certificate for the sum of two ideals on disjoint variables."""
+    if isinstance(ca, Base) and ca.kind == "zero":
+        return cb
+    if isinstance(cb, Base) and cb.kind == "zero":
+        return ca
+    if isinstance(ca, Base) and ca.kind == "unit":
+        return Base("unit")
+    if isinstance(cb, Base) and cb.kind == "unit":
+        return Base("unit")
+    if isinstance(ca, Base) and isinstance(cb, Base):
+        return Base("vars")
+    if isinstance(ca, Base):
+        y = _first_variable(a)
+        remainder = split(a, y)[1]
+        return Split(y, Base("unit"), _merge_certs(remainder, _vars_or_zero(remainder), b, cb))
+    if isinstance(cb, Base):
+        y = _first_variable(b)
+        remainder = split(b, y)[1]
+        return Split(y, Base("unit"), _merge_certs(a, ca, remainder, _vars_or_zero(remainder)))
+    c_part, n_part = split(a, ca.variable)
+    return Split(
+        ca.variable,
+        _merge_certs(c_part, ca.c_branch, b, cb),
+        _merge_certs(n_part, ca.n_branch, b, cb),
+    )
+
+
+def _merge(a, ca, b, cb):
+    combined = Universe(a.universe.labels + b.universe.labels)
+    total = a.extended_to(combined).sum(b.extended_to(combined))
+    return total, _merge_certs(a, ca, b, cb)
+
+
+def _chain_certificate(ideal):
+    support = ideal.universe.labels_of(ideal.generators.masks[0])
+    cert = Base("vars")
+    for y in reversed(support[:-1]):
+        cert = Split(y, cert, Base("zero"))
+    return cert
+
+
+def _certify_piece(piece, odd, memo):
+    total = SquareFreeIdeal.zero(Universe(()))
+    cert = Base("zero")
+    for comp in piece.components():
+        comp_ideal, comp_cert = _certify_component(piece.induced(comp), odd, memo)
+        total, cert = _merge(total, cert, comp_ideal, comp_cert)
+    return total, cert
+
+
+def _certify_component(comp, odd, memo):
+    ideal = _component_ideal(comp, odd)
+    key = (ideal.universe.labels, ideal.generators.masks)
+    if key in memo:
+        return ideal, memo[key]
+    masks = ideal.generators.masks
+    if ideal.is_zero:
+        cert = Base("zero")
+    elif len(masks) == 1:
+        cert = _chain_certificate(ideal)
+    else:
+        singleton = next((m for m in masks if m.bit_count() == 1), None)
+        if singleton is not None:
+            y = ideal.universe.labels[next(_bits(singleton))]
+            _, rest_cert = _certify_piece(comp.delete_closed_neighborhood(y), odd, memo)
+            cert = Split(y, Base("unit"), rest_cert)
+        else:
+            u = reference_find_split_vertex(comp)
+            _, c_cert = _certify_piece(comp.delete_vertices([u]), odd, memo)
+            _, n_cert = _certify_piece(comp.delete_closed_neighborhood(u), odd, memo)
+            cert = Split(u, c_cert, n_cert)
+    memo[key] = cert
+    return ideal, cert
+
+
+def reference_certify_tree_gvd(forest):
+    """The structural certificate with every piece of the recursion rebuilt
+    as an induced Graph, every component ideal as a SquareFreeIdeal over its
+    own even universe, and the components summed through union universes;
+    memoized on (universe labels, generator masks).  Same canonical choices,
+    so it returns the same certificate, with the same node sharing, as
+    `certify_tree_gvd`."""
+    profile = heights(forest)
+    if not profile.balanced or not reference_structurally_unmixed(forest, profile):
+        raise InputError("certificate construction needs a TD-unmixed balanced forest")
+    _, cert = _certify_piece(forest, frozenset(profile.v_odd.members), {})
+    return cert

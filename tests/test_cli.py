@@ -30,6 +30,45 @@ EVEN_STABLE_P6 = (
     '"facets":[["0","4"],["0","6"],["2","6"]],"kind":"ordinary"}\n'
 )
 ZERO_IDEAL = '{"universe":["a","b"],"generators":[],"zero":true,"unit":false}'
+T_A_CERTIFIED = (
+    '{"ideal":{"universe":["l1","l2","l3","l4","u1","u2","u3"],"generators":[["l1","u1"],'
+    '["l2","u2"],["u1","u2"],["u2","u3"],["l3","l4","u3"]],"zero":false,"unit":false},'
+    '"certificate":{"split":{"y":"u1","C":{"split":{"y":"l1","C":{"base":"unit"},'
+    '"N":{"split":{"y":"u2","C":{"base":"unit"},"N":{"split":{"y":"l3",'
+    '"C":{"split":{"y":"l4","C":{"base":"vars"},"N":{"base":"zero"}}},'
+    '"N":{"base":"zero"}}}}}}},"N":{"split":{"y":"u2","C":{"base":"vars"},'
+    '"N":{"split":{"y":"l3","C":{"split":{"y":"l4","C":{"base":"vars"},'
+    '"N":{"base":"zero"}}},"N":{"base":"zero"}}}}}}},"valid":true}\n'
+)
+TWIN_BROOM_CERTIFIED = (
+    '{"ideal":{"universe":["l1","l2","lp1","lp2","u","up"],"generators":[["u","up"],'
+    '["l1","l2","u"],["lp1","lp2","up"]],"zero":false,"unit":false},'
+    '"certificate":{"split":{"y":"u","C":{"split":{"y":"up","C":{"base":"unit"},'
+    '"N":{"split":{"y":"l1","C":{"base":"vars"},"N":{"base":"zero"}}}}},'
+    '"N":{"split":{"y":"lp1","C":{"split":{"y":"lp2","C":{"base":"vars"},'
+    '"N":{"base":"zero"}}},"N":{"base":"zero"}}}}},"valid":true}\n'
+)
+O_SEQ_314_CERTIFIED = (
+    '{"ideal":{"universe":["0","2","4","6","p1_0","p1_2","p2_0","p3_0","p3_2"],'
+    '"generators":[["4","6"],["4","p3_2"],["p1_0","p1_2"],["p3_0","p3_2"],["0","2",'
+    '"p2_0"],["2","4","p1_2"]],"zero":false,"unit":false},'
+    '"certificate":{"split":{"y":"2","C":{"split":{"y":"0","C":{"split":{"y":"p2_0",'
+    '"C":{"base":"unit"},"N":{"split":{"y":"p1_2","C":{"split":{"y":"p1_0",'
+    '"C":{"base":"unit"},"N":{"split":{"y":"4","C":{"base":"unit"},'
+    '"N":{"split":{"y":"p3_0","C":{"base":"vars"},"N":{"base":"zero"}}}}}}},'
+    '"N":{"split":{"y":"4","C":{"base":"vars"},"N":{"split":{"y":"p3_0",'
+    '"C":{"base":"vars"},"N":{"base":"zero"}}}}}}}}},"N":{"split":{"y":"p1_2",'
+    '"C":{"split":{"y":"p1_0","C":{"base":"unit"},"N":{"split":{"y":"4",'
+    '"C":{"base":"unit"},"N":{"split":{"y":"p3_0","C":{"base":"vars"},'
+    '"N":{"base":"zero"}}}}}}},"N":{"split":{"y":"4","C":{"base":"vars"},'
+    '"N":{"split":{"y":"p3_0","C":{"base":"vars"},"N":{"base":"zero"}}}}}}}}},'
+    '"N":{"split":{"y":"4","C":{"split":{"y":"6","C":{"base":"unit"},'
+    '"N":{"split":{"y":"p3_2","C":{"base":"unit"},"N":{"split":{"y":"p1_0",'
+    '"C":{"base":"vars"},"N":{"base":"zero"}}}}}}},"N":{"split":{"y":"p3_0",'
+    '"C":{"split":{"y":"p3_2","C":{"base":"unit"},"N":{"split":{"y":"p1_0",'
+    '"C":{"base":"vars"},"N":{"base":"zero"}}}}},"N":{"split":{"y":"p1_0",'
+    '"C":{"base":"vars"},"N":{"base":"zero"}}}}}}}}},"valid":true}\n'
+)
 
 
 @pytest.fixture
@@ -160,6 +199,26 @@ def test_malformed_inputs_exit_2(invoke):
     for doc in ('{"universe":["a",["b"]],"sets":[]}', '{"universe":["a"],"sets":[[["a"]]]}'):
         code, out = invoke(["dualize"], stdin=doc)
         assert code == 2 and out.count("\n") == 1 and "error" in json.loads(out)
+    # a string is never read as a list of one-character labels
+    for argv, doc, error in (
+        (["dualize"], '{"universe":["a","b"],"sets":["ab"]}',
+         'family JSON "sets" must be a list of lists'),
+        (["dualize"], '{"universe":["a"],"sets":"a"}',
+         'family JSON "sets" must be a list of lists'),
+        (["dualize"], '{"universe":"ab","sets":[]}', 'family JSON "universe" must be a list'),
+        (["graph", "heights"], '{"vertices":"ab","edges":[]}',
+         'graph JSON "vertices" must be a list'),
+        (["ideal", "primes"], '{"universe":["a","b"],"generators":["ab"]}',
+         'ideal JSON "generators" must be a list of lists'),
+        (["complex", "vd"], '{"universe":["a","b"],"facets":["ab"]}',
+         'complex JSON "facets" must be a list of lists'),
+        (["ideal", "primes"], '{"universe":["a"],"generators":[],"zero":[]}',
+         'ideal JSON flag "zero" must be true or false'),
+        (["ideal", "primes"], '{"universe":["a"],"generators":[["a"]],"unit":"no"}',
+         'ideal JSON flag "unit" must be true or false'),
+    ):
+        code, out = invoke(argv, stdin=doc)
+        assert (code, out) == (2, json.dumps({"error": error}, separators=(",", ":")) + "\n")
 
 
 def test_input_deeper_than_the_stack_exits_2(invoke):
@@ -364,6 +423,15 @@ def test_gvd_certify_tree_then_validate(invoke):
     assert code == 0 and json.loads(out) == {"valid": True}
     code, out = invoke(["gvd", "validate"], stdin=json.dumps({"ideal": doc["ideal"]}))
     assert code == 2 and "expected a document" in json.loads(out)["error"]
+
+
+def test_tree_certificates_pinned_bytes(invoke):
+    _, t_a = invoke(["fixture", "t_a"])
+    _, broom = invoke(["fixture", "twin_broom"])
+    _, grown = invoke(["build", "o-seq"], stdin='["3","1","4"]')
+    for graph, pinned in ((t_a, T_A_CERTIFIED), (broom, TWIN_BROOM_CERTIFIED), (grown, O_SEQ_314_CERTIFIED)):
+        assert invoke(["gvd", "certify-tree"], stdin=graph) == (0, pinned)
+    assert invoke(["graph", "split-vertex"], stdin=t_a) == (0, '{"split_vertex":"u1"}\n')
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Geometric vertex decomposition tests: splits, search, certificates,
 and the structural construction for balanced forests."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,13 @@ from oni_kit import (
     certificate_from_json_obj,
     certificate_to_json_obj,
     certify_tree_gvd,
+    find_split_vertex,
+    heights,
     is_gvd,
+    is_td_unmixed_balanced_forest,
     is_valid_geometric_decomposition,
     is_vertex_decomposable,
+    o_extend,
     o_sequence,
     odd_oni,
     split,
@@ -360,3 +366,76 @@ def test_certificate_construction_needs_unmixedness():
     )
     with pytest.raises(InputError, match="TD-unmixed balanced forest"):
         certify_tree_gvd(mixed)
+
+
+@st.composite
+def grown_trees(draw):
+    """o-extensions of the 7-vertex path, each at a vertex of height 1-3."""
+    tree = o_sequence([])
+    for i in draw(st.lists(st.integers(0, 63), max_size=8)):
+        profile = heights(tree)
+        picks = [v for v in tree.vertices if profile.height_of(v) in (1, 2, 3)]
+        tree = o_extend(tree, picks[i % len(picks)])
+    return tree
+
+
+@st.composite
+def random_trees(draw):
+    n = draw(st.integers(1, 14))
+    edges = oracles.random_tree_edges(random.Random(draw(st.integers(0, 2**16))), n)
+    return Graph.from_vertices([str(i) for i in range(n)], edges)
+
+
+@st.composite
+def forests(draw):
+    """Disjoint unions of grown and random trees with isolated vertices
+    whose labels sort before, between and after the trees'."""
+    parts = draw(st.lists(st.one_of(grown_trees(), random_trees()), min_size=1, max_size=3))
+    vertices = draw(st.lists(st.sampled_from(["a", "h", "z"]), unique=True))
+    edges = []
+    for k, part in enumerate(parts):
+        vertices += [f"g{k}_{v}" for v in part.vertices]
+        edges += [(f"g{k}_{a}", f"g{k}_{b}") for a, b in part.edges]
+    return Graph.from_vertices(vertices, edges)
+
+
+def outcome(fn, graph):
+    try:
+        return fn(graph)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+def certified(certify):
+    def run(graph):
+        cert = certify(graph)
+        return certificate_to_json_obj(cert), dag_shape(cert)
+
+    return run
+
+
+def reference_balanced_forest_test(graph):
+    profile = heights(graph)
+    return profile.balanced and oracles.reference_structurally_unmixed(graph, profile)
+
+
+@given(st.one_of(grown_trees(), random_trees(), forests()))
+@settings(max_examples=200, deadline=None)
+def test_certify_tree_gvd_matches_reference(graph):
+    assert outcome(certified(certify_tree_gvd), graph) == outcome(
+        certified(oracles.reference_certify_tree_gvd), graph
+    )
+    assert outcome(find_split_vertex, graph) == outcome(
+        oracles.reference_find_split_vertex, graph
+    )
+    assert is_td_unmixed_balanced_forest(graph) == reference_balanced_forest_test(graph)
+
+
+@pytest.mark.parametrize(
+    "picks", [["4", "p1_3", "p1_2", "4", "p1_2"], ["3", "1", "2", "p1_2", "2", "p1_2"]]
+)
+def test_pieces_with_one_ideal_share_a_node(picks):
+    # Some pieces of these trees differ only in their odd vertices and have
+    # the same generators, hence one ideal: they must share one node.
+    tree = o_sequence(picks)
+    assert certified(certify_tree_gvd)(tree) == certified(oracles.reference_certify_tree_gvd)(tree)

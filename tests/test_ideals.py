@@ -130,3 +130,10 @@ def test_json_round_trip_and_flag_checks():
         SquareFreeIdeal.from_json_obj(
             {"universe": ["a"], "generators": [], "unit": True}
         )
+    # flags must be JSON booleans: [] and "no" are neither
+    with pytest.raises(InputError, match='flag "zero" must be true or false'):
+        SquareFreeIdeal.from_json_obj({"universe": ["a"], "generators": [], "zero": []})
+    with pytest.raises(InputError, match='flag "unit" must be true or false'):
+        SquareFreeIdeal.from_json_obj(
+            {"universe": ["a"], "generators": [["a"]], "unit": "no"}
+        )
