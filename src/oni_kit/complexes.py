@@ -135,8 +135,11 @@ class SimplicialComplex:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimplicialComplex":
         cx = cls.from_facets(*_json_sets(obj, "complex", "universe", "facets"))
-        if "kind" in obj and obj["kind"] != cx.kind:
-            raise InputError(f'complex JSON kind "{obj["kind"]}" contradicts the facets')
+        kind = obj.get("kind", cx.kind)
+        if not isinstance(kind, str):
+            raise InputError('complex JSON "kind" must be a string')
+        if kind != cx.kind:
+            raise InputError(f'complex JSON kind "{kind}" contradicts the facets')
         return cx
 
 

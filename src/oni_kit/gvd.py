@@ -5,12 +5,17 @@ recursive decision procedure with certificates, and a polynomial-size
 certifier for neighborhood ideals of totally-domination-unmixed balanced
 forests that never searches.
 
-Recursion works over shrinking universes (the variable is dropped from
-the ring) rather than quotient rings; for square-free monomial ideals
-the two views agree.  The forest certifier recurses on vertex masks of
-the forest instead, a piece's ideal being the minimal masks of its odd
-vertices' neighborhoods in it; position order is label order, so these
-certificates are the ones per-piece universes would give.
+Splitting at y drops y from the ring rather than passing to a quotient
+ring; for square-free monomial ideals the two views agree.  The search
+and the replay recurse on masks in the root ideal's universe: a node is
+a pair (live, gens), the mask of the variables not yet split away and the
+canonical generator tuple in those same positions.  Position order is
+label order, so (live, gens) is one-to-one with the labels and masks of
+the ideal a shrinking universe would hold, variables are tried in the
+same order, and below the root no Universe, family or ideal is built.
+The forest certifier likewise recurses on vertex masks of the forest, a
+piece's ideal being the minimal masks of its odd vertices' neighborhoods
+in it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Optional, Union
 from .errors import InputError
 from .graphs import Graph, _heights_of_adj, _split_vertex, _structurally_unmixed
 from .ideals import SquareFreeIdeal
-from .universe import Universe, _bits, _component_masks, minimal_masks
+from .universe import SpernerFamily, Universe, _bits, _component_masks, minimal_masks
 
 BASE_UNIT = "unit"
 BASE_ZERO = "zero"
@@ -77,25 +82,38 @@ def certificate_from_json_obj(obj: object) -> GvdCertificate:
     raise InputError('certificate JSON must be {"base": …} or {"split": …}')
 
 
+def _split_masks(gens: tuple[int, ...], ybit: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """C and N of the ideal with canonical generators `gens` split at the
+    variable `ybit`, as canonical generator tuples in the same positions.
+
+    C is the minimal masks of the generators with y removed.  N is the
+    generators y does not divide, taken in order with no minimization: a
+    subsequence of a canonical antichain has no repeats and no comparable
+    members, and is still sorted by the canonical key, so it is already
+    the canonical antichain `minimal_masks` would return.
+    """
+    return (
+        minimal_masks(m & ~ybit for m in gens),
+        tuple(m for m in gens if not m & ybit),
+    )
+
+
 def split(ideal: SquareFreeIdeal, y: str) -> tuple[SquareFreeIdeal, SquareFreeIdeal]:
     """One-variable split: N keeps the generators y does not divide, C
     adjoins the y-divided ones; both land in the universe without y."""
     u = ideal.universe
     if y not in u:
         raise InputError(f"variable {y!r} not in the ideal's universe")
-    ybit = 1 << u.position(y)
+    p = u.position(y)
+    low = (1 << p) - 1
     rest = Universe(lab for lab in u.labels if lab != y)
-    c_supports = []
-    n_supports = []
-    for m in ideal.generators.masks:
-        stripped = u.labels_of(m & ~ybit)
-        c_supports.append(stripped)
-        if not m & ybit:
-            n_supports.append(stripped)
-    return (
-        SquareFreeIdeal.from_supports(rest, c_supports),
-        SquareFreeIdeal.from_supports(rest, n_supports),
-    )
+
+    def reindexed(masks: tuple[int, ...]) -> SquareFreeIdeal:
+        # neither part has y's bit; the positions above it move down by one
+        return SquareFreeIdeal(SpernerFamily(rest, ((m & low) | (m >> 1 & ~low) for m in masks)))
+
+    c_masks, n_masks = _split_masks(ideal.generators.masks, 1 << p)
+    return reindexed(c_masks), reindexed(n_masks)
 
 
 def is_valid_geometric_decomposition(ideal: SquareFreeIdeal, y: str) -> bool:
@@ -116,19 +134,16 @@ def is_valid_geometric_decomposition(ideal: SquareFreeIdeal, y: str) -> bool:
     return recombined == ideal
 
 
-def _memo_key(ideal: SquareFreeIdeal) -> tuple:
-    return (ideal.universe.labels, ideal.generators.masks)
-
-
 def _split_height(
-    c_part: SquareFreeIdeal,
+    c_gens: tuple[int, ...],
     c_height: Optional[int],
-    n_part: SquareFreeIdeal,
+    n_gens: tuple[int, ...],
     n_height: int,
 ) -> Optional[int]:
     """Height of a square-free ideal I from its split at a variable y, or
-    None when I is mixed.  C and N must be unmixed (C may be the unit
-    ideal) of heights c_height and n_height; I must not be the unit ideal.
+    None when I is mixed.  C and N, given by their canonical generators,
+    must be unmixed (C may be the unit ideal) of heights c_height and
+    n_height; I must not be the unit ideal.
 
     Read over the full ring, I = C ∩ (N + (y)), so every minimal prime of
     I is minimal over C or over N + (y).  N ⊆ C, so every minimal prime Q
@@ -144,9 +159,9 @@ def _split_height(
     C ⊆ P for all of them would give C ⊆ √N = N ⊆ C.  Then I has minimal primes of height ht C and of
     height ht N + 1, and is unmixed exactly when those agree.
     """
-    if c_part.is_unit:
+    if c_gens == (0,):
         return n_height + 1
-    if c_part.generators.masks == n_part.generators.masks:
+    if c_gens == n_gens:
         return n_height
     return c_height if c_height == n_height + 1 else None
 
@@ -158,50 +173,53 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
     """Decide geometric vertex decomposability, with a witness.
 
     Each node looks up the memo first, then the bases (unit, zero,
-    generated by variables), then loops over variables in canonical order:
-    the first variable whose C and N are both GVD yields the witness
-    reported.  A GVD ideal must also be unmixed.  Rather than dualize, the
-    search carries heights up from the bases and settles unmixedness at
-    that first variable with `_split_height`; it does not depend on the
-    variable, so a mixed ideal fails there.  Every minimal prime of C is
-    one of I (see `_split_height`), so a C shown to be mixed shows I mixed
-    at once, which keeps the search out of the rest of a mixed ideal.
-    Results are memoized on the canonical form, so isomorphic subproblems
-    reached along different split orders share one certificate node within
-    the call.
+    generated by variables), then loops over its live variables in
+    canonical order: the first variable whose C and N are both GVD yields
+    the witness reported.  A GVD ideal must also be unmixed.  Rather than
+    dualize, the search carries heights up from the bases and settles
+    unmixedness at that first variable with `_split_height`; it does not
+    depend on the variable, so a mixed ideal fails there.  Every minimal
+    prime of C is one of I (see `_split_height`), so a C shown to be mixed
+    shows I mixed at once, which keeps the search out of the rest of a
+    mixed ideal.  Nodes are (live, gens) mask pairs in the ideal's own
+    universe, split by `_split_masks`, and are memoized on that pair, so
+    isomorphic subproblems reached along different split orders share one
+    certificate node within the call.
     """
+    labels = ideal.universe.labels
     memo: dict[tuple, object] = {}
 
-    def search(current: SquareFreeIdeal):
+    def search(live: int, gens: tuple[int, ...]):
         """(certificate, height) if GVD, _MIXED if shown mixed, else None."""
-        key = _memo_key(current)
+        key = (live, gens)
         if key in memo:
             return memo[key]
-        if current.is_unit:
+        if gens == (0,):
             return Base(BASE_UNIT), None
-        if current.is_zero:
+        if not gens:
             return Base(BASE_ZERO), 0
-        if current.is_variable_generated:
-            return Base(BASE_VARIABLES), len(current.generators)
+        if all(m.bit_count() == 1 for m in gens):
+            return Base(BASE_VARIABLES), len(gens)
         found = None
-        for y in current.universe.labels:
-            c_part, n_part = split(current, y)
-            c_found = search(c_part)
+        for y in _bits(live):
+            ybit = 1 << y
+            c_gens, n_gens = _split_masks(gens, ybit)
+            c_found = search(live ^ ybit, c_gens)
             if c_found is _MIXED:
                 found = _MIXED
                 break
             if c_found is None:
                 continue
-            n_found = search(n_part)
+            n_found = search(live ^ ybit, n_gens)
             if n_found is None or n_found is _MIXED:
                 continue
-            height = _split_height(c_part, c_found[1], n_part, n_found[1])
-            found = _MIXED if height is None else (Split(y, c_found[0], n_found[0]), height)
+            height = _split_height(c_gens, c_found[1], n_gens, n_found[1])
+            found = _MIXED if height is None else (Split(labels[y], c_found[0], n_found[0]), height)
             break
         memo[key] = found
         return found
 
-    found = search(ideal)
+    found = search(ideal.universe.full_mask(), ideal.generators.masks)
     return (True, found[0]) if isinstance(found, tuple) else (False, None)
 
 
@@ -212,42 +230,54 @@ class _Rejected(Exception):
 def validate_certificate(ideal: SquareFreeIdeal, cert: GvdCertificate) -> bool:
     """Replay the decomposition the certificate records.
 
-    Each node costs one `split` and no dualization: heights flow up from
-    the bases, and `_split_height` checks that every split ideal is
-    unmixed.  Replays are memoized per call on (certificate node, ideal),
-    so the shared nodes of the DAG certificates `is_gvd` returns are
-    replayed once.
+    Each node costs one `_split_masks` and no dualization: heights flow up
+    from the bases, and `_split_height` checks that every split ideal is
+    unmixed.  The replay runs on (live, gens) mask pairs in the ideal's
+    universe, as `is_gvd` does, so a split variable must be one of the
+    universe's labels not yet split away.  Replays are memoized per call
+    on (certificate node, live, gens), so the shared nodes of the DAG
+    certificates `is_gvd` returns are replayed once.
     """
+    u = ideal.universe
     try:
-        _replay(ideal, cert, {})
+        _replay(u, u.full_mask(), ideal.generators.masks, cert, {})
     except _Rejected:
         return False
     return True
 
 
-def _replay(ideal: SquareFreeIdeal, cert: GvdCertificate, memo: dict) -> Optional[int]:
-    """Height of `ideal` (None if unit) when `cert` certifies it; raises
-    _Rejected otherwise."""
-    key = (id(cert), ideal.universe.labels, ideal.generators.masks)
+def _replay(
+    u: Universe, live: int, gens: tuple[int, ...], cert: GvdCertificate, memo: dict
+) -> Optional[int]:
+    """Height (None if unit) of the ideal with generators `gens` over the
+    `live` positions of `u` when `cert` certifies it; raises _Rejected
+    otherwise."""
+    key = (id(cert), live, gens)
     if key in memo:
         return memo[key]
+    is_unit = gens == (0,)
     if isinstance(cert, Base):
         if cert.kind == BASE_UNIT:
-            ok = ideal.is_unit
+            ok = is_unit
         elif cert.kind == BASE_ZERO:
-            ok = ideal.is_zero
+            ok = not gens
         else:
-            ok = cert.kind == BASE_VARIABLES and not ideal.is_unit and ideal.is_variable_generated
+            ok = cert.kind == BASE_VARIABLES and not is_unit and all(
+                m.bit_count() == 1 for m in gens
+            )
         if not ok:
             raise _Rejected
-        height = None if ideal.is_unit else len(ideal.generators)
+        height = None if is_unit else len(gens)
     else:
-        if cert.variable not in ideal.universe or ideal.is_unit:
+        if cert.variable not in u or is_unit:
             raise _Rejected
-        c_part, n_part = split(ideal, cert.variable)
-        c_height = _replay(c_part, cert.c_branch, memo)
-        n_height = _replay(n_part, cert.n_branch, memo)
-        height = _split_height(c_part, c_height, n_part, n_height)
+        ybit = 1 << u.position(cert.variable)
+        if not live & ybit:
+            raise _Rejected
+        c_gens, n_gens = _split_masks(gens, ybit)
+        c_height = _replay(u, live ^ ybit, c_gens, cert.c_branch, memo)
+        n_height = _replay(u, live ^ ybit, n_gens, cert.n_branch, memo)
+        height = _split_height(c_gens, c_height, n_gens, n_height)
         if height is None:
             raise _Rejected
     memo[key] = height
@@ -283,11 +313,11 @@ def _merge_certs(
         rest = tuple(m for m in a if not m >> y & 1)
         rest_cert = Base(BASE_VARIABLES) if rest else Base(BASE_ZERO)
         return Split(u.labels[y], Base(BASE_UNIT), _merge_certs(rest, rest_cert, b, cb, u))
-    ybit = 1 << u.position(ca.variable)
+    c_gens, n_gens = _split_masks(a, 1 << u.position(ca.variable))
     return Split(
         ca.variable,
-        _merge_certs(minimal_masks(m & ~ybit for m in a), ca.c_branch, b, cb, u),
-        _merge_certs(tuple(m for m in a if not m & ybit), ca.n_branch, b, cb, u),
+        _merge_certs(c_gens, ca.c_branch, b, cb, u),
+        _merge_certs(n_gens, ca.n_branch, b, cb, u),
     )
 
 

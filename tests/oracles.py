@@ -1,11 +1,12 @@
 """Slow, independent reference implementations.
 
 Everything here is deliberately naive: plain set arithmetic over explicit
-subset enumeration, networkx for chordality and forests, the GVD search and
-replay that re-check unmixedness and the split identity at every node, the
-shedding test and replay that rebuild deletion and link complexes, and the
-tree certifier that rebuilds every piece as a graph and an ideal.  The
-tests trust these against the package's bitmask kernels on small instances.
+subset enumeration, networkx for chordality and forests, the GVD split that
+rebuilds both parts from labels, the GVD search and replay that re-check
+unmixedness and the split identity at every node, the shedding test and
+replay that rebuild deletion and link complexes, and the tree certifier
+that rebuilds every piece as a graph and an ideal.  The tests trust these
+against the package's bitmask kernels on small instances.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from oni_kit import (
     heights,
     is_valid_geometric_decomposition,
     link,
-    split,
 )
 from oni_kit.universe import _bits
 
@@ -235,6 +235,27 @@ def faces_oracle(facets: Iterable[frozenset[str]]) -> Sets:
 # geometric vertex decomposition, checked the long way
 
 
+def reference_split(ideal, y):
+    """One-variable split through labels: every generator is read back as
+    its labels without y and rebuilt, minimalized, over a new universe."""
+    u = ideal.universe
+    if y not in u:
+        raise InputError(f"variable {y!r} not in the ideal's universe")
+    ybit = 1 << u.position(y)
+    rest = Universe(lab for lab in u.labels if lab != y)
+    c_supports = []
+    n_supports = []
+    for m in ideal.generators.masks:
+        stripped = u.labels_of(m & ~ybit)
+        c_supports.append(stripped)
+        if not m & ybit:
+            n_supports.append(stripped)
+    return (
+        SquareFreeIdeal.from_supports(rest, c_supports),
+        SquareFreeIdeal.from_supports(rest, n_supports),
+    )
+
+
 def reference_is_gvd(ideal):
     """GVD search straight from the definition: every non-base node passes
     an unmixedness test by dualization before its memo lookup, and every
@@ -258,7 +279,7 @@ def reference_is_gvd(ideal):
         for y in current.universe.labels:
             if not is_valid_geometric_decomposition(current, y):
                 continue
-            c_part, n_part = split(current, y)
+            c_part, n_part = reference_split(current, y)
             c_cert = search(c_part)
             if c_cert is None:
                 continue
@@ -291,7 +312,7 @@ def reference_validate_certificate(ideal, cert) -> bool:
         return False
     if not is_valid_geometric_decomposition(ideal, cert.variable):
         return False
-    c_part, n_part = split(ideal, cert.variable)
+    c_part, n_part = reference_split(ideal, cert.variable)
     return reference_validate_certificate(
         c_part, cert.c_branch
     ) and reference_validate_certificate(n_part, cert.n_branch)
@@ -365,13 +386,13 @@ def _merge_certs(a, ca, b, cb):
         return Base("vars")
     if isinstance(ca, Base):
         y = _first_variable(a)
-        remainder = split(a, y)[1]
+        remainder = reference_split(a, y)[1]
         return Split(y, Base("unit"), _merge_certs(remainder, _vars_or_zero(remainder), b, cb))
     if isinstance(cb, Base):
         y = _first_variable(b)
-        remainder = split(b, y)[1]
+        remainder = reference_split(b, y)[1]
         return Split(y, Base("unit"), _merge_certs(a, ca, remainder, _vars_or_zero(remainder)))
-    c_part, n_part = split(a, ca.variable)
+    c_part, n_part = reference_split(a, ca.variable)
     return Split(
         ca.variable,
         _merge_certs(c_part, ca.c_branch, b, cb),

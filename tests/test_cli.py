@@ -216,6 +216,8 @@ def test_malformed_inputs_exit_2(invoke):
          'ideal JSON flag "zero" must be true or false'),
         (["ideal", "primes"], '{"universe":["a"],"generators":[["a"]],"unit":"no"}',
          'ideal JSON flag "unit" must be true or false'),
+        (["complex", "vd"], '{"universe":["a"],"facets":[["a"]],"kind":[]}',
+         'complex JSON "kind" must be a string'),
     ):
         code, out = invoke(argv, stdin=doc)
         assert (code, out) == (2, json.dumps({"error": error}, separators=(",", ":")) + "\n")

@@ -4,7 +4,7 @@ and the structural construction for balanced forests."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -33,7 +33,8 @@ from oni_kit import (
 )
 from oni_kit.fixtures import beg_a, p6, t_a, twin_broom
 from oni_kit import gvd as gvd_module
-from oni_kit.gvd import _split_height
+from oni_kit.gvd import _split_height, _split_masks
+from oni_kit.universe import SpernerFamily, sort_key
 
 LABELS = tuple("abcde")
 
@@ -78,6 +79,28 @@ def test_split_degenerate_cases():
         split(principal, "z")
 
 
+def is_canonical_antichain(masks):
+    """No repeats, no member inside another, in canonical order."""
+    return list(masks) == sorted(set(masks), key=sort_key) and not any(
+        a != b and a & b == a for a in masks for b in masks
+    )
+
+
+@given(ideals(max_gens=6))
+@example(("abc", [[]]))  # the unit ideal
+@example(("abc", []))  # the zero ideal
+@example(("abc", [["a"], ["b", "c"]]))  # a variable is a generator
+@example(("abc", [["a", "b"]]))  # c divides no generator
+@settings(max_examples=300, deadline=None)
+def test_split_matches_reference(case):
+    labels, supports = case
+    ideal = build(labels, supports)
+    for y in labels:
+        assert split(ideal, y) == oracles.reference_split(ideal, y)
+        c_gens, n_gens = _split_masks(ideal.generators.masks, 1 << ideal.universe.position(y))
+        assert is_canonical_antichain(c_gens) and is_canonical_antichain(n_gens)
+
+
 @given(ideals())
 @settings(max_examples=150, deadline=None)
 def test_square_free_splits_always_recombine(case):
@@ -111,7 +134,9 @@ def test_height_rule_matches_dualization(case):
         if not n_part.is_unmixed():
             continue
         c_height = None if c_part.is_unit else min(prime_sizes(c_part))
-        height = _split_height(c_part, c_height, n_part, min(prime_sizes(n_part)))
+        height = _split_height(
+            c_part.generators.masks, c_height, n_part.generators.masks, min(prime_sizes(n_part))
+        )
         assert (height is not None) == ideal.is_unmixed() == (len(sizes) == 1)
         if height is not None:
             assert {height} == sizes
@@ -158,16 +183,78 @@ def test_search_cuts_off_below_a_mixed_c_branch(monkeypatch):
     )
     calls = 0
 
-    def counted_split(ideal, y):
+    def counted_split(gens, ybit):
         nonlocal calls
         calls += 1
         if calls > 5000:
             raise AssertionError("search kept splitting inside mixed subproblems")
-        return split(ideal, y)
+        return _split_masks(gens, ybit)
 
-    monkeypatch.setattr(gvd_module, "split", counted_split)
+    monkeypatch.setattr(gvd_module, "_split_masks", counted_split)
     ok, _ = is_gvd(odd_oni(tree))
     assert ok
+    assert calls > 0
+
+
+def seeded_grown_tree(steps):
+    """The 7-vertex path after `steps` o-extensions, each at
+    random.Random(steps).choice of a vertex of height 1, 2 or 3."""
+    rng = random.Random(steps)
+    tree = p6()
+    for _ in range(steps):
+        profile = heights(tree)
+        picks = [v for v in tree.vertices if profile.height_of(v) in (1, 2, 3)]
+        tree = o_extend(tree, rng.choice(picks))
+    return tree
+
+
+def test_replay_splits_each_shared_node_once(monkeypatch):
+    # The 52-vertex tree's certificate has 10,177 distinct nodes; a replay
+    # that expanded the shared ones would split far more often.
+    tree = seeded_grown_tree(18)
+    ideal = odd_oni(tree)
+    assert (len(tree.vertices), len(ideal.universe)) == (52, 32)
+    cert = certify_tree_gvd(tree)
+    calls = 0
+
+    def counted_split(gens, ybit):
+        nonlocal calls
+        calls += 1
+        return _split_masks(gens, ybit)
+
+    monkeypatch.setattr(gvd_module, "_split_masks", counted_split)
+    assert validate_certificate(ideal, cert)
+    assert 0 < calls <= 12_057
+
+
+@pytest.mark.parametrize("name", ["grown_tree", "beg_a"])
+def test_search_and_replay_build_no_objects_below_the_root(monkeypatch, name):
+    if name == "beg_a":  # not GVD: replay its split parts' certificates
+        ideal = SquareFreeIdeal(beg_a())
+        certs = [
+            Split(y, is_gvd(c_part)[1] or Base("zero"), is_gvd(n_part)[1] or Base("zero"))
+            for y in ideal.universe.labels
+            for c_part, n_part in [split(ideal, y)]
+        ]
+        expected = [oracles.reference_validate_certificate(ideal, c) for c in certs]
+    else:
+        tree = seeded_grown_tree(10)
+        ideal = odd_oni(tree)
+        certs = [certify_tree_gvd(tree), is_gvd(ideal)[1]]
+        expected = [True, True]
+    built = []
+    for cls in (Universe, SpernerFamily, SquareFreeIdeal):
+        original = cls.__init__
+
+        def counted(self, *args, _cls=cls, _original=original):
+            built.append(_cls.__name__)
+            _original(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    ok, _ = is_gvd(ideal)
+    verdicts = [validate_certificate(ideal, c) for c in certs]
+    assert built == []
+    assert ok == (name != "beg_a") and verdicts == expected
 
 
 def test_mixed_ideal_is_rejected_without_certificate():
@@ -223,12 +310,25 @@ def test_is_gvd_matches_reference_on_beg_a():
     assert_matches_reference(SquareFreeIdeal(beg_a()))
 
 
+def splits_at_variables_not_live(cert):
+    """Forgeries of a genuine certificate that split at "z", which is not
+    in the universe, or again at a variable split away above.  Were such a
+    variable taken to divide nothing, C and N would both equal the ideal
+    split and these would replay."""
+    yield Split("z", cert, cert)
+    if isinstance(cert, Split):
+        for y in ("z", cert.variable):
+            yield Split(cert.variable, Split(y, cert.c_branch, cert.c_branch), cert.n_branch)
+
+
 def forged_certificates(ideal, cert):
     """Certificates that differ from a genuine one at the root: every other
     split variable, the branches swapped, and a split whose C and N carry
     their own genuine certificates (rejected exactly when the ideal is
-    mixed)."""
+    mixed).  Also the forgeries of `splits_at_variables_not_live`."""
     labels = ideal.universe.labels
+    if cert is not None:
+        yield from splits_at_variables_not_live(cert)
     if isinstance(cert, Split):
         yield Split(cert.variable, cert.n_branch, cert.c_branch)
         for y in labels:
@@ -263,6 +363,16 @@ def test_validate_certificate_matches_reference(case, other, random_cert):
         )
     if cert is not None:
         assert validate_certificate(ideal, cert)
+
+
+def test_replay_rejects_variables_not_live():
+    ideal = p6_odd_ideal()
+    _, cert = is_gvd(ideal)
+    forgeries = list(splits_at_variables_not_live(cert))
+    assert len(forgeries) == 3
+    for forged in forgeries:
+        assert not validate_certificate(ideal, forged)
+        assert not oracles.reference_validate_certificate(ideal, forged)
 
 
 def all_pure_complexes(n):
