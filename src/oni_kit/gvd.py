@@ -86,16 +86,39 @@ def _split_masks(gens: tuple[int, ...], ybit: int) -> tuple[tuple[int, ...], tup
     """C and N of the ideal with canonical generators `gens` split at the
     variable `ybit`, as canonical generator tuples in the same positions.
 
-    C is the minimal masks of the generators with y removed.  N is the
-    generators y does not divide, taken in order with no minimization: a
-    subsequence of a canonical antichain has no repeats and no comparable
-    members, and is still sorted by the canonical key, so it is already
-    the canonical antichain `minimal_masks` would return.
+    N is the generators y does not divide, taken in order with no
+    minimization: a subsequence of a canonical antichain has no repeats
+    and no comparable members, and is still in canonical order.
+
+    C is the minimal masks of the generators with y removed, built without
+    a sort.  The stripped generators g ^ y (g divisible by y) form a
+    canonical antichain in canonical order: s ⊆ t among them gives
+    g ⊆ h for the generators they came from, and removing the bit y, which
+    all of them hold, changes neither their relative sizes nor the lowest
+    bit of any s ^ t, which is what the canonical order compares.  No
+    member n of N lies inside a stripped generator g ^ y or equals one, as
+    then n ⊊ g.  So C is the stripped generators together with the
+    members of N that contain none of them, and its canonical order is one
+    merge of these two canonical sequences: by size, and within a size the
+    mask holding the lowest bit of a ^ b comes first.
     """
-    return (
-        minimal_masks(m & ~ybit for m in gens),
-        tuple(m for m in gens if not m & ybit),
-    )
+    stripped = [g ^ ybit for g in gens if g & ybit]
+    n_gens = tuple(g for g in gens if not g & ybit)
+    kept = [g for g in n_gens if not any(s & g == s for s in stripped)]
+    c_gens = []
+    i = 0
+    for b in kept:
+        size_b = b.bit_count()
+        while i < len(stripped):
+            a = stripped[i]
+            size_a, d = a.bit_count(), a ^ b
+            if size_a > size_b or (size_a == size_b and not a & d & -d):
+                break
+            c_gens.append(a)
+            i += 1
+        c_gens.append(b)
+    c_gens += stripped[i:]
+    return tuple(c_gens), n_gens
 
 
 def split(ideal: SquareFreeIdeal, y: str) -> tuple[SquareFreeIdeal, SquareFreeIdeal]:
@@ -198,7 +221,7 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
             return Base(BASE_UNIT), None
         if not gens:
             return Base(BASE_ZERO), 0
-        if all(m.bit_count() == 1 for m in gens):
+        if gens[-1].bit_count() == 1:  # a largest generator is last
             return Base(BASE_VARIABLES), len(gens)
         found = None
         for y in _bits(live):
@@ -262,8 +285,8 @@ def _replay(
         elif cert.kind == BASE_ZERO:
             ok = not gens
         else:
-            ok = cert.kind == BASE_VARIABLES and not is_unit and all(
-                m.bit_count() == 1 for m in gens
+            ok = cert.kind == BASE_VARIABLES and not is_unit and (
+                not gens or gens[-1].bit_count() == 1
             )
         if not ok:
             raise _Rejected

@@ -182,9 +182,29 @@ class VertexSet:
         return VertexSet(self.universe, self.universe.full_mask() & ~self.mask)
 
 
-def sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Canonical family order: by size, then lexicographically by positions."""
-    return (mask.bit_count(), tuple(_bits(mask)))
+# _KEY_BYTE[b] is 255 minus the 8-bit reversal of b.
+_KEY_BYTE = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def sort_key(mask: int) -> tuple[int, bytes]:
+    """Canonical family order: by size, then lexicographically by positions.
+
+    The key is the size and the mask's little-endian bytes, each mapped to
+    255 minus its bit reversal.  Take two sets a and b of equal size.  Their
+    ascending position tuples first differ at p, the lowest bit of a ^ b,
+    and the set that holds p comes first.  The bytes below the one holding
+    p are equal, so that byte is the first where the keys differ.  Inside
+    it the bits below p agree, and reversal makes p the most significant
+    differing bit, so the set that holds p has the larger reversed byte
+    and the smaller complemented one.  Keys of different lengths are safe:
+    the key of one set cannot be a proper prefix of the key of another set
+    of equal size, since the longer key has an extra last byte that is
+    nonzero in the mask, and so a larger popcount.
+    """
+    return (
+        mask.bit_count(),
+        mask.to_bytes((mask.bit_length() + 7) // 8, "little").translate(_KEY_BYTE),
+    )
 
 
 def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
@@ -198,12 +218,12 @@ def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
 
 def maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Inclusion-maximal members, deduplicated, in canonical order."""
-    pool = sorted(set(masks), key=sort_key, reverse=True)
     out: list[int] = []
-    for m in pool:
+    for m in sorted(set(masks), key=sort_key, reverse=True):
         if not any(r & m == m for r in out):
             out.append(m)
-    return tuple(sorted(out, key=sort_key))
+    # distinct masks have distinct keys, so the reversed scan is canonical
+    return tuple(reversed(out))
 
 
 class SpernerFamily:

@@ -1,12 +1,13 @@
 """Slow, independent reference implementations.
 
 Everything here is deliberately naive: plain set arithmetic over explicit
-subset enumeration, networkx for chordality and forests, the GVD split that
-rebuilds both parts from labels, the GVD search and replay that re-check
-unmixedness and the split identity at every node, the shedding test and
-replay that rebuild deletion and link complexes, and the tree certifier
-that rebuilds every piece as a graph and an ideal.  The tests trust these
-against the package's bitmask kernels on small instances.
+subset enumeration, the canonical order as position tuples, networkx for
+chordality and forests, the GVD split that rebuilds both parts from
+labels, the GVD search and replay that re-check unmixedness and the split
+identity at every node, the shedding test and replay that rebuild deletion
+and link complexes, and the tree certifier that rebuilds every piece as a
+graph and an ideal.  The tests trust these against the package's bitmask
+kernels on small instances.
 """
 
 from __future__ import annotations
@@ -47,6 +48,28 @@ def minimalize(sets: Iterable[frozenset[str]]) -> Sets:
 def maximalize(sets: Iterable[frozenset[str]]) -> Sets:
     pool = set(sets)
     return {s for s in pool if not any(s < t for t in pool)}
+
+
+def reference_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Canonical family order: by size, then lexicographically by the
+    ascending positions of the set bits."""
+    return (mask.bit_count(), tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
+
+
+def reference_minimal_masks(masks: Iterable[int]) -> list[int]:
+    pool = set(masks)
+    return sorted(
+        (m for m in pool if not any(r != m and r & m == r for r in pool)),
+        key=reference_sort_key,
+    )
+
+
+def reference_maximal_masks(masks: Iterable[int]) -> list[int]:
+    pool = set(masks)
+    return sorted(
+        (m for m in pool if not any(r != m and r & m == m for r in pool)),
+        key=reference_sort_key,
+    )
 
 
 def transversals_oracle(family: Iterable[Iterable[str]]) -> Sets:

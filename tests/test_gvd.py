@@ -33,8 +33,9 @@ from oni_kit import (
 )
 from oni_kit.fixtures import beg_a, p6, t_a, twin_broom
 from oni_kit import gvd as gvd_module
+from oni_kit import universe as universe_module
 from oni_kit.gvd import _split_height, _split_masks
-from oni_kit.universe import SpernerFamily, sort_key
+from oni_kit.universe import SpernerFamily, minimal_masks
 
 LABELS = tuple("abcde")
 
@@ -81,7 +82,7 @@ def test_split_degenerate_cases():
 
 def is_canonical_antichain(masks):
     """No repeats, no member inside another, in canonical order."""
-    return list(masks) == sorted(set(masks), key=sort_key) and not any(
+    return list(masks) == sorted(set(masks), key=oracles.reference_sort_key) and not any(
         a != b and a & b == a for a in masks for b in masks
     )
 
@@ -99,6 +100,30 @@ def test_split_matches_reference(case):
         assert split(ideal, y) == oracles.reference_split(ideal, y)
         c_gens, n_gens = _split_masks(ideal.generators.masks, 1 << ideal.universe.position(y))
         assert is_canonical_antichain(c_gens) and is_canonical_antichain(n_gens)
+
+
+@st.composite
+def wide_antichains(draw):
+    """Position sets over 9-24 variables, whose minimal masks are the
+    generators, and the position of the variable to split at."""
+    n = draw(st.integers(9, 24))
+    sets = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=5), max_size=12))
+    return sets, draw(st.integers(0, n - 1))
+
+
+@given(wide_antichains())
+@example(([{0, 9}, {9, 10}], 0))  # the N generator {9, 10} contains the stripped {9}
+@example(([{1, 12, 20}, {2, 15}, {3, 12, 17}, {4, 16}], 12))  # C interleaves the two
+@example(([{3, 8}, {8, 16}, {0, 23}], 8))  # stripped {3} and {16}, kept {0, 23}
+@settings(max_examples=300, deadline=None)
+def test_split_masks_match_minimal_masks_on_wide_ideals(case):
+    sets, y = case
+    gens = tuple(oracles.reference_minimal_masks(sum(1 << p for p in s) for s in sets))
+    ybit = 1 << y
+    c_gens, n_gens = _split_masks(gens, ybit)
+    assert c_gens == minimal_masks(m & ~ybit for m in gens)
+    assert n_gens == tuple(m for m in gens if not m & ybit)
+    assert is_canonical_antichain(c_gens)
 
 
 @given(ideals())
@@ -242,18 +267,27 @@ def test_search_and_replay_build_no_objects_below_the_root(monkeypatch, name):
         ideal = odd_oni(tree)
         certs = [certify_tree_gvd(tree), is_gvd(ideal)[1]]
         expected = [True, True]
-    built = []
+    called = []
     for cls in (Universe, SpernerFamily, SquareFreeIdeal):
         original = cls.__init__
 
         def counted(self, *args, _cls=cls, _original=original):
-            built.append(_cls.__name__)
+            called.append(_cls.__name__)
             _original(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counted)
+    # nor does a split sort or minimize
+    for module, attr in ((gvd_module, "minimal_masks"), (universe_module, "sort_key")):
+        original = getattr(module, attr)
+
+        def counted_call(*args, _attr=attr, _original=original):
+            called.append(_attr)
+            return _original(*args)
+
+        monkeypatch.setattr(module, attr, counted_call)
     ok, _ = is_gvd(ideal)
     verdicts = [validate_certificate(ideal, c) for c in certs]
-    assert built == []
+    assert called == []
     assert ok == (name != "beg_a") and verdicts == expected
 
 

@@ -1,7 +1,7 @@
 """Ground-set, antichain, and dualization kernel tests."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -16,6 +16,7 @@ from oni_kit import (
     minimal_transversals,
     minimize_family,
 )
+from oni_kit.universe import maximal_masks, minimal_masks, sort_key
 
 LABELS = tuple("abcdefgh")
 
@@ -71,6 +72,23 @@ def test_family_canonical_order_and_rejection():
         SpernerFamily.from_sets(u, [("a",), ("a", "b")])
     assert is_sperner(u, [("a",), ("b", "c")])
     assert not is_sperner(u, [("a",), ("a", "b")])
+
+
+# Masks of 0-80 bits.  Sparse ones give many equal-size pairs whose keys
+# have different byte lengths; dense ones give long keys.
+wide_masks = st.one_of(
+    st.sets(st.integers(0, 79), max_size=4).map(lambda ps: sum(1 << p for p in ps)),
+    st.integers(0, (1 << 80) - 1),
+)
+
+
+@given(st.lists(wide_masks, max_size=25))
+@example([0, 1 << 79, 1 << 8, 1 << 7, 0xFF, 0xFF << 72, (1 << 79) | 1, (1 << 8) | 2, 0b11, 0])
+@settings(max_examples=300, deadline=None)
+def test_canonical_order_matches_oracle(masks):
+    assert sorted(masks, key=sort_key) == sorted(masks, key=oracles.reference_sort_key)
+    assert list(minimal_masks(masks)) == oracles.reference_minimal_masks(masks)
+    assert list(maximal_masks(masks)) == oracles.reference_maximal_masks(masks)
 
 
 def test_family_json_round_trip():
