@@ -15,7 +15,6 @@ from typing import Optional
 
 from . import verify
 from .complexes import (
-    FOREST_FACET_CAP,
     SimplicialComplex,
     cycle_order,
     facet_ideal,
@@ -79,13 +78,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_source(path: Optional[str]) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
+    stdin = path is None or path == "-"
     try:
+        if stdin:
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "stdin" if stdin else repr(path)
+        raise InputError(f"cannot read {source}: {exc}") from exc
 
 
 def _parse_json(text: str):
@@ -214,13 +215,13 @@ def _cmd_complex_covers(args) -> Result:
 
 def _cmd_complex_tree(args) -> Result:
     cx = _complex_in(args)
-    forest = is_simplicial_forest(cx, args.cap_facets)
+    forest = is_simplicial_forest(cx)
     tree = forest and is_connected_complex(cx)
     return {"simplicial_forest": forest, "simplicial_tree": tree}, tree
 
 
 def _cmd_complex_cycle(args) -> Result:
-    order = cycle_order(_complex_in(args), args.cap_facets)
+    order = cycle_order(_complex_in(args))
     doc = {
         "cycle": order is not None,
         "order": None if order is None else [list(vs.members) for vs in order],
@@ -445,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(cx, "join", _cmd_complex_join, "join of two complexes on disjoint universes",
          second=True)
     for sp in (tree_sp, cycle_sp):
-        sp.add_argument("--cap-facets", type=int, default=FOREST_FACET_CAP,
-                        metavar="N", help="facet cap for the subcollection scan")
+        sp.add_argument("--cap-facets", type=int, metavar="N",
+                        help="accepted and ignored: the good-leaf test needs no cap")
 
     graph = group("graph", "graph-side operations")
     leaf(graph, "oni", _cmd_graph_oni, "open neighborhood ideal", fmt=True)

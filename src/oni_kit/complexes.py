@@ -1,5 +1,6 @@
-"""Simplicial complexes by facets, vertex decomposability, and the
-Stanley-Reisner bridges to square-free ideals.
+"""Simplicial complexes by facets, vertex decomposability, the
+Stanley-Reisner bridges to square-free ideals, and simplicial forests,
+trees and cycles, decided by good-leaf removal.
 
 Three kinds of complex are distinguished: VOID (no faces at all), EMPTY
 (only the empty face), and ORDINARY.  VOID corresponds to the unit ideal
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .ideals import SquareFreeIdeal
 from .universe import (
     SpernerFamily,
@@ -28,8 +29,6 @@ from .universe import (
 VOID = "void"
 EMPTY = "empty"
 ORDINARY = "ordinary"
-
-FOREST_FACET_CAP = 18
 
 
 class SimplicialComplex:
@@ -386,38 +385,60 @@ def find_leaf(
     return leaf, joint
 
 
-def _check_facet_cap(cx: SimplicialComplex, cap: int) -> tuple[int, ...]:
+def _ordinary_facets(cx: SimplicialComplex) -> tuple[int, ...]:
     if cx.kind != ORDINARY:
         raise InputError("forest/cycle checks need an ordinary complex")
-    facets = cx.facets.masks
-    if len(facets) > cap:
-        raise CapExceeded(
-            f"simplicial-forest brute force cap is {cap} facets; got {len(facets)}"
-        )
-    return facets
+    return cx.facets.masks
 
 
-def _every_subcollection_has_leaf(
-    facets: tuple[int, ...], proper_only: bool = False
-) -> bool:
-    n = len(facets)
-    top = (1 << n) - 1
-    for chosen in range(1, top + 1):
-        if proper_only and chosen == top:
-            continue
-        # size-1 and size-2 subcollections always have a leaf
-        if chosen.bit_count() <= 2:
-            continue
-        subset = tuple(facets[i] for i in _bits(chosen))
-        if _leaf_of(subset) is None:
+def _is_good_leaf(facets: dict[int, int], i: int) -> bool:
+    """Do the intersections of facet i with the other facets form a chain?
+    Sorted by size, each must lie in the next."""
+    leaf = facets[i]
+    meets = sorted({leaf & g for j, g in facets.items() if j != i}, key=int.bit_count)
+    return all(a & ~b == 0 for a, b in zip(meets, meets[1:]))
+
+
+def _is_forest(facets: tuple[int, ...]) -> bool:
+    """Does every nonempty subcollection of the facets have a leaf?
+    Decided by removing good leaves until none are left or none is found.
+
+    A good leaf is a facet whose intersections with the other facets form
+    a chain; among two or more facets, one giving the largest intersection
+    is a joint, so a good leaf is a leaf.  Herzog, Hibi, Trung and Zheng
+    (Trans. AMS 2008) prove that every forest has a good leaf.  The loop is
+    exact:
+    - A good leaf stays good when other facets are removed, because part of
+      a chain is still a chain.  So one scan may remove every good leaf it
+      finds, as if one at a time.
+    - A subcollection of a forest is a forest, so what is left of a forest
+      is one, and it has a good leaf: the loop never gets stuck on a forest.
+      When it gets stuck, what is left is a subcollection with no good leaf,
+      so the facets are not a forest.
+    - If the loop removes every facet, each subcollection has a leaf: the
+      member it removed first was a good leaf of a list holding the whole
+      subcollection, so it is a good leaf, and a leaf, of the subcollection.
+    A facet that meets no removed leaf keeps its nonzero intersections, so
+    if it was not a good leaf it still is not: each scan after the first
+    checks only the facets that met a leaf the scan before removed.  One or
+    two facets always form a forest.
+    """
+    left = dict(enumerate(facets))
+    todo = list(left)
+    while len(left) > 2:
+        leaves = [i for i in todo if _is_good_leaf(left, i)]
+        if not leaves:
             return False
+        removed = 0
+        for i in leaves:
+            removed |= left.pop(i)
+        todo = [j for j, g in left.items() if g & removed]
     return True
 
 
-def is_simplicial_forest(cx: SimplicialComplex, cap: int = FOREST_FACET_CAP) -> bool:
-    """Every nonempty facet subcollection has a leaf (brute force)."""
-    facets = _check_facet_cap(cx, cap)
-    return _every_subcollection_has_leaf(facets)
+def is_simplicial_forest(cx: SimplicialComplex) -> bool:
+    """Every nonempty facet subcollection has a leaf (good-leaf removal)."""
+    return _is_forest(_ordinary_facets(cx))
 
 
 def is_connected_complex(cx: SimplicialComplex) -> bool:
@@ -428,8 +449,8 @@ def is_connected_complex(cx: SimplicialComplex) -> bool:
     return len(_component_masks(meets, (1 << len(facets)) - 1)) <= 1
 
 
-def is_simplicial_tree(cx: SimplicialComplex, cap: int = FOREST_FACET_CAP) -> bool:
-    return is_simplicial_forest(cx, cap) and is_connected_complex(cx)
+def is_simplicial_tree(cx: SimplicialComplex) -> bool:
+    return is_simplicial_forest(cx) and is_connected_complex(cx)
 
 
 def _strong_neighbor_order(facets: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -459,24 +480,20 @@ def _strong_neighbor_order(facets: tuple[int, ...]) -> Optional[tuple[int, ...]]
     return tuple(order) if len(order) == n else None
 
 
-def is_cycle(cx: SimplicialComplex, cap: int = FOREST_FACET_CAP) -> bool:
+def is_cycle(cx: SimplicialComplex) -> bool:
     """No leaf overall, yet every proper nonempty subcollection has one;
     such complexes carry a circular strong-neighbor enumeration."""
-    return cycle_order(cx, cap) is not None
+    return cycle_order(cx) is not None
 
 
-def cycle_order(
-    cx: SimplicialComplex, cap: int = FOREST_FACET_CAP
-) -> Optional[tuple[VertexSet, ...]]:
-    """The circular facet enumeration of a cycle, None for non-cycles."""
-    facets = _check_facet_cap(cx, cap)
-    if len(facets) < 3:
+def cycle_order(cx: SimplicialComplex) -> Optional[tuple[VertexSet, ...]]:
+    """The circular facet enumeration of a cycle, None for non-cycles.  The
+    proper subcollections are exactly the subcollections of the complexes
+    with one facet F removed, so each of those must be a forest."""
+    facets = _ordinary_facets(cx)
+    if len(facets) < 3 or _leaf_of(facets) is not None:
         return None
-    if _leaf_of(facets) is not None:
-        return None
-    if not _every_subcollection_has_leaf(facets, proper_only=True):
+    if not all(_is_forest(facets[:i] + facets[i + 1 :]) for i in range(len(facets))):
         return None
     order = _strong_neighbor_order(facets)
-    if order is None:
-        return None
-    return tuple(VertexSet(cx.universe, facets[i]) for i in order)
+    return None if order is None else tuple(VertexSet(cx.universe, facets[i]) for i in order)

@@ -58,13 +58,13 @@ class Graph:
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
-        out = []
-        for i, mask in enumerate(self.adj):
-            for j in _bits(mask):
-                if j > i:
-                    pair = sorted((self.universe.labels[i], self.universe.labels[j]))
-                    out.append((pair[0], pair[1]))
-        return tuple(sorted(out))
+        labels = self.universe.labels
+        return tuple(
+            (labels[i], labels[j])
+            for i, mask in enumerate(self.adj)
+            for j in _bits(mask)
+            if j > i
+        )
 
     def __len__(self) -> int:
         return len(self.universe)
@@ -97,10 +97,6 @@ class Graph:
         for v in vs:
             mask |= self.adj[self.universe.position(v)]
         return VertexSet(self.universe, mask)
-
-    def neighborhood_family(self) -> tuple[int, ...]:
-        """One open-neighborhood mask per vertex position."""
-        return self.adj
 
     def induced(self, keep: Iterable[str]) -> "Graph":
         labels = sorted(set(keep))
@@ -224,6 +220,16 @@ def _heights_of_adj(
     return heights, comps, forest, balanced
 
 
+def _parity_mask(heights: Iterable[tuple[int, Optional[int]]], parity: int) -> int:
+    """Mask of the positions whose height is defined and has the given
+    parity, from (position, height) pairs."""
+    mask = 0
+    for p, h in heights:
+        if h is not None and h % 2 == parity:
+            mask |= 1 << p
+    return mask
+
+
 class HeightProfile:
     """Per-vertex leaf distances with parity strata and the balance flag."""
 
@@ -254,20 +260,13 @@ class HeightProfile:
                 mask |= 1 << p
         return VertexSet(self.universe, mask)
 
-    def _parity_mask(self, parity: int) -> int:
-        mask = 0
-        for p, h in enumerate(self.heights):
-            if h is not None and h % 2 == parity:
-                mask |= 1 << p
-        return mask
-
     @property
     def v_odd(self) -> VertexSet:
-        return VertexSet(self.universe, self._parity_mask(1))
+        return VertexSet(self.universe, _parity_mask(enumerate(self.heights), 1))
 
     @property
     def v_even(self) -> VertexSet:
-        return VertexSet(self.universe, self._parity_mask(0))
+        return VertexSet(self.universe, _parity_mask(enumerate(self.heights), 0))
 
     def to_json_obj(self) -> dict:
         return {
@@ -577,11 +576,7 @@ def _masked_balanced_even(tree: Graph, a_mask: int, b_mask: int) -> Optional[int
     by_pos, _, _, balanced = _heights_of_adj(_piece_adj(tree, a_mask, b_mask), present)
     if not balanced:
         return None
-    even = 0
-    for p, h in by_pos.items():
-        if h % 2 == 0:
-            even |= 1 << p
-    return even
+    return _parity_mask(by_pos.items(), 0)
 
 
 def search_decomposition(
@@ -618,10 +613,7 @@ def search_decomposition(
     stemless = [tree.adj[p] & w_mask for p in range(len(u))]
     comp_classes: list[tuple[int, int]] = []
     for comp in _component_masks(stemless, w_mask):
-        ev = 0
-        for p, h in _heights_of_adj(stemless, comp)[0].items():
-            if h is not None and h % 2 == 0:
-                ev |= 1 << p
+        ev = _parity_mask(_heights_of_adj(stemless, comp)[0].items(), 0)
         comp_classes.append((ev, comp & ~ev))
     if len(comp_classes) <= 12:
         for vector in range(1 << len(comp_classes)):

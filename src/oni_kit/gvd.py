@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InputError
-from .graphs import Graph, _heights_of_adj, _split_vertex, _structurally_unmixed
+from .graphs import Graph, _heights_of_adj, _parity_mask, _split_vertex, _structurally_unmixed
 from .ideals import SquareFreeIdeal
 from .universe import SpernerFamily, Universe, _bits, _component_masks, minimal_masks
 
@@ -367,7 +367,7 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
         raise InputError(
             "certificate construction needs a TD-unmixed balanced forest"
         )
-    odd = sum(1 << p for p, h in by_pos.items() if h % 2)
+    odd = _parity_mask(by_pos.items(), 1)
     memo: dict[tuple, GvdCertificate] = {}
 
     def piece_cert(piece: int) -> GvdCertificate:

@@ -59,12 +59,6 @@ class SquareFreeIdeal:
     def minimal_generators(self) -> SpernerFamily:
         return self.generators
 
-    def support(self) -> int:
-        mask = 0
-        for m in self.generators.masks:
-            mask |= m
-        return mask
-
     def contains_monomial(self, monomial: Iterable[str]) -> bool:
         """Membership of a square-free monomial, given by its support."""
         mono = self.universe.mask_of(monomial)

@@ -97,13 +97,6 @@ class Universe:
     def set_of(self, labels: Iterable[str]) -> "VertexSet":
         return VertexSet(self, self.mask_of(labels))
 
-    def restricted_to(self, labels: Iterable[str]) -> "Universe":
-        """Sub-universe on the given labels (each must already belong)."""
-        keep = list(labels)
-        for lab in keep:
-            self.position(lab)
-        return Universe(keep)
-
 
 def _json_sets(obj: object, kind: str, labels_key: str, sets_key: str) -> tuple[Universe, list]:
     """The universe and the list of sets of a JSON document of the given

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: plain set arithmetic over explicit
 subset enumeration, the canonical order as position tuples, networkx for
-chordality and forests, the GVD split that rebuilds both parts from
+chordality and forests, Faridi's leaf test on every facet subcollection
+for simplicial forests and cycles, the GVD split that rebuilds both parts from
 labels, the GVD search and replay that re-check unmixedness and the split
 identity at every node, the shedding test and replay that rebuild deletion
 and link complexes, and the tree certifier that rebuilds every piece as a
@@ -34,7 +35,9 @@ from oni_kit import (
     heights,
     is_valid_geometric_decomposition,
     link,
+    o_extend,
 )
+from oni_kit.fixtures import p6
 from oni_kit.universe import _bits
 
 Sets = set[frozenset[str]]
@@ -252,6 +255,55 @@ def faces_oracle(facets: Iterable[frozenset[str]]) -> Sets:
         for r in range(len(elems) + 1):
             out.update(frozenset(c) for c in combinations(elems, r))
     return out
+
+
+# ---------------------------------------------------------------------------
+# simplicial forests and cycles by subcollection enumeration
+
+
+def _has_leaf(members: list[int]) -> bool:
+    """Faridi's definition, literally: a lone facet is a leaf, and otherwise
+    F is a leaf when some other facet G holds F's meet with every facet."""
+    if len(members) == 1:
+        return True
+    return any(
+        all(f & h & ~g == 0 for k, h in enumerate(members) if k != i)
+        for i, f in enumerate(members)
+        for j, g in enumerate(members)
+        if j != i
+    )
+
+
+def leafless_subcollections(facets: tuple[int, ...]) -> list[int]:
+    """Index masks of the nonempty facet subcollections with no leaf, over
+    all 2^n of them.  The facets form a forest when the list is empty, and
+    a cycle when it is exactly the whole collection."""
+    return [
+        chosen
+        for chosen in range(1, 1 << len(facets))
+        if not _has_leaf([facets[i] for i in _bits(chosen)])
+    ]
+
+
+def facets_connected(facets: tuple[int, ...]) -> bool:
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(facets)))
+    graph.add_edges_from(
+        (i, j) for i, j in combinations(range(len(facets)), 2) if facets[i] & facets[j]
+    )
+    return nx.is_connected(graph)
+
+
+def seeded_grown_tree(steps):
+    """The 7-vertex path after `steps` o-extensions, each at
+    random.Random(steps).choice of a vertex of height 1, 2 or 3."""
+    rng = random.Random(steps)
+    tree = p6()
+    for _ in range(steps):
+        profile = heights(tree)
+        picks = [v for v in tree.vertices if profile.height_of(v) in (1, 2, 3)]
+        tree = o_extend(tree, rng.choice(picks))
+    return tree
 
 
 # ---------------------------------------------------------------------------

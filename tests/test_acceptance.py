@@ -1,4 +1,4 @@
-"""Acceptance criteria: ten pinned end-to-end checks, each reported on a
+"""Acceptance criteria: eleven pinned end-to-end checks, each reported on a
 single PASS/FAIL line with its runtime and held to a time budget.
 
 The frozen golden values are the tables in oni_kit.verify, which the
@@ -26,7 +26,9 @@ from oni_kit import (
     induced_odd_oni,
     is_chordal,
     is_gvd,
+    is_connected_complex,
     is_simplicial_forest,
+    is_simplicial_tree,
     is_structurally_td_unmixed,
     is_td_unmixed,
     is_td_unmixed_balanced_forest,
@@ -50,7 +52,7 @@ from oni_kit import (
     certify_tree_gvd,
     verify_decomposition,
 )
-from oni_kit.fixtures import beg_a, p6, t_a
+from oni_kit.fixtures import beg_a, p6, t_a, twin_broom
 from oni_kit.verify import (
     FAMILY_TAU,
     P6_EVEN_STABLE_FACETS,
@@ -341,6 +343,22 @@ def test_facet_ideal_bridge():
             assert facet_ideal(complex_) == odd_oni(tree)
 
     run_criterion("facet-ideal-bridge", 60.0, body)
+
+
+def test_generator_complexes_of_trees_are_simplicial_trees():
+    # Paper claim 3: the odd ideal is the facet ideal of a simplicial tree,
+    # and the full ideal that of a forest with one tree per color class.
+    def body():
+        trees = [p6(), t_a(), twin_broom()]
+        trees += [oracles.seeded_grown_tree(k) for k in range(19)]
+        for tree in trees:
+            odd = odd_oni(tree)
+            assert is_simplicial_tree(SimplicialComplex(odd.universe, odd.generators.masks))
+            full = oni(tree)
+            both = SimplicialComplex(full.universe, full.generators.masks)
+            assert is_simplicial_forest(both) and not is_connected_complex(both)
+
+    run_criterion("facet-ideal-trees", 10.0, body)
 
 
 def test_structural_unmixedness_agreement():

@@ -2,7 +2,7 @@
 bridges, vertex decomposability, and the forest/cycle classifiers."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -10,7 +10,6 @@ from oni_kit import (
     EMPTY,
     ORDINARY,
     VOID,
-    CapExceeded,
     InputError,
     Leaf,
     Shed,
@@ -39,6 +38,7 @@ from oni_kit import (
 )
 
 LABELS = tuple("abcdef")
+LABELS8 = tuple("abcdefgh")
 
 
 def cx(labels, facets):
@@ -450,6 +450,53 @@ def test_guards_and_facet_cap():
     with pytest.raises(InputError, match="leaf search needs an ordinary complex"):
         find_leaf(SimplicialComplex.void(Universe("ab")))
     crowd = cx("abcde", [["a"], ["b"], ["c"], ["d"], ["e"]])
-    with pytest.raises(CapExceeded, match="cap is 4 facets; got 5"):
-        is_simplicial_forest(crowd, cap=4)
     assert is_simplicial_forest(crowd)
+    # no facet cap: a 200-facet path of triangles and a 40-gon get verdicts
+    labels = [f"v{i:03d}" for i in range(401)]
+    strip = cx(labels, [labels[2 * i : 2 * i + 3] for i in range(200)])
+    assert is_simplicial_tree(strip) and not is_cycle(strip)
+    ring = cx(labels[:40], [[labels[i], labels[(i + 1) % 40]] for i in range(40)])
+    assert not is_simplicial_forest(ring)
+    assert is_cycle(ring) and len(cycle_order(ring)) == 40
+
+
+@st.composite
+def forest_candidates(draw):
+    labels = LABELS8[: draw(st.integers(3, 8))]
+    count = draw(st.integers(1, 10))
+    facets = [draw(st.sets(st.sampled_from(labels))) for _ in range(count)]
+    if not any(facets):
+        facets.append({labels[0]})
+    return labels, facets
+
+
+@settings(max_examples=300, deadline=None)
+@given(forest_candidates())
+@example(("abcdef", [["a", "b", "c"], ["c", "d"], ["d", "e", "f"]]))
+@example(("abcd", [["a", "b"], ["c", "d"]]))
+@example(("abc", [["a", "b"], ["a", "c"], ["b", "c"]]))
+@example(("abcd", [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]))
+@example(("abcde", [["a"], ["b"], ["c"], ["d"], ["e"]]))
+# leafless, with a circular strong-neighbor order, yet not a cycle:
+# bc, abe and cde have no leaf either
+@example(("abcde", [["b", "c"], ["a", "b", "e"], ["a", "d", "e"], ["c", "d", "e"]]))
+def test_good_leaf_removal_matches_subcollection_oracle(case):
+    complex_ = cx(*case)
+    facets = complex_.facets.masks
+    leafless = oracles.leafless_subcollections(facets)
+    forest = not leafless
+    cycle = leafless == [(1 << len(facets)) - 1]
+    assert is_simplicial_forest(complex_) == forest
+    assert is_simplicial_tree(complex_) == (forest and oracles.facets_connected(facets))
+    assert is_cycle(complex_) == cycle
+    order = cycle_order(complex_)
+    if not cycle:
+        assert order is None
+        return
+    # a circular enumeration of every facet in which neighbours meet
+    # outside every third facet
+    masks = [f.mask for f in order]
+    assert sorted(masks) == sorted(facets)
+    for i, f in enumerate(masks):
+        g = masks[(i + 1) % len(masks)]
+        assert not any(f & g & ~h == 0 for h in masks if h not in (f, g))

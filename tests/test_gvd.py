@@ -221,22 +221,10 @@ def test_search_cuts_off_below_a_mixed_c_branch(monkeypatch):
     assert calls > 0
 
 
-def seeded_grown_tree(steps):
-    """The 7-vertex path after `steps` o-extensions, each at
-    random.Random(steps).choice of a vertex of height 1, 2 or 3."""
-    rng = random.Random(steps)
-    tree = p6()
-    for _ in range(steps):
-        profile = heights(tree)
-        picks = [v for v in tree.vertices if profile.height_of(v) in (1, 2, 3)]
-        tree = o_extend(tree, rng.choice(picks))
-    return tree
-
-
 def test_replay_splits_each_shared_node_once(monkeypatch):
     # The 52-vertex tree's certificate has 10,177 distinct nodes; a replay
     # that expanded the shared ones would split far more often.
-    tree = seeded_grown_tree(18)
+    tree = oracles.seeded_grown_tree(18)
     ideal = odd_oni(tree)
     assert (len(tree.vertices), len(ideal.universe)) == (52, 32)
     cert = certify_tree_gvd(tree)
@@ -263,7 +251,7 @@ def test_search_and_replay_build_no_objects_below_the_root(monkeypatch, name):
         ]
         expected = [oracles.reference_validate_certificate(ideal, c) for c in certs]
     else:
-        tree = seeded_grown_tree(10)
+        tree = oracles.seeded_grown_tree(10)
         ideal = odd_oni(tree)
         certs = [certify_tree_gvd(tree), is_gvd(ideal)[1]]
         expected = [True, True]
