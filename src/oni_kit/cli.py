@@ -30,7 +30,6 @@ from .complexes import (
 from .errors import CapExceeded, InputError
 from .fixtures import fixture_document
 from .graphs import (
-    DECOMPOSITION_VERTEX_CAP,
     Graph,
     HeightProfile,
     edge_join,
@@ -60,7 +59,6 @@ from .gvd import (
 )
 from .ideals import SquareFreeIdeal
 from .universe import (
-    BRUTE_FORCE_SUPPORT_CAP,
     SpernerFamily,
     Universe,
     minimal_transversals,
@@ -278,7 +276,7 @@ def _cmd_graph_chordal(args) -> Result:
 
 
 def _cmd_graph_decompose(args) -> Result:
-    found = search_decomposition(_graph_in(args), args.cap_search)
+    found = search_decomposition(_graph_in(args))
     if found is None:
         return {"found": False, "t1": None, "t2": None}, False
     doc = {
@@ -361,7 +359,7 @@ def _cmd_fixture(args) -> Result:
 
 
 def _cmd_verify_paper(args) -> Result:
-    report = verify.run_verification(oracle_cap=args.cap_dualize)
+    report = verify.run_verification()
     return report, report["ok"]
 
 
@@ -402,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Open-neighborhood-ideal toolkit: dualization, square-free "
         "ideals, simplicial complexes, balanced trees, and geometric vertex "
         "decomposition certificates.",
-        epilog="The ONI_KIT_SEED environment variable is accepted and reserved; "
-        "every command is deterministic.",
         allow_abbrev=False,
     )
     top = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
@@ -441,13 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(cx, "sr-ideal", _cmd_complex_sr_ideal, "Stanley-Reisner ideal")
     leaf(cx, "facet-ideal", _cmd_complex_facet_ideal, "facet ideal")
     leaf(cx, "covers", _cmd_complex_covers, "minimal vertex covers")
-    tree_sp = leaf(cx, "tree", _cmd_complex_tree, "simplicial forest/tree test")
-    cycle_sp = leaf(cx, "cycle", _cmd_complex_cycle, "simplicial cycle test and order")
+    leaf(cx, "tree", _cmd_complex_tree, "simplicial forest/tree test")
+    leaf(cx, "cycle", _cmd_complex_cycle, "simplicial cycle test and order")
     leaf(cx, "join", _cmd_complex_join, "join of two complexes on disjoint universes",
          second=True)
-    for sp in (tree_sp, cycle_sp):
-        sp.add_argument("--cap-facets", type=int, metavar="N",
-                        help="accepted and ignored: the good-leaf test needs no cap")
 
     graph = group("graph", "graph-side operations")
     leaf(graph, "oni", _cmd_graph_oni, "open neighborhood ideal", fmt=True)
@@ -463,10 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(graph, "even-stable", _cmd_graph_even_stable, "even-stable complex", fmt=True)
     leaf(graph, "chordal", _cmd_graph_chordal, "chordality via a perfect elimination "
          "ordering", fmt=True)
-    dec_sp = leaf(graph, "decompose", _cmd_graph_decompose,
-                  "search for a two-piece tree decomposition", fmt=True)
-    dec_sp.add_argument("--cap-search", type=int, default=DECOMPOSITION_VERTEX_CAP,
-                        metavar="N", help="vertex cap for the decomposition search")
+    leaf(graph, "decompose", _cmd_graph_decompose,
+         "search for a two-piece tree decomposition", fmt=True)
     leaf(graph, "split-vertex", _cmd_graph_split_vertex,
          "canonical recursion vertex of a TD-unmixed balanced tree", fmt=True)
 
@@ -498,8 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = leaf(top, "verify-paper", _cmd_verify_paper,
               "run every bundled golden check; exit 1 on any failure", inp=False)
-    vp.add_argument("--cap-dualize", type=int, default=BRUTE_FORCE_SUPPORT_CAP,
-                    metavar="N", help="support cap for the brute-force dualization oracle")
     vp.set_defaults(hard=True)
 
     return parser

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .complexes import SimplicialComplex
 from .errors import CapExceeded, InputError
@@ -24,10 +24,9 @@ from .universe import (
     _bits,
     _component_masks,
     _json_sets,
+    minimal_masks,
     minimal_transversals,
 )
-
-DECOMPOSITION_VERTEX_CAP = 18
 
 _FRESH_LABEL = re.compile(r"^p(\d+)_\d+$")
 
@@ -506,6 +505,38 @@ class TreeDecomposition:
     t2: Graph
 
 
+def _decomposes(
+    adj: Sequence[int], ones: int, pieces: Iterable[tuple[Sequence[int], int]]
+) -> bool:
+    """The three decomposition conditions for the tree with adjacency masks
+    `adj` and height-1 stratum `ones`, each piece given as (adjacency masks,
+    present mask) in the tree's positions: both pieces are balanced forests,
+    their even strata partition the vertices together with `ones`, and the
+    odd vertices' piece neighborhoods plus the stem variables generate the
+    tree's neighborhood ideal."""
+    covered = ones
+    gens = [1 << p for p in _bits(ones)]
+    for piece, present in pieces:
+        by_pos, _, _, balanced = _heights_of_adj(piece, present)
+        if not balanced:
+            return False
+        even = _parity_mask(by_pos.items(), 0)
+        if even & covered:
+            return False
+        covered |= even
+        gens.extend(piece[p] for p in _bits(present & ~even))
+    return covered == (1 << len(adj)) - 1 and minimal_masks(gens) == minimal_masks(adj)
+
+
+def _in_positions(tree: Graph, piece: Graph) -> tuple[list[int], int]:
+    """A subgraph's adjacency masks and vertex mask in the tree's positions."""
+    u = tree.universe
+    adj = [0] * len(u)
+    for lab, nb in zip(piece.vertices, piece.adj):
+        adj[u.position(lab)] = u.mask_of(piece.universe.labels_of(nb))
+    return adj, u.mask_of(piece.vertices)
+
+
 def verify_decomposition(tree: Graph, t1: Graph, t2: Graph) -> bool:
     """Check the three decomposition conditions exactly: both pieces are
     balanced forests, their even strata partition the vertices together
@@ -515,142 +546,90 @@ def verify_decomposition(tree: Graph, t1: Graph, t2: Graph) -> bool:
         raise InputError("decomposition target must be a tree")
     if not t1.is_subgraph_of(tree) or not t2.is_subgraph_of(tree):
         raise InputError("decomposition pieces must be subgraphs")
-    p1, p2 = heights(t1), heights(t2)
-    if not p1.balanced or not p2.balanced:
-        return False
-    ambient = heights(tree)
-    u = tree.universe
-    even1 = u.mask_of(p1.v_even.members)
-    even2 = u.mask_of(p2.v_even.members)
-    ones = ambient.stratum(1).mask
-    if even1 & even2 or even1 & ones or even2 & ones:
-        return False
-    if even1 | even2 | ones != u.full_mask():
-        return False
-    total = (
-        odd_oni(t1)
-        .extended_to(u)
-        .sum(odd_oni(t2).extended_to(u))
-        .sum(SquareFreeIdeal.from_supports(u, ([s] for s in u.labels_of(ones))))
-    )
-    return total == oni(tree)
+    by_pos = _heights_of_adj(tree.adj, tree.universe.full_mask())[0]
+    ones = sum(1 << p for p, h in by_pos.items() if h == 1)
+    return _decomposes(tree.adj, ones, (_in_positions(tree, t) for t in (t1, t2)))
 
 
-def _b_side(tree: Graph, a_mask: int) -> int:
-    """Vertices outside the even-side choice whose whole neighborhood
-    lies inside it."""
-    b_mask = 0
-    for p in range(len(tree.universe)):
-        if not a_mask >> p & 1 and tree.adj[p] and tree.adj[p] & ~a_mask == 0:
-            b_mask |= 1 << p
-    return b_mask
+# The exhaustive phase of search_decomposition tries 2^(k-1) even sides for
+# k non-stem vertices; every tree on at most 18 vertices has k <= 17.
+_EXHAUSTIVE_LIMIT = 17
 
 
-def _build_piece(tree: Graph, a_mask: int, b_mask: int) -> Graph:
-    """Candidate piece on the chosen even side plus its absorbed odd side,
-    with only the crossing edges."""
-    u = tree.universe
-    labels = u.labels_of(a_mask | b_mask)
-    edges = []
-    for p in _bits(b_mask):
-        lab = u.labels[p]
-        for q in _bits(tree.adj[p]):
-            edges.append((lab, u.labels[q]))
-    return Graph(Universe(labels), edges)
+def _piece(adj: Sequence[int], a_mask: int) -> tuple[list[int], int]:
+    """Candidate piece on the even side `a_mask`: every other vertex whose
+    whole, non-empty neighborhood lies inside it, joined to that
+    neighborhood, as (adjacency masks, present mask) in the tree's
+    positions."""
+    piece = [0] * len(adj)
+    present = a_mask
+    for p, nb in enumerate(adj):
+        if nb and not a_mask >> p & 1 and nb & ~a_mask == 0:
+            present |= 1 << p
+            piece[p] = nb
+            for q in _bits(nb):
+                piece[q] |= 1 << p
+    return piece, present
 
 
-def _piece_adj(tree: Graph, a_mask: int, b_mask: int) -> list[int]:
-    adj = [0] * len(tree.universe)
-    for p in _bits(b_mask):
-        hits = tree.adj[p] & a_mask
-        adj[p] = hits
-        for q in _bits(hits):
-            adj[q] |= 1 << p
-    return adj
-
-
-def _masked_balanced_even(tree: Graph, a_mask: int, b_mask: int) -> Optional[int]:
-    """Even-stratum mask of the candidate piece, or None when the piece is
-    not a balanced forest.  Works in ambient positions."""
-    present = a_mask | b_mask
-    by_pos, _, _, balanced = _heights_of_adj(_piece_adj(tree, a_mask, b_mask), present)
-    if not balanced:
-        return None
-    return _parity_mask(by_pos.items(), 0)
-
-
-def search_decomposition(
-    tree: Graph, cap: int = DECOMPOSITION_VERTEX_CAP
-) -> Optional[TreeDecomposition]:
-    """Best-effort search for a verified decomposition.
-
-    Candidate even-side bipartitions come first from the balanced strata,
-    then from leaf-parity classes of the stemless subgraph, then from
-    exhaustive enumeration.  Every candidate is funneled through
-    verify_decomposition; absence of a result is not proof of absence."""
-    if not tree.is_tree():
-        raise InputError("decomposition search needs a tree")
-    n = len(tree)
-    if n > cap:
-        raise CapExceeded(f"decomposition search cap is {cap} vertices; got {n}")
-    u = tree.universe
-    ambient = heights(tree)
-    ones = ambient.stratum(1).mask
-    w_mask = u.full_mask() & ~ones
-
-    candidates: list[int] = []
-    seen: set[frozenset[int]] = set()
-
-    def push(a_mask: int) -> None:
-        key = frozenset((a_mask, w_mask & ~a_mask))
-        if key not in seen:
-            seen.add(key)
-            candidates.append(a_mask)
-
-    if ambient.balanced and (ambient.graph_height or 0) <= 3:
-        push(ambient.v_even.mask)
-
-    stemless = [tree.adj[p] & w_mask for p in range(len(u))]
-    comp_classes: list[tuple[int, int]] = []
+def _even_sides(
+    adj: Sequence[int], by_pos: dict[int, Optional[int]], balanced: bool, w_mask: int
+) -> Iterator[int]:
+    """Even-side choices inside the non-stem vertices `w_mask`, lazily and
+    in search order: the balanced strata, then the leaf-parity classes of
+    the stemless subgraph's components, then every subset holding the
+    first non-stem vertex.  The last phase raises CapExceeded past
+    _EXHAUSTIVE_LIMIT non-stem vertices."""
+    if balanced and max(by_pos.values()) <= 3:
+        yield _parity_mask(by_pos.items(), 0)
+    stemless = [nb & w_mask for nb in adj]
+    classes = []
     for comp in _component_masks(stemless, w_mask):
         ev = _parity_mask(_heights_of_adj(stemless, comp)[0].items(), 0)
-        comp_classes.append((ev, comp & ~ev))
-    if len(comp_classes) <= 12:
-        for vector in range(1 << len(comp_classes)):
-            a = 0
-            for i, (ev, od) in enumerate(comp_classes):
-                a |= od if vector >> i & 1 else ev
-            push(a)
+        classes.append((ev, comp & ~ev))
+    if len(classes) <= 12:
+        for vector in range(1 << len(classes)):
+            yield sum(od if vector >> i & 1 else ev for i, (ev, od) in enumerate(classes))
+    first, *rest = _bits(w_mask)
+    if len(rest) >= _EXHAUSTIVE_LIMIT:
+        raise CapExceeded(
+            f"decomposition search bound is {_EXHAUSTIVE_LIMIT} non-stem vertices "
+            f"for its exhaustive phase; got {len(rest) + 1}"
+        )
+    for sub in range(1 << len(rest)):
+        yield (1 << first) | sum(1 << p for i, p in enumerate(rest) if sub >> i & 1)
 
-    w_positions = list(_bits(w_mask))
-    if w_positions and len(w_positions) <= 17:
-        first = 1 << w_positions[0]
-        rest = w_positions[1:]
-        for sub in range(1 << len(rest)):
-            a = first
-            for i, p in enumerate(rest):
-                if sub >> i & 1:
-                    a |= 1 << p
-            push(a)
-    elif not w_positions:
-        push(0)
 
-    for a_mask in candidates:
-        other = w_mask & ~a_mask
-        b1 = _b_side(tree, a_mask)
-        even1 = _masked_balanced_even(tree, a_mask, b1)
-        if even1 is None:
+def _piece_graph(tree: Graph, piece: Sequence[int], present: int) -> Graph:
+    """The piece (adjacency masks, present mask) as a Graph on its labels."""
+    labels = tree.universe.labels
+    return Graph(
+        Universe(tree.universe.labels_of(present)),
+        ((labels[p], labels[q]) for p in _bits(present) for q in _bits(piece[p]) if q > p),
+    )
+
+
+def search_decomposition(tree: Graph) -> Optional[TreeDecomposition]:
+    """Best-effort search for a verified decomposition: the first even side
+    from _even_sides whose piece and complementary piece pass _decomposes.
+    Absence of a result is not proof of absence.  A tree whose cheap
+    candidates all fail and that has more than _EXHAUSTIVE_LIMIT non-stem
+    vertices raises CapExceeded instead of returning None."""
+    if not tree.is_tree():
+        raise InputError("decomposition search needs a tree")
+    full = tree.universe.full_mask()
+    by_pos, _, _, balanced = _heights_of_adj(tree.adj, full)
+    ones = sum(1 << p for p, h in by_pos.items() if h == 1)
+    w_mask = full & ~ones
+    tried: set[int] = set()
+    for a_mask in _even_sides(tree.adj, by_pos, balanced, w_mask):
+        key = min(a_mask, w_mask & ~a_mask)
+        if key in tried:
             continue
-        b2 = _b_side(tree, other)
-        even2 = _masked_balanced_even(tree, other, b2)
-        if even2 is None:
-            continue
-        if even1 & even2 or (even1 | even2 | ones) != u.full_mask():
-            continue
-        piece1 = _build_piece(tree, a_mask, b1)
-        piece2 = _build_piece(tree, other, b2)
-        if verify_decomposition(tree, piece1, piece2):
-            return TreeDecomposition(piece1, piece2)
+        tried.add(key)
+        sides = (a_mask, w_mask & ~a_mask)
+        if _decomposes(tree.adj, ones, (_piece(tree.adj, a) for a in sides)):
+            return TreeDecomposition(*(_piece_graph(tree, *_piece(tree.adj, a)) for a in sides))
     return None
 
 

@@ -57,7 +57,6 @@ from .gvd import (
 )
 from .ideals import SquareFreeIdeal
 from .universe import (
-    BRUTE_FORCE_SUPPORT_CAP,
     SpernerFamily,
     Universe,
     brute_force_transversals,
@@ -136,7 +135,7 @@ def _isolated(labels: Iterable[str]) -> Graph:
 # checks; None means pass, a string describes the first disagreements
 
 
-def _check_dualization(oracle_cap: int) -> Optional[str]:
+def _check_dualization() -> Optional[str]:
     family = beg_a()
     tau = minimal_transversals(family)
     problems = []
@@ -145,12 +144,12 @@ def _check_dualization(oracle_cap: int) -> Optional[str]:
         problems.append(bad)
     if minimal_transversals(tau) != family:
         problems.append("double dualization drifted off the input family")
-    if brute_force_transversals(family, oracle_cap) != tau:
+    if brute_force_transversals(family) != tau:
         problems.append("brute-force oracle disagrees with the kernel")
     return "; ".join(problems) or None
 
 
-def _check_realization(oracle_cap: int) -> Optional[str]:
+def _check_realization() -> Optional[str]:
     family = beg_a()
     graph = realize_as_oni(family)
     problems = []
@@ -167,7 +166,7 @@ def _check_realization(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_path_values(oracle_cap: int) -> Optional[str]:
+def _check_path_values() -> Optional[str]:
     path = p6()
     problems = []
     for got, want, what in (
@@ -183,7 +182,7 @@ def _check_path_values(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_reference_tree(oracle_cap: int) -> Optional[str]:
+def _check_reference_tree() -> Optional[str]:
     tree = t_a()
     problems = []
     bad = _expect_family(oni(tree).minimal_generators(), TREE_ONI_GENS, "neighborhood ideal")
@@ -201,7 +200,7 @@ def _check_reference_tree(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_splitting(oracle_cap: int) -> Optional[str]:
+def _check_splitting() -> Optional[str]:
     problems = []
     for graph, name in ((p6(), "path"), (t_a(), "tree")):
         ideal = odd_oni(graph)
@@ -232,7 +231,7 @@ def _check_splitting(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_intersection(oracle_cap: int) -> Optional[str]:
+def _check_intersection() -> Optional[str]:
     labels = ["0", "2", "4", "6"]
     left = _ideal(labels, [["2"], ["6"]])
     right = _ideal(labels, [["0", "2"], ["4"]])
@@ -241,7 +240,7 @@ def _check_intersection(oracle_cap: int) -> Optional[str]:
     return None
 
 
-def _check_induced_ideals(oracle_cap: int) -> Optional[str]:
+def _check_induced_ideals() -> Optional[str]:
     tree = t_a()
     problems = []
     sub = tree.delete_vertices(["u1"])
@@ -268,7 +267,7 @@ def _check_induced_ideals(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_decompositions(oracle_cap: int) -> Optional[str]:
+def _check_decompositions() -> Optional[str]:
     problems = []
     cases = (
         ("path", p6(), ("3",)),
@@ -306,7 +305,7 @@ def _check_decompositions(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_split_vertices(oracle_cap: int) -> Optional[str]:
+def _check_split_vertices() -> Optional[str]:
     problems = []
     if find_split_vertex(p6()) != "2":
         problems.append(f"path split vertex: {find_split_vertex(p6())!r}")
@@ -315,7 +314,7 @@ def _check_split_vertices(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_extensions(oracle_cap: int) -> Optional[str]:
+def _check_extensions() -> Optional[str]:
     base = p6()
     base_edges = set(base.edges)
     cases = (
@@ -339,7 +338,7 @@ def _check_extensions(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_gvd_decisions(oracle_cap: int) -> Optional[str]:
+def _check_gvd_decisions() -> Optional[str]:
     problems = []
     ideal = odd_oni(p6())
     ok, cert = is_gvd(ideal)
@@ -366,7 +365,7 @@ def _check_gvd_decisions(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_certificates(oracle_cap: int) -> Optional[str]:
+def _check_certificates() -> Optional[str]:
     double_star = Graph(
         Universe(["a", "b", "c", "d", "e", "f"]),
         [("a", "c"), ("b", "c"), ("d", "f"), ("e", "f")],
@@ -384,7 +383,7 @@ def _check_certificates(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_stable_complexes(oracle_cap: int) -> Optional[str]:
+def _check_stable_complexes() -> Optional[str]:
     path = p6()
     problems = []
     if stanley_reisner_ideal(stable_complex(path)) != oni(path):
@@ -402,7 +401,7 @@ def _check_stable_complexes(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_leaf_order(oracle_cap: int) -> Optional[str]:
+def _check_leaf_order() -> Optional[str]:
     universe = Universe(["a", "b", "c", "d", "e", "f"])
     chain = SimplicialComplex.from_facets(
         universe, [("a", "b", "c"), ("c", "d"), ("d", "e", "f")]
@@ -425,7 +424,7 @@ def _check_leaf_order(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_shedding(oracle_cap: int) -> Optional[str]:
+def _check_shedding() -> Optional[str]:
     cx = even_stable_complex(p6())
     problems = []
     if not is_shedding_vertex(cx, "4"):
@@ -444,7 +443,7 @@ def _check_shedding(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_chordality(oracle_cap: int) -> Optional[str]:
+def _check_chordality() -> Optional[str]:
     square = Graph(
         Universe(["0", "1", "2", "3"]),
         [("0", "1"), ("1", "2"), ("2", "3"), ("0", "3")],
@@ -464,7 +463,7 @@ def _check_chordality(oracle_cap: int) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-_CHECKS: tuple[tuple[str, Callable[[int], Optional[str]]], ...] = (
+_CHECKS: tuple[tuple[str, Callable[[], Optional[str]]], ...] = (
     ("dualization-quintet", _check_dualization),
     ("family-realization", _check_realization),
     ("path-reference-values", _check_path_values),
@@ -484,13 +483,13 @@ _CHECKS: tuple[tuple[str, Callable[[int], Optional[str]]], ...] = (
 )
 
 
-def run_verification(oracle_cap: int = BRUTE_FORCE_SUPPORT_CAP) -> dict:
+def run_verification() -> dict:
     """Run every bundled check; the report is stable across runs."""
     checks = []
     failed = 0
     for name, fn in _CHECKS:
         try:
-            detail = fn(oracle_cap)
+            detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             detail = f"raised {type(exc).__name__}: {exc}"
         entry: dict = {"id": name, "ok": detail is None}

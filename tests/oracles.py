@@ -6,9 +6,10 @@ chordality and forests, Faridi's leaf test on every facet subcollection
 for simplicial forests and cycles, the GVD split that rebuilds both parts from
 labels, the GVD search and replay that re-check unmixedness and the split
 identity at every node, the shedding test and replay that rebuild deletion
-and link complexes, and the tree certifier that rebuilds every piece as a
-graph and an ideal.  The tests trust these against the package's bitmask
-kernels on small instances.
+and link complexes, the tree certifier that rebuilds every piece as a
+graph and an ideal, and the tree decomposition check and search that do
+the same.  The tests trust these against the package's bitmask kernels on
+small instances.
 """
 
 from __future__ import annotations
@@ -28,14 +29,18 @@ from oni_kit import (
     Base,
     InputError,
     Leaf,
+    Graph,
     Split,
     SquareFreeIdeal,
+    TreeDecomposition,
     Universe,
     deletion,
     heights,
     is_valid_geometric_decomposition,
     link,
     o_extend,
+    odd_oni,
+    oni,
 )
 from oni_kit.fixtures import p6
 from oni_kit.universe import _bits
@@ -304,6 +309,122 @@ def seeded_grown_tree(steps):
         picks = [v for v in tree.vertices if profile.height_of(v) in (1, 2, 3)]
         tree = o_extend(tree, rng.choice(picks))
     return tree
+
+
+def tree_past_search_bound():
+    """A 26-vertex tree with 18 non-stem vertices on which the cheap
+    candidates of search_decomposition all fail, so the search must stop at
+    its exhaustive-phase bound."""
+    edges = (
+        "00-01 00-03 00-15 01-02 01-08 02-04 02-06 02-13 02-22 02-25 03-05 03-09 "
+        "03-20 04-07 06-17 06-23 07-10 08-11 09-12 11-16 12-14 14-18 16-19 17-24 19-21"
+    )
+    return Graph.from_vertices(
+        [f"v{i:02d}" for i in range(26)],
+        [(f"v{a}", f"v{b}") for a, b in (e.split("-") for e in edges.split())],
+    )
+
+
+# ---------------------------------------------------------------------------
+# tree decompositions, checked through graphs and ideals
+
+
+def reference_verify_decomposition(tree, t1, t2) -> bool:
+    """The three decomposition conditions with a HeightProfile per graph
+    and the ideal condition as a sum of odd_oni ideals extended to the
+    tree's universe."""
+    if not tree.is_tree():
+        raise InputError("decomposition target must be a tree")
+    if not t1.is_subgraph_of(tree) or not t2.is_subgraph_of(tree):
+        raise InputError("decomposition pieces must be subgraphs")
+    p1, p2 = heights(t1), heights(t2)
+    if not p1.balanced or not p2.balanced:
+        return False
+    u = tree.universe
+    even1 = u.mask_of(p1.v_even.members)
+    even2 = u.mask_of(p2.v_even.members)
+    ones = heights(tree).stratum(1).mask
+    if even1 & even2 or even1 & ones or even2 & ones:
+        return False
+    if even1 | even2 | ones != u.full_mask():
+        return False
+    total = (
+        odd_oni(t1)
+        .extended_to(u)
+        .sum(odd_oni(t2).extended_to(u))
+        .sum(SquareFreeIdeal.from_supports(u, ([s] for s in u.labels_of(ones))))
+    )
+    return total == oni(tree)
+
+
+def _reference_piece(tree, a_mask):
+    """The piece on even side a_mask as a Graph: every other vertex whose
+    whole, non-empty neighborhood lies inside a_mask, with those edges."""
+    u = tree.universe
+    b_mask = 0
+    for p, nb in enumerate(tree.adj):
+        if not a_mask >> p & 1 and nb and nb & ~a_mask == 0:
+            b_mask |= 1 << p
+    edges = [(u.labels[p], u.labels[q]) for p in _bits(b_mask) for q in _bits(tree.adj[p])]
+    return Graph(Universe(u.labels_of(a_mask | b_mask)), edges)
+
+
+def _reference_even_mask(tree, piece):
+    """Even stratum of a piece in the tree's positions, or None when the
+    piece is not a balanced forest."""
+    profile = heights(piece)
+    return tree.universe.mask_of(profile.v_even.members) if profile.balanced else None
+
+
+def reference_search_decomposition(tree):
+    """Every candidate even side listed first, in order (balanced strata,
+    stemless leaf-parity classes for at most 12 classes, all subsets holding
+    the first non-stem vertex for at most 17 non-stem vertices), each
+    unordered pair once; then the first pair of Graph pieces that passes the
+    balance and partition filter and reference_verify_decomposition."""
+    if not tree.is_tree():
+        raise InputError("decomposition search needs a tree")
+    u = tree.universe
+    ambient = heights(tree)
+    ones = ambient.stratum(1).mask
+    w_mask = u.full_mask() & ~ones
+
+    candidates, seen = [], set()
+
+    def push(a_mask):
+        key = frozenset((a_mask, w_mask & ~a_mask))
+        if key not in seen:
+            seen.add(key)
+            candidates.append(a_mask)
+
+    if ambient.balanced and (ambient.graph_height or 0) <= 3:
+        push(ambient.v_even.mask)
+    stemless = tree.delete_vertices(u.labels_of(ones))
+    classes = []
+    for comp in stemless.components():
+        profile = heights(stemless.induced(comp))
+        even = u.mask_of(profile.v_even.members)
+        classes.append((even, u.mask_of(comp) & ~even))
+    if len(classes) <= 12:
+        for vector in range(1 << len(classes)):
+            push(sum(od if vector >> i & 1 else ev for i, (ev, od) in enumerate(classes)))
+    first, *rest = _bits(w_mask)
+    if len(rest) < 17:
+        for sub in range(1 << len(rest)):
+            push((1 << first) | sum(1 << p for i, p in enumerate(rest) if sub >> i & 1))
+
+    for a_mask in candidates:
+        piece1 = _reference_piece(tree, a_mask)
+        piece2 = _reference_piece(tree, w_mask & ~a_mask)
+        even1 = _reference_even_mask(tree, piece1)
+        even2 = _reference_even_mask(tree, piece2)
+        if even1 is None or even2 is None:
+            continue
+        if even1 & even2 or (even1 | even2 | ones) != u.full_mask():
+            continue
+        if reference_verify_decomposition(tree, piece1, piece2):
+            return TreeDecomposition(piece1, piece2)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
+import oracles
 import oni_kit.verify
-from oni_kit import Graph, SpernerFamily, Split, certify_tree_gvd, cli
+from oni_kit import CapExceeded, Graph, SpernerFamily, Split, certify_tree_gvd, cli
 
 P6_DOC = (
     '{"vertices":["0","1","2","3","4","5","6"],'
@@ -324,8 +325,6 @@ def test_complex_tree_and_cycle(invoke):
         "cycle": True,
         "order": [["a", "b"], ["a", "c"], ["b", "c"]],
     }
-    # --cap-facets still parses, and changes no byte
-    assert invoke(["complex", "cycle", "--cap-facets", "2"], stdin=triangle) == (code, out)
 
 
 def test_complex_join(invoke, tmp_path):
@@ -349,6 +348,12 @@ def test_graph_decompose(invoke):
     doc = json.loads(out)
     assert doc["found"] is True
     assert set(doc["t1"]) == {"vertices", "edges"} and set(doc["t2"]) == {"vertices", "edges"}
+
+    # past the search's bound a tree exits 2 with an error, never found:false
+    tree = json.dumps(oracles.tree_past_search_bound().to_json_obj())
+    code, out = invoke(["graph", "decompose"], stdin=tree)
+    assert code == 2 and out.count("\n") == 1
+    assert "bound is 17 non-stem vertices" in json.loads(out)["error"]
 
 
 def test_graph_unmixed_reports_both_views(invoke):
@@ -480,9 +485,13 @@ def test_verify_paper_detects_broken_dualization(invoke, monkeypatch):
     assert "dualization-quintet" in broken
 
 
-def test_verify_paper_oracle_cap_is_adjustable(invoke):
-    code, out = invoke(["verify-paper", "--cap-dualize", "3"])
+def test_verify_paper_reports_a_raising_check(invoke, monkeypatch):
+    def raising(family, cap=None):
+        raise CapExceeded("oracle refused")
+
+    monkeypatch.setattr(oni_kit.verify, "brute_force_transversals", raising)
+    code, out = invoke(["verify-paper"])
     assert code == 1
     doc = json.loads(out)
     failed = {c["id"]: c.get("detail", "") for c in doc["checks"] if not c["ok"]}
-    assert any("CapExceeded" in d for d in failed.values())
+    assert failed == {"dualization-quintet": "raised CapExceeded: oracle refused"}

@@ -13,6 +13,7 @@ from oni_kit import (
     CapExceeded,
     Graph,
     InputError,
+    TreeDecomposition,
     Universe,
     edge_join,
     even_stable_complex,
@@ -382,9 +383,70 @@ def test_decomposition_search():
     assert found is not None
     assert verify_decomposition(p6(), found.t1, found.t2)
     assert search_decomposition(path_graph(0)) is None
-    with pytest.raises(CapExceeded, match="cap is 18 vertices; got 19"):
-        search_decomposition(path_graph(18))
-    assert search_decomposition(path_graph(18), cap=19) is not None
+    # past 18 vertices the cheap candidates still answer these trees
+    for tree in (path_graph(18), oracles.seeded_grown_tree(18)):
+        found = search_decomposition(tree)
+        assert found is not None and verify_decomposition(tree, found.t1, found.t2)
+    with pytest.raises(CapExceeded, match="bound is 17 non-stem vertices .*; got 18$"):
+        search_decomposition(oracles.tree_past_search_bound())
+
+
+@st.composite
+def decomposition_cases(draw):
+    """A tree on at most 16 vertices (random, or the 7-vertex path after up
+    to two o-extensions), now and then with an isolated vertex added so that
+    it is no tree, and a seed for drawing pieces."""
+    if draw(st.booleans()):
+        n, edges = draw(random_trees(16))
+        tree = graph([str(i) for i in range(n)], edges)
+    else:
+        tree = p6()
+        for i in draw(st.lists(st.integers(0, 15), max_size=2)):
+            profile = heights(tree)
+            picks = [v for v in tree.vertices if profile.height_of(v) in (1, 2, 3)]
+            tree = o_extend(tree, picks[i % len(picks)])
+    if draw(st.integers(0, 9)) == 9:
+        tree = graph(tree.vertices + ("x",), tree.edges)
+    return tree, draw(st.integers(0, 2**32 - 1))
+
+
+def random_piece(rng, tree):
+    """A random subgraph of the tree, now and then with a foreign vertex."""
+    keep = [v for v in tree.vertices if rng.random() < 0.8]
+    if rng.random() < 0.1:
+        keep.append("zz")
+    kept = set(keep)
+    edges = [e for e in tree.edges if kept.issuperset(e) and rng.random() < 0.8]
+    return graph(keep, edges)
+
+
+def decided(fn, *args):
+    try:
+        result = fn(*args)
+    except InputError as exc:
+        return "InputError", str(exc)
+    if isinstance(result, TreeDecomposition):
+        return result.t1.to_json_obj(), result.t2.to_json_obj()
+    return result
+
+
+@given(decomposition_cases())
+@settings(max_examples=150, deadline=None)
+def test_decomposition_matches_reference(case):
+    tree, seed = case
+    found = decided(search_decomposition, tree)
+    assert found == decided(oracles.reference_search_decomposition, tree)
+    rng = random.Random(seed)
+    pairs = [(random_piece(rng, tree), random_piece(rng, tree)) for _ in range(3)]
+    if found is not None and found[0] != "InputError":
+        t1, t2 = (Graph.from_json_obj(doc) for doc in found)
+        pairs += [(t1, t2), (t2, t1)]
+        if t1.edges:
+            pairs.append((t1.delete_vertices([rng.choice(t1.edges)[0]]), t2))
+    for t1, t2 in pairs:
+        assert decided(verify_decomposition, tree, t1, t2) == decided(
+            oracles.reference_verify_decomposition, tree, t1, t2
+        )
 
 
 # ---------------------------------------------------------------------------

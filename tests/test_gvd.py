@@ -539,9 +539,13 @@ def outcome(fn, graph):
 
 
 def certified(certify):
+    # dag_shape lists each distinct node once, in pre-order, with its
+    # variable or base kind, and every later visit as the index of the
+    # first.  That fixes the DAG, hence its JSON expansion, so comparing
+    # certificate_to_json_obj too would add nothing; it would only expand
+    # every shared node, which on a three-tree forest runs to millions.
     def run(graph):
-        cert = certify(graph)
-        return certificate_to_json_obj(cert), dag_shape(cert)
+        return dag_shape(certify(graph))
 
     return run
 
