@@ -21,6 +21,7 @@ from .universe import (
     _bits,
     _component_masks,
     _json_sets,
+    _masks_into,
     maximal_masks,
     minimal_transversals,
     sort_key,
@@ -117,11 +118,8 @@ class SimplicialComplex:
     def extended_to(self, universe: Universe) -> "SimplicialComplex":
         """The same facets read over a larger universe; the added labels
         carry no faces."""
-        for lab in self.universe.labels:
-            if lab not in universe:
-                raise InputError(f"target universe is missing label {lab!r}")
         return SimplicialComplex(
-            universe, (universe.mask_of(f) for f in self.facets.members)
+            universe, _masks_into(self.universe, universe, self.facets.masks)
         )
 
     def to_json_obj(self) -> dict:
@@ -163,12 +161,9 @@ def join(left: SimplicialComplex, right: SimplicialComplex) -> SimplicialComplex
             f"join requires disjoint universes; shared: {', '.join(sorted(overlap))}"
         )
     combined = Universe(left.universe.labels + right.universe.labels)
-    facets = [
-        combined.mask_of(left.universe.labels_of(a) + right.universe.labels_of(b))
-        for a in left.facets.masks
-        for b in right.facets.masks
-    ]
-    return SimplicialComplex(combined, facets)
+    lefts = _masks_into(left.universe, combined, left.facets.masks)
+    rights = _masks_into(right.universe, combined, right.facets.masks)
+    return SimplicialComplex(combined, (a | b for a in lefts for b in rights))
 
 
 def _shed(
@@ -314,26 +309,35 @@ def _replay(universe: Universe, facets: tuple[int, ...], cert: SheddingCertifica
     )
 
 
+def _complements(family: SpernerFamily) -> Iterator[int]:
+    """The members' complements in the family's universe, the step between
+    facets and minimal non-faces in both Stanley-Reisner directions.  A set
+    is a non-face exactly when it meets every facet complement, so the
+    minimal non-faces are the minimal transversals of the facet complements;
+    dualization is an involution, so the facets are the complements of the
+    minimal transversals of the minimal non-faces.
+
+    Complement-of-dual needs no special case.  The unit ideal, the family
+    {∅}, has no transversal, as nothing meets ∅, so it gets no facet: VOID.
+    The zero ideal, the empty family, has the one transversal ∅, whose
+    complement is the full simplex."""
+    full = family.universe.full_mask()
+    return (full & ~m for m in family.masks)
+
+
 def stanley_reisner_ideal(cx: SimplicialComplex) -> SquareFreeIdeal:
     """Ideal of minimal non-faces: the minimal transversals of the facet
     complements.  VOID maps to the unit ideal, the full simplex to zero."""
-    complements = SpernerFamily(
-        cx.universe, (cx.universe.full_mask() & ~f for f in cx.facets.masks)
-    )
+    complements = SpernerFamily(cx.universe, _complements(cx.facets))
     return SquareFreeIdeal(minimal_transversals(complements))
 
 
 def stanley_reisner_complex(ideal: SquareFreeIdeal) -> SimplicialComplex:
-    """Facets are the complements of the minimal primes; inverse of
-    stanley_reisner_ideal."""
-    if ideal.is_unit:
-        return SimplicialComplex.void(ideal.universe)
-    if ideal.is_zero:
-        return SimplicialComplex.full_simplex(ideal.universe)
-    full = ideal.universe.full_mask()
-    return SimplicialComplex(
-        ideal.universe, (full & ~p for p in ideal.minimal_primes().masks)
-    )
+    """Facets are the complements of the minimal primes, the generators'
+    minimal transversals; inverse of stanley_reisner_ideal.  Unit maps to
+    VOID and zero to the full simplex (see _complements)."""
+    dual = minimal_transversals(ideal.generators)
+    return SimplicialComplex(ideal.universe, _complements(dual))
 
 
 def facet_ideal(cx: SimplicialComplex) -> SquareFreeIdeal:

@@ -39,13 +39,11 @@ def p6() -> Graph:
 
 
 def t_a() -> Graph:
-    vertices = sorted({v for e in T_A_EDGES for v in e})
-    return Graph(Universe(vertices), T_A_EDGES)
+    return Graph.from_vertices({v for e in T_A_EDGES for v in e}, T_A_EDGES)
 
 
 def twin_broom() -> Graph:
-    vertices = sorted({v for e in TWIN_BROOM_EDGES for v in e})
-    return Graph(Universe(vertices), TWIN_BROOM_EDGES)
+    return Graph.from_vertices({v for e in TWIN_BROOM_EDGES for v in e}, TWIN_BROOM_EDGES)
 
 
 def beg_a() -> SpernerFamily:

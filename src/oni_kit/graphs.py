@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _complements
 from .errors import CapExceeded, InputError
 from .ideals import SquareFreeIdeal
 from .universe import (
@@ -24,6 +24,7 @@ from .universe import (
     _bits,
     _component_masks,
     _json_sets,
+    _masks_into,
     minimal_masks,
     minimal_transversals,
 )
@@ -98,20 +99,11 @@ class Graph:
         return VertexSet(self.universe, mask)
 
     def induced(self, keep: Iterable[str]) -> "Graph":
-        labels = sorted(set(keep))
-        keep_mask = self.universe.mask_of(labels)
-        sub = Universe(labels)
-        edges = []
-        for lab in labels:
-            i = self.universe.position(lab)
-            for j in _bits(self.adj[i] & keep_mask):
-                if j > i:
-                    edges.append((lab, self.universe.labels[j]))
-        return Graph(sub, edges)
+        return _subgraph(self, self.adj, self.universe.mask_of(keep))
 
     def delete_vertices(self, gone: Iterable[str]) -> "Graph":
-        drop = {v for v in gone if self.universe.position(v) >= 0}
-        return self.induced(v for v in self.vertices if v not in drop)
+        keep = self.universe.full_mask() & ~self.universe.mask_of(gone)
+        return _subgraph(self, self.adj, keep)
 
     def delete_closed_neighborhood(self, v: str) -> "Graph":
         return self.delete_vertices(self.closed_neighbors(v).members)
@@ -122,24 +114,17 @@ class Graph:
     def components(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.universe.labels_of(m) for m in self.component_masks())
 
-    @property
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
-
     def is_connected(self) -> bool:
         return len(self.component_masks()) <= 1
 
     def is_forest(self) -> bool:
-        return self.edge_count == len(self) - len(self.component_masks())
+        return HeightProfile(self).is_forest
 
     def is_tree(self) -> bool:
-        return len(self) >= 1 and self.is_connected() and self.edge_count == len(self) - 1
+        return HeightProfile(self).is_tree
 
     def is_subgraph_of(self, other: "Graph") -> bool:
-        if not set(self.vertices) <= set(other.vertices):
-            return False
-        have = set(other.edges)
-        return all(e in have for e in self.edges)
+        return set(self.vertices) <= set(other.vertices) and set(self.edges) <= set(other.edges)
 
     def to_json_obj(self) -> dict:
         return {
@@ -293,17 +278,12 @@ def oni(graph: Graph) -> SquareFreeIdeal:
     return SquareFreeIdeal.from_supports(graph.universe, supports)
 
 
-def _require_balanced(graph: Graph) -> HeightProfile:
-    profile = heights(graph)
-    if not profile.balanced:
-        raise InputError("graph is not a balanced forest")
-    return profile
-
-
 def odd_oni(graph: Graph) -> SquareFreeIdeal:
     """Odd-vertex neighborhood ideal of a balanced forest, read over the
     even vertices."""
-    profile = _require_balanced(graph)
+    profile = heights(graph)
+    if not profile.balanced:
+        raise InputError("graph is not a balanced forest")
     even = Universe(profile.v_even.members)
     supports = [graph.neighbors(v).members for v in profile.v_odd.members]
     return SquareFreeIdeal.from_supports(even, supports)
@@ -393,18 +373,16 @@ def is_structurally_td_unmixed(tree: Graph) -> bool:
 
 
 def stable_complex(graph: Graph) -> SimplicialComplex:
-    """Complements of the minimal TD-sets; void when no TD-set exists."""
-    full = graph.universe.full_mask()
-    return SimplicialComplex(
-        graph.universe, (full & ~m for m in minimal_td_sets(graph).masks)
-    )
+    """Complements of the minimal TD-sets, the Stanley-Reisner complex of
+    oni; void when no TD-set exists."""
+    return SimplicialComplex(graph.universe, _complements(minimal_td_sets(graph)))
 
 
 def even_stable_complex(graph: Graph) -> SimplicialComplex:
-    """Complements, inside the even stratum, of the minimal odd-TD-sets."""
+    """Complements, inside the even stratum, of the minimal odd-TD-sets:
+    the Stanley-Reisner complex of odd_oni."""
     family = minimal_odd_td_sets(graph)
-    full = family.universe.full_mask()
-    return SimplicialComplex(family.universe, (full & ~m for m in family.masks))
+    return SimplicialComplex(family.universe, _complements(family))
 
 
 def path_graph(n: int) -> Graph:
@@ -529,12 +507,15 @@ def _decomposes(
 
 
 def _in_positions(tree: Graph, piece: Graph) -> tuple[list[int], int]:
-    """A subgraph's adjacency masks and vertex mask in the tree's positions."""
-    u = tree.universe
-    adj = [0] * len(u)
-    for lab, nb in zip(piece.vertices, piece.adj):
-        adj[u.position(lab)] = u.mask_of(piece.universe.labels_of(nb))
-    return adj, u.mask_of(piece.vertices)
+    """A subgraph's adjacency masks and vertex mask in the tree's positions.
+    Both universes are sorted, so the piece's positions keep their order."""
+    present, *moved = _masks_into(
+        piece.universe, tree.universe, (piece.universe.full_mask(), *piece.adj)
+    )
+    adj = [0] * len(tree.universe)
+    for p, nb in zip(_bits(present), moved):
+        adj[p] = nb
+    return adj, present
 
 
 def verify_decomposition(tree: Graph, t1: Graph, t2: Graph) -> bool:
@@ -542,11 +523,11 @@ def verify_decomposition(tree: Graph, t1: Graph, t2: Graph) -> bool:
     balanced forests, their even strata partition the vertices together
     with the ambient height-1 stratum, and the neighborhood ideal is the
     three-term sum."""
-    if not tree.is_tree():
+    by_pos, comps, forest, _ = _heights_of_adj(tree.adj, tree.universe.full_mask())
+    if not (forest and comps == 1):
         raise InputError("decomposition target must be a tree")
     if not t1.is_subgraph_of(tree) or not t2.is_subgraph_of(tree):
         raise InputError("decomposition pieces must be subgraphs")
-    by_pos = _heights_of_adj(tree.adj, tree.universe.full_mask())[0]
     ones = sum(1 << p for p, h in by_pos.items() if h == 1)
     return _decomposes(tree.adj, ones, (_in_positions(tree, t) for t in (t1, t2)))
 
@@ -600,12 +581,13 @@ def _even_sides(
         yield (1 << first) | sum(1 << p for i, p in enumerate(rest) if sub >> i & 1)
 
 
-def _piece_graph(tree: Graph, piece: Sequence[int], present: int) -> Graph:
-    """The piece (adjacency masks, present mask) as a Graph on its labels."""
-    labels = tree.universe.labels
+def _subgraph(graph: Graph, adj: Sequence[int], present: int) -> Graph:
+    """The subgraph on the `present` positions with the given adjacency
+    masks, as a Graph on its labels."""
+    labels = graph.universe.labels
     return Graph(
-        Universe(tree.universe.labels_of(present)),
-        ((labels[p], labels[q]) for p in _bits(present) for q in _bits(piece[p]) if q > p),
+        Universe(graph.universe.labels_of(present)),
+        ((labels[p], labels[q]) for p in _bits(present) for q in _bits(adj[p] & present) if q > p),
     )
 
 
@@ -615,10 +597,10 @@ def search_decomposition(tree: Graph) -> Optional[TreeDecomposition]:
     Absence of a result is not proof of absence.  A tree whose cheap
     candidates all fail and that has more than _EXHAUSTIVE_LIMIT non-stem
     vertices raises CapExceeded instead of returning None."""
-    if not tree.is_tree():
-        raise InputError("decomposition search needs a tree")
     full = tree.universe.full_mask()
-    by_pos, _, _, balanced = _heights_of_adj(tree.adj, full)
+    by_pos, comps, forest, balanced = _heights_of_adj(tree.adj, full)
+    if not (forest and comps == 1):
+        raise InputError("decomposition search needs a tree")
     ones = sum(1 << p for p, h in by_pos.items() if h == 1)
     w_mask = full & ~ones
     tried: set[int] = set()
@@ -629,7 +611,7 @@ def search_decomposition(tree: Graph) -> Optional[TreeDecomposition]:
         tried.add(key)
         sides = (a_mask, w_mask & ~a_mask)
         if _decomposes(tree.adj, ones, (_piece(tree.adj, a) for a in sides)):
-            return TreeDecomposition(*(_piece_graph(tree, *_piece(tree.adj, a)) for a in sides))
+            return TreeDecomposition(*(_subgraph(tree, *_piece(tree.adj, a)) for a in sides))
     return None
 
 

@@ -15,6 +15,7 @@ from .universe import (
     SpernerFamily,
     Universe,
     _json_sets,
+    _masks_into,
     minimal_masks,
     minimal_transversals,
 )
@@ -87,21 +88,12 @@ class SquareFreeIdeal:
         return minimal_transversals(self.generators)
 
     def is_unmixed(self) -> bool:
-        primes = self.minimal_primes().masks
-        if not primes:
-            return True
-        first = primes[0].bit_count()
-        return all(p.bit_count() == first for p in primes)
+        return len({p.bit_count() for p in self.minimal_primes().masks}) <= 1
 
     def extended_to(self, universe: Universe) -> "SquareFreeIdeal":
         """The same generators read over a larger universe."""
-        for lab in self.universe.labels:
-            if lab not in universe:
-                raise InputError(f"target universe is missing label {lab!r}")
-        sets = self.generators.members
-        return SquareFreeIdeal(
-            SpernerFamily(universe, (universe.mask_of(s) for s in sets))
-        )
+        masks = _masks_into(self.universe, universe, self.generators.masks)
+        return SquareFreeIdeal(SpernerFamily(universe, masks))
 
     def _check(self, other: "SquareFreeIdeal") -> None:
         if self.universe != other.universe:

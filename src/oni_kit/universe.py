@@ -8,7 +8,7 @@ single machine operations and every iteration order is deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, InputError
 
@@ -96,6 +96,15 @@ class Universe:
 
     def set_of(self, labels: Iterable[str]) -> "VertexSet":
         return VertexSet(self, self.mask_of(labels))
+
+
+def _masks_into(source: Universe, target: Universe, masks: Iterable[int]) -> list[int]:
+    """The masks over `source` read over `target`, which must hold every
+    source label."""
+    for lab in source.labels:
+        if lab not in target:
+            raise InputError(f"target universe is missing label {lab!r}")
+    return [target.mask_of(source.labels_of(m)) for m in masks]
 
 
 def _json_sets(obj: object, kind: str, labels_key: str, sets_key: str) -> tuple[Universe, list]:
@@ -219,6 +228,17 @@ def maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def _comparable_pair(canon: Sequence[int]) -> Optional[tuple[int, int]]:
+    """First pair (a, b), a before b, with a inside b, among distinct masks
+    in canonical order; None for an antichain.  Canonical order puts every
+    proper subset before its supersets, so no pair is missed."""
+    for i, a in enumerate(canon):
+        for b in canon[i + 1 :]:
+            if a & b == a:
+                return a, b
+    return None
+
+
 class SpernerFamily:
     """An antichain of subsets of a Universe, in canonical order.
 
@@ -230,14 +250,13 @@ class SpernerFamily:
 
     def __init__(self, universe: Universe, masks: Iterable[int]):
         canon = tuple(sorted(set(masks), key=sort_key))
-        for i, a in enumerate(canon):
-            for b in canon[i + 1 :]:
-                if a & b == a:
-                    raise InputError(
-                        "family is not an antichain: "
-                        f"{{{', '.join(universe.labels_of(a))}}} is contained in "
-                        f"{{{', '.join(universe.labels_of(b))}}}"
-                    )
+        pair = _comparable_pair(canon)
+        if pair is not None:
+            raise InputError(
+                "family is not an antichain: "
+                f"{{{', '.join(universe.labels_of(pair[0]))}}} is contained in "
+                f"{{{', '.join(universe.labels_of(pair[1]))}}}"
+            )
         self.universe = universe
         self.masks = canon
 
@@ -290,11 +309,8 @@ def minimize_family(universe: Universe, sets: Iterable[Iterable[str]]) -> Sperne
 
 def is_sperner(universe: Universe, sets: Iterable[Iterable[str]]) -> bool:
     masks = [universe.mask_of(s) for s in sets]
-    return len(set(masks)) == len(masks) and all(
-        a & b != a and a & b != b
-        for i, a in enumerate(masks)
-        for b in masks[i + 1 :]
-    )
+    distinct = sorted(set(masks), key=sort_key)
+    return len(distinct) == len(masks) and _comparable_pair(distinct) is None
 
 
 def minimal_transversals(family: SpernerFamily) -> SpernerFamily:

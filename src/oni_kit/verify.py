@@ -12,14 +12,17 @@ which is how the fault-injection tests confirm the suite has teeth.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .complexes import (
     VOID,
     SimplicialComplex,
     find_leaf,
+    is_connected_complex,
     is_cycle,
     is_shedding_vertex,
+    is_simplicial_forest,
+    is_simplicial_tree,
     is_vertex_decomposable,
     join,
     stanley_reisner_complex,
@@ -132,43 +135,34 @@ def _isolated(labels: Iterable[str]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# checks; None means pass, a string describes the first disagreements
+# checks: each yields its problems, as strings, and None for a step that passed
 
 
-def _check_dualization() -> Optional[str]:
+def _check_dualization() -> Iterator[Optional[str]]:
     family = beg_a()
     tau = minimal_transversals(family)
-    problems = []
-    bad = _expect_family(tau, FAMILY_TAU, "minimal transversals")
-    if bad:
-        problems.append(bad)
+    yield _expect_family(tau, FAMILY_TAU, "minimal transversals")
     if minimal_transversals(tau) != family:
-        problems.append("double dualization drifted off the input family")
+        yield "double dualization drifted off the input family"
     if brute_force_transversals(family) != tau:
-        problems.append("brute-force oracle disagrees with the kernel")
-    return "; ".join(problems) or None
+        yield "brute-force oracle disagrees with the kernel"
 
 
-def _check_realization() -> Optional[str]:
+def _check_realization() -> Iterator[Optional[str]]:
     family = beg_a()
     graph = realize_as_oni(family)
-    problems = []
     if len(graph.vertices) != 10:
-        problems.append(f"expected 10 vertices, got {len(graph.vertices)}")
+        yield f"expected 10 vertices, got {len(graph.vertices)}"
     td = minimal_td_sets(graph)
     if _family_sets(td) != _family_sets(family):
-        problems.append(f"minimal TD-sets are not the input family: {_render(_family_sets(td))}")
-    bad = _expect_family(oni(graph).minimal_generators(), FAMILY_TAU, "neighborhood ideal generators")
-    if bad:
-        problems.append(bad)
+        yield f"minimal TD-sets are not the input family: {_render(_family_sets(td))}"
+    yield _expect_family(oni(graph).minimal_generators(), FAMILY_TAU, "neighborhood ideal generators")
     if not is_chordal(graph):
-        problems.append("realized graph is not chordal")
-    return "; ".join(problems) or None
+        yield "realized graph is not chordal"
 
 
-def _check_path_values() -> Optional[str]:
+def _check_path_values() -> Iterator[Optional[str]]:
     path = p6()
-    problems = []
     for got, want, what in (
         (minimal_td_sets(path), P6_TD_SETS, "minimal TD-sets"),
         (minimal_odd_td_sets(path), P6_ODD_TD_SETS, "minimal odd TD-sets"),
@@ -176,32 +170,22 @@ def _check_path_values() -> Optional[str]:
         (odd_oni(path).minimal_generators(), P6_ODD_ONI_GENS, "odd neighborhood ideal"),
         (even_stable_complex(path).facets, P6_EVEN_STABLE_FACETS, "even-stable facets"),
     ):
-        bad = _expect_family(got, want, what)
-        if bad:
-            problems.append(bad)
-    return "; ".join(problems) or None
+        yield _expect_family(got, want, what)
 
 
-def _check_reference_tree() -> Optional[str]:
+def _check_reference_tree() -> Iterator[Optional[str]]:
     tree = t_a()
-    problems = []
-    bad = _expect_family(oni(tree).minimal_generators(), TREE_ONI_GENS, "neighborhood ideal")
-    if bad:
-        problems.append(bad)
-    bad = _expect_family(
+    yield _expect_family(oni(tree).minimal_generators(), TREE_ONI_GENS, "neighborhood ideal")
+    yield _expect_family(
         odd_oni(tree).minimal_generators(), TREE_ODD_ONI_GENS, "odd neighborhood ideal"
     )
-    if bad:
-        problems.append(bad)
     if not is_td_unmixed(tree):
-        problems.append("reference tree is not TD-unmixed")
+        yield "reference tree is not TD-unmixed"
     if not is_structurally_td_unmixed(tree):
-        problems.append("reference tree fails the structural test")
-    return "; ".join(problems) or None
+        yield "reference tree fails the structural test"
 
 
-def _check_splitting() -> Optional[str]:
-    problems = []
+def _check_splitting() -> Iterator[Optional[str]]:
     for graph, name in ((p6(), "path"), (t_a(), "tree")):
         ideal = odd_oni(graph)
         u = find_split_vertex(graph)
@@ -209,66 +193,49 @@ def _check_splitting() -> Optional[str]:
         want_c = induced_odd_oni(graph.delete_vertices([u]), graph)
         want_n = odd_oni(graph.delete_closed_neighborhood(u))
         if c_part != want_c:
-            problems.append(f"{name}: C branch at {u} is {c_part!r}, wanted {want_c!r}")
+            yield f"{name}: C branch at {u} is {c_part!r}, wanted {want_c!r}"
         if n_part != want_n:
-            problems.append(f"{name}: N branch at {u} is {n_part!r}, wanted {want_n!r}")
+            yield f"{name}: N branch at {u} is {n_part!r}, wanted {want_n!r}"
     broom = twin_broom()
     c_part, n_part = split(odd_oni(broom), "u")
-    bad = _expect_family(
-        c_part.minimal_generators(), (("up",), ("l1", "l2")), "broom C branch"
-    )
-    if bad:
-        problems.append(bad)
-    bad = _expect_family(
-        n_part.minimal_generators(), (("lp1", "lp2", "up"),), "broom N branch"
-    )
-    if bad:
-        problems.append(bad)
+    yield _expect_family(c_part.minimal_generators(), (("up",), ("l1", "l2")), "broom C branch")
+    yield _expect_family(n_part.minimal_generators(), (("lp1", "lp2", "up"),), "broom N branch")
     principal = _ideal(["y"], [["y"]])
     c_part, n_part = split(principal, "y")
     if not c_part.is_unit or not n_part.is_zero:
-        problems.append("splitting a principal variable ideal should give (unit, zero)")
-    return "; ".join(problems) or None
+        yield "splitting a principal variable ideal should give (unit, zero)"
 
 
-def _check_intersection() -> Optional[str]:
+def _check_intersection() -> Iterator[Optional[str]]:
     labels = ["0", "2", "4", "6"]
     left = _ideal(labels, [["2"], ["6"]])
     right = _ideal(labels, [["0", "2"], ["4"]])
     if left.intersect(right) != odd_oni(p6()):
-        return "C ∩ (N + <y>) does not reassemble the odd neighborhood ideal"
-    return None
+        yield "C ∩ (N + <y>) does not reassemble the odd neighborhood ideal"
 
 
-def _check_induced_ideals() -> Optional[str]:
+def _check_induced_ideals() -> Iterator[Optional[str]]:
     tree = t_a()
-    problems = []
     sub = tree.delete_vertices(["u1"])
-    bad = _expect_family(
+    yield _expect_family(
         induced_odd_oni(sub, tree).minimal_generators(),
         (("l1",), ("u2",), ("l3", "l4", "u3")),
         "vertex-deleted ideal",
     )
-    if bad:
-        problems.append(bad)
     closed = tree.delete_closed_neighborhood("u1")
-    bad = _expect_family(
+    yield _expect_family(
         induced_odd_oni(closed, tree).minimal_generators(),
         (("l2", "u2"), ("l3", "l4", "u3"), ("u2", "u3")),
         "neighborhood-deleted ideal",
     )
-    if bad:
-        problems.append(bad)
     odd = set(HeightProfile(tree).v_odd.members)
     if set(HeightProfile(tree.delete_vertices(["r1"])).v_odd.members) != odd - {"r1"}:
-        problems.append("odd stratum after deleting a top vertex drifted")
+        yield "odd stratum after deleting a top vertex drifted"
     if set(HeightProfile(closed).v_odd.members) != odd - {"s1", "r1"}:
-        problems.append("odd stratum after deleting a closed neighborhood drifted")
-    return "; ".join(problems) or None
+        yield "odd stratum after deleting a closed neighborhood drifted"
 
 
-def _check_decompositions() -> Optional[str]:
-    problems = []
+def _check_decompositions() -> Iterator[Optional[str]]:
     cases = (
         ("path", p6(), ("3",)),
         ("tree", t_a(), ("r1", "r2")),
@@ -277,7 +244,7 @@ def _check_decompositions() -> Optional[str]:
         piece1 = tree
         piece2 = _isolated(tops)
         if not verify_decomposition(tree, piece1, piece2):
-            problems.append(f"{name}: canonical decomposition rejected")
+            yield f"{name}: canonical decomposition rejected"
             continue
         total = odd_oni(piece1).extended_to(tree.universe).sum(
             odd_oni(piece2).extended_to(tree.universe)
@@ -285,10 +252,10 @@ def _check_decompositions() -> Optional[str]:
         ones = HeightProfile(tree).stratum(1).members
         stems = SquareFreeIdeal.from_supports(tree.universe, ([v] for v in ones))
         if total.sum(stems) != oni(tree):
-            problems.append(f"{name}: three-term ideal sum drifted")
+            yield f"{name}: three-term ideal sum drifted"
         joined = join(even_stable_complex(piece1), even_stable_complex(piece2))
         if joined.extended_to(tree.universe) != stable_complex(tree):
-            problems.append(f"{name}: stable complex is not the join of the pieces")
+            yield f"{name}: stable complex is not the join of the pieces"
         ones_set = set(ones)
         rebuilt = {
             frozenset(a) | frozenset(b) | ones_set
@@ -296,25 +263,22 @@ def _check_decompositions() -> Optional[str]:
             for b in minimal_odd_td_sets(piece2).members
         }
         if rebuilt != _family_sets(minimal_td_sets(tree)):
-            problems.append(f"{name}: TD-sets are not the piecewise products")
+            yield f"{name}: TD-sets are not the piecewise products"
         found = search_decomposition(tree)
         if found is None or not verify_decomposition(tree, found.t1, found.t2):
-            problems.append(f"{name}: search failed to produce a valid decomposition")
+            yield f"{name}: search failed to produce a valid decomposition"
     if verify_decomposition(p6(), p6(), _isolated(())):
-        problems.append("empty second piece was accepted for the path")
-    return "; ".join(problems) or None
+        yield "empty second piece was accepted for the path"
 
 
-def _check_split_vertices() -> Optional[str]:
-    problems = []
+def _check_split_vertices() -> Iterator[Optional[str]]:
     if find_split_vertex(p6()) != "2":
-        problems.append(f"path split vertex: {find_split_vertex(p6())!r}")
+        yield f"path split vertex: {find_split_vertex(p6())!r}"
     if find_split_vertex(t_a()) != "u1":
-        problems.append(f"tree split vertex: {find_split_vertex(t_a())!r}")
-    return "; ".join(problems) or None
+        yield f"tree split vertex: {find_split_vertex(t_a())!r}"
 
 
-def _check_extensions() -> Optional[str]:
+def _check_extensions() -> Iterator[Optional[str]]:
     base = p6()
     base_edges = set(base.edges)
     cases = (
@@ -325,52 +289,47 @@ def _check_extensions() -> Optional[str]:
         ),
         ("3", {("p1_0", "p1_1"), ("p1_1", "p1_2"), ("3", "p1_2")}),
     )
-    problems = []
     for v, added in cases:
         grown = o_extend(base, v)
         if set(grown.edges) != base_edges | added:
-            problems.append(f"extension at {v!r} grew the wrong edges")
+            yield f"extension at {v!r} grew the wrong edges"
             continue
         if not HeightProfile(grown).balanced:
-            problems.append(f"extension at {v!r} broke balance")
+            yield f"extension at {v!r} broke balance"
         elif not is_structurally_td_unmixed(grown):
-            problems.append(f"extension at {v!r} broke structural unmixedness")
-    return "; ".join(problems) or None
+            yield f"extension at {v!r} broke structural unmixedness"
 
 
-def _check_gvd_decisions() -> Optional[str]:
-    problems = []
+def _check_gvd_decisions() -> Iterator[Optional[str]]:
     ideal = odd_oni(p6())
     ok, cert = is_gvd(ideal)
     if not ok or cert is None or not validate_certificate(ideal, cert):
-        problems.append("path ideal should be decomposable with a replayable certificate")
+        yield "path ideal should be decomposable with a replayable certificate"
     ok, cert = is_gvd(SquareFreeIdeal.unit(Universe(["x"])))
     if (ok, cert) != (True, Base(BASE_UNIT)):
-        problems.append("unit ideal decision drifted")
+        yield "unit ideal decision drifted"
     ok, cert = is_gvd(SquareFreeIdeal.zero(Universe(["x"])))
     if (ok, cert) != (True, Base(BASE_ZERO)):
-        problems.append("zero ideal decision drifted")
+        yield "zero ideal decision drifted"
     ring = _seven_cycle_edge_ideal()
     if not ring.is_unmixed():
-        problems.append("seven-cycle edge ideal should be unmixed")
+        yield "seven-cycle edge ideal should be unmixed"
     ok, _ = is_gvd(ring)
     if ok:
-        problems.append("seven-cycle edge ideal should not be decomposable")
+        yield "seven-cycle edge ideal should not be decomposable"
     complex_ = stanley_reisner_complex(ring)
     if not complex_.is_pure():
-        problems.append("seven-cycle independence complex should be pure")
+        yield "seven-cycle independence complex should be pure"
     vd, _ = is_vertex_decomposable(complex_)
     if vd:
-        problems.append("seven-cycle independence complex should not be vertex decomposable")
-    return "; ".join(problems) or None
+        yield "seven-cycle independence complex should not be vertex decomposable"
 
 
-def _check_certificates() -> Optional[str]:
+def _check_certificates() -> Iterator[Optional[str]]:
     double_star = Graph(
         Universe(["a", "b", "c", "d", "e", "f"]),
         [("a", "c"), ("b", "c"), ("d", "f"), ("e", "f")],
     )
-    problems = []
     for graph, name in (
         (p6(), "path"),
         (t_a(), "tree"),
@@ -379,91 +338,90 @@ def _check_certificates() -> Optional[str]:
     ):
         cert = certify_tree_gvd(graph)
         if not validate_certificate(odd_oni(graph), cert):
-            problems.append(f"{name}: structural certificate does not replay")
-    return "; ".join(problems) or None
+            yield f"{name}: structural certificate does not replay"
 
 
-def _check_stable_complexes() -> Optional[str]:
+def _check_stable_complexes() -> Iterator[Optional[str]]:
     path = p6()
-    problems = []
     if stanley_reisner_ideal(stable_complex(path)) != oni(path):
-        problems.append("stable complex and neighborhood ideal disagree")
+        yield "stable complex and neighborhood ideal disagree"
     if stanley_reisner_ideal(even_stable_complex(path)) != odd_oni(path):
-        problems.append("even-stable complex and odd neighborhood ideal disagree")
-    bad = _expect_family(
+        yield "even-stable complex and odd neighborhood ideal disagree"
+    yield _expect_family(
         even_stable_complex(_star()).facets, (("a",), ("b",)), "star even-stable facets"
     )
-    if bad:
-        problems.append(bad)
     lonely = _isolated(("w",))
     if stable_complex(lonely).kind != VOID:
-        problems.append("a dominated-by-nobody vertex should give the void complex")
-    return "; ".join(problems) or None
+        yield "a dominated-by-nobody vertex should give the void complex"
 
 
-def _check_leaf_order() -> Optional[str]:
+def _check_leaf_order() -> Iterator[Optional[str]]:
     universe = Universe(["a", "b", "c", "d", "e", "f"])
     chain = SimplicialComplex.from_facets(
         universe, [("a", "b", "c"), ("c", "d"), ("d", "e", "f")]
     )
-    problems = []
     found = find_leaf(chain)
     if found is None:
-        problems.append("three-facet chain should have a leaf")
+        yield "three-facet chain should have a leaf"
     else:
         leaf, joint = found
         if leaf.members != ("a", "b", "c") or joint is None or joint.members != ("c", "d"):
-            problems.append(f"leaf search returned {found!r}")
+            yield f"leaf search returned {found!r}"
     triangle = SimplicialComplex.from_facets(
         Universe(["a", "b", "c"]), [("a", "b"), ("b", "c"), ("a", "c")]
     )
     if find_leaf(triangle) is not None:
-        problems.append("triangle boundary should have no leaf")
+        yield "triangle boundary should have no leaf"
     if not is_cycle(triangle):
-        problems.append("triangle boundary should be a cycle")
-    return "; ".join(problems) or None
+        yield "triangle boundary should be a cycle"
 
 
-def _check_shedding() -> Optional[str]:
+def _check_shedding() -> Iterator[Optional[str]]:
     cx = even_stable_complex(p6())
-    problems = []
     if not is_shedding_vertex(cx, "4"):
-        problems.append("vertex 4 should shed in the even-stable path complex")
+        yield "vertex 4 should shed in the even-stable path complex"
     two_edges = SimplicialComplex.from_facets(
         Universe(["a", "b", "c", "d"]), [("a", "b"), ("c", "d")]
     )
     if is_shedding_vertex(two_edges, "a"):
-        problems.append("no vertex of two disjoint edges sheds")
+        yield "no vertex of two disjoint edges sheds"
     one_edge = SimplicialComplex.from_facets(Universe(["a", "b"]), [("a", "b")])
     if is_shedding_vertex(one_edge, "a"):
-        problems.append("an edge endpoint never sheds")
+        yield "an edge endpoint never sheds"
     ok, cert = is_vertex_decomposable(cx)
     if not ok or cert is None or not validate_shedding_certificate(cx, cert):
-        problems.append("even-stable path complex should be vertex decomposable")
-    return "; ".join(problems) or None
+        yield "even-stable path complex should be vertex decomposable"
 
 
-def _check_chordality() -> Optional[str]:
+def _check_chordality() -> Iterator[Optional[str]]:
     square = Graph(
         Universe(["0", "1", "2", "3"]),
         [("0", "1"), ("1", "2"), ("2", "3"), ("0", "3")],
     )
-    problems = []
     if is_chordal(square):
-        problems.append("the 4-cycle is not chordal")
+        yield "the 4-cycle is not chordal"
     labels = ["a", "b", "c", "d", "e"]
     complete = Graph(
         Universe(labels),
         ((x, y) for i, x in enumerate(labels) for y in labels[i + 1 :]),
     )
     if not is_chordal(complete):
-        problems.append("complete graphs are chordal")
+        yield "complete graphs are chordal"
     if not is_chordal(p6()):
-        problems.append("trees are chordal")
-    return "; ".join(problems) or None
+        yield "trees are chordal"
 
 
-_CHECKS: tuple[tuple[str, Callable[[], Optional[str]]], ...] = (
+def _check_facet_ideal_trees() -> Iterator[Optional[str]]:
+    for graph, name in ((p6(), "path"), (t_a(), "tree"), (twin_broom(), "broom")):
+        odd, full = odd_oni(graph), oni(graph)
+        if not is_simplicial_tree(SimplicialComplex(odd.universe, odd.generators.masks)):
+            yield f"{name}: odd neighborhood generators do not form a simplicial tree"
+        both = SimplicialComplex(full.universe, full.generators.masks)
+        if not is_simplicial_forest(both) or is_connected_complex(both):
+            yield f"{name}: neighborhood generators do not form a disconnected simplicial forest"
+
+
+_CHECKS: tuple[tuple[str, Callable[[], Iterator[Optional[str]]]], ...] = (
     ("dualization-quintet", _check_dualization),
     ("family-realization", _check_realization),
     ("path-reference-values", _check_path_values),
@@ -480,23 +438,23 @@ _CHECKS: tuple[tuple[str, Callable[[], Optional[str]]], ...] = (
     ("leaf-and-cycle-order", _check_leaf_order),
     ("shedding-examples", _check_shedding),
     ("chordality-controls", _check_chordality),
+    ("facet-ideal-trees", _check_facet_ideal_trees),
 )
 
 
 def run_verification() -> dict:
     """Run every bundled check; the report is stable across runs."""
     checks = []
-    failed = 0
     for name, fn in _CHECKS:
         try:
-            detail = fn()
+            detail = "; ".join(p for p in fn() if p is not None)
         except Exception as exc:  # a crashed check is a failed check
             detail = f"raised {type(exc).__name__}: {exc}"
-        entry: dict = {"id": name, "ok": detail is None}
-        if detail is not None:
+        entry = {"id": name, "ok": not detail}
+        if detail:
             entry["detail"] = detail
-            failed += 1
         checks.append(entry)
+    failed = sum(not c["ok"] for c in checks)
     return {
         "checks": checks,
         "passed": len(checks) - failed,

@@ -1,7 +1,9 @@
 """Slow, independent reference implementations.
 
 Everything here is deliberately naive: plain set arithmetic over explicit
-subset enumeration, the canonical order as position tuples, networkx for
+subset enumeration, the Stanley-Reisner complex with its unit and zero
+cases by hand, universe extension and join through labels, the pairwise
+antichain test, the canonical order as position tuples, networkx for
 chordality and forests, Faridi's leaf test on every facet subcollection
 for simplicial forests and cycles, the GVD split that rebuilds both parts from
 labels, the GVD search and replay that re-check unmixedness and the split
@@ -30,6 +32,8 @@ from oni_kit import (
     InputError,
     Leaf,
     Graph,
+    SimplicialComplex,
+    SpernerFamily,
     Split,
     SquareFreeIdeal,
     TreeDecomposition,
@@ -38,6 +42,8 @@ from oni_kit import (
     heights,
     is_valid_geometric_decomposition,
     link,
+    minimal_odd_td_sets,
+    minimal_td_sets,
     o_extend,
     odd_oni,
     oni,
@@ -201,6 +207,79 @@ def random_tree_edges(rng: random.Random, n: int) -> list[tuple[str, str]]:
     last = [y for y in range(n) if degree[y] == 1]
     edges.append((str(min(last)), str(max(last))))
     return edges
+
+
+# ---------------------------------------------------------------------------
+# the older forms of consolidated steps: the Stanley-Reisner complement step
+# with its degenerate cases spelled out, universe extension and join through
+# labels, and the pairwise antichain test
+
+
+def reference_stanley_reisner_complex(ideal):
+    """Complements of the minimal primes, with the unit ideal sent to the
+    void complex and the zero ideal to the full simplex by hand."""
+    if ideal.is_unit:
+        return SimplicialComplex.void(ideal.universe)
+    if ideal.is_zero:
+        return SimplicialComplex.full_simplex(ideal.universe)
+    full = ideal.universe.full_mask()
+    return SimplicialComplex(ideal.universe, (full & ~p for p in ideal.minimal_primes().masks))
+
+
+def reference_stable_complex(graph):
+    """Complements of the minimal TD-sets."""
+    full = graph.universe.full_mask()
+    return SimplicialComplex(graph.universe, (full & ~m for m in minimal_td_sets(graph).masks))
+
+
+def reference_even_stable_complex(graph):
+    """Complements, inside the even stratum, of the minimal odd TD-sets."""
+    family = minimal_odd_td_sets(graph)
+    full = family.universe.full_mask()
+    return SimplicialComplex(family.universe, (full & ~m for m in family.masks))
+
+
+def _require_labels(source, target):
+    for lab in source.labels:
+        if lab not in target:
+            raise InputError(f"target universe is missing label {lab!r}")
+
+
+def reference_ideal_extended_to(ideal, universe):
+    """The generators' labels read back over the larger universe."""
+    _require_labels(ideal.universe, universe)
+    sets = ideal.generators.members
+    return SquareFreeIdeal(SpernerFamily(universe, (universe.mask_of(s) for s in sets)))
+
+
+def reference_complex_extended_to(cx, universe):
+    """The facets' labels read back over the larger universe."""
+    _require_labels(cx.universe, universe)
+    return SimplicialComplex(universe, (universe.mask_of(f) for f in cx.facets.members))
+
+
+def reference_join(left, right):
+    """Every union of a left facet's labels and a right facet's labels."""
+    overlap = set(left.universe.labels) & set(right.universe.labels)
+    if overlap:
+        raise InputError(
+            f"join requires disjoint universes; shared: {', '.join(sorted(overlap))}"
+        )
+    combined = Universe(left.universe.labels + right.universe.labels)
+    facets = [
+        combined.mask_of(left.universe.labels_of(a) + right.universe.labels_of(b))
+        for a in left.facets.masks
+        for b in right.facets.masks
+    ]
+    return SimplicialComplex(combined, facets)
+
+
+def reference_is_sperner(universe, sets) -> bool:
+    """No repeated set and no pair in either inclusion, pair by pair."""
+    masks = [universe.mask_of(s) for s in sets]
+    return len(set(masks)) == len(masks) and all(
+        a & b != a and a & b != b for i, a in enumerate(masks) for b in masks[i + 1 :]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from oni_kit import (
     EMPTY,
     ORDINARY,
     VOID,
+    Graph,
     InputError,
     Leaf,
     Shed,
@@ -18,6 +19,7 @@ from oni_kit import (
     Universe,
     cycle_order,
     deletion,
+    even_stable_complex,
     facet_ideal,
     find_leaf,
     is_connected_complex,
@@ -25,6 +27,7 @@ from oni_kit import (
     is_shedding_vertex,
     is_simplicial_forest,
     is_simplicial_tree,
+    is_sperner,
     is_unmixed_complex,
     is_vertex_decomposable,
     join,
@@ -32,6 +35,7 @@ from oni_kit import (
     minimal_vertex_covers,
     shedding_certificate_from_json,
     shedding_certificate_to_json,
+    stable_complex,
     stanley_reisner_complex,
     stanley_reisner_ideal,
     validate_shedding_certificate,
@@ -205,6 +209,63 @@ def test_stanley_reisner_round_trip_from_ideal(case):
     labels, supports = case
     ideal = SquareFreeIdeal.from_supports(Universe(labels), supports)
     assert stanley_reisner_ideal(stanley_reisner_complex(ideal)) == ideal
+
+
+@st.composite
+def consolidation_cases(draw):
+    """Labels, sets over them (any of them may be empty), extra labels for a
+    wider universe, edges over the labels, and a complex on other labels."""
+    n = draw(st.integers(0, 5))
+    labels = LABELS[:n]
+    member = st.sets(st.sampled_from(labels)) if labels else st.just(set())
+    sets = [sorted(s) for s in draw(st.lists(member, max_size=5))]
+    extra = tuple(sorted(draw(st.sets(st.sampled_from("uvwxyz")))))
+    pairs = st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)), max_size=6)
+    edges = [e for e in draw(pairs) if e[0] != e[1]] if labels else []
+    other = draw(st.lists(st.sets(st.sampled_from("UVW")), max_size=3))
+    return labels, sets, extra, edges, [sorted(f) for f in other]
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+@given(consolidation_cases())
+@settings(max_examples=300, deadline=None)
+@example(((), [], (), [], []))  # empty universe: zero ideal, void complex
+@example((("a", "b"), [], ("x",), [], [[]]))  # zero ideal, void complex, two isolated vertices
+@example((("a", "b"), [[]], ("x",), [("a", "b")], [["U"]]))  # unit ideal, EMPTY complex
+@example((("a", "b", "c"), [["a"], ["a", "b"]], (), [("a", "b")], []))  # no antichain; c isolated
+@example((("a", "b", "c"), [["a", "b"], ["a", "b"]], ("x",), [("a", "b"), ("b", "c")], []))
+def test_consolidated_steps_match_their_older_forms(case):
+    """The Stanley-Reisner complement step, universe extension, join and the
+    antichain test agree with the forms they replaced in tests/oracles.py,
+    including on unit, zero, void and empty inputs and on graphs with
+    isolated vertices."""
+    labels, sets, extra, edges, other = case
+    universe = Universe(labels)
+    ideal = SquareFreeIdeal.from_supports(universe, sets)
+    complex_ = SimplicialComplex.from_facets(universe, sets)
+    assert stanley_reisner_complex(ideal) == oracles.reference_stanley_reisner_complex(ideal)
+    assert is_sperner(universe, sets) == oracles.reference_is_sperner(universe, sets)
+    for target in (Universe(labels + extra), Universe(labels[1:] + extra)):
+        assert outcome(ideal.extended_to, target) == outcome(
+            oracles.reference_ideal_extended_to, ideal, target
+        )
+        assert outcome(complex_.extended_to, target) == outcome(
+            oracles.reference_complex_extended_to, complex_, target
+        )
+    right = cx("UVW", other)
+    for left in (complex_, right):
+        assert outcome(join, left, right) == outcome(oracles.reference_join, left, right)
+    graph = Graph(universe, edges)
+    assert stable_complex(graph) == oracles.reference_stable_complex(graph)
+    assert outcome(even_stable_complex, graph) == outcome(
+        oracles.reference_even_stable_complex, graph
+    )
 
 
 # ---------------------------------------------------------------------------

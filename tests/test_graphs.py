@@ -102,6 +102,16 @@ def test_subgraph_relation_is_not_induced():
     assert triangle.delete_closed_neighborhood("a") == graph([], [])
 
 
+def test_vertex_selection_rejects_unknown_labels():
+    triangle = graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    for select in (triangle.induced, triangle.delete_vertices):
+        for bad, named in ((["a", "z"], "'z'"), (["a", 1], "1"), ([["a"]], r"\['a'\]")):
+            with pytest.raises(InputError, match=f"unknown label {named}"):
+                select(bad)
+    assert triangle.induced(["b", "a", "b"]) == graph("ab", [("a", "b")])
+    assert triangle.delete_vertices(["a", "a"]) == graph("bc", [("b", "c")])
+
+
 def test_components_and_tree_predicates():
     two = graph("abcd", [("a", "b"), ("c", "d")])
     assert two.components() == (("a", "b"), ("c", "d"))
