@@ -37,7 +37,14 @@ class SimplicialComplex:
 
     def __init__(self, universe: Universe, facet_masks: Iterable[int]):
         self.universe = universe
-        self.facets = SpernerFamily(universe, maximal_masks(facet_masks))
+        self.facets = SpernerFamily._canonical(universe, maximal_masks(facet_masks))
+
+    @classmethod
+    def _of(cls, facets: SpernerFamily) -> "SimplicialComplex":
+        """The complex whose facets are `facets`, an antichain already."""
+        cx = object.__new__(cls)
+        cx.universe, cx.facets = facets.universe, facets
+        return cx
 
     @classmethod
     def from_facets(
@@ -116,11 +123,10 @@ class SimplicialComplex:
         return f"SimplicialComplex(<{inner}>)"
 
     def extended_to(self, universe: Universe) -> "SimplicialComplex":
-        """The same facets read over a larger universe; the added labels
-        carry no faces."""
-        return SimplicialComplex(
-            universe, _masks_into(self.universe, universe, self.facets.masks)
-        )
+        """The same facets read over a larger universe, still in canonical
+        order (see _masks_into); the added labels carry no faces."""
+        masks = _masks_into(self.universe, universe, self.facets.masks)
+        return SimplicialComplex._of(SpernerFamily._canonical(universe, masks))
 
     def to_json_obj(self) -> dict:
         return {
@@ -309,7 +315,7 @@ def _replay(universe: Universe, facets: tuple[int, ...], cert: SheddingCertifica
     )
 
 
-def _complements(family: SpernerFamily) -> Iterator[int]:
+def _complements(family: SpernerFamily) -> SpernerFamily:
     """The members' complements in the family's universe, the step between
     facets and minimal non-faces in both Stanley-Reisner directions.  A set
     is a non-face exactly when it meets every facet complement, so the
@@ -320,24 +326,30 @@ def _complements(family: SpernerFamily) -> Iterator[int]:
     Complement-of-dual needs no special case.  The unit ideal, the family
     {∅}, has no transversal, as nothing meets ∅, so it gets no facet: VOID.
     The zero ideal, the empty family, has the one transversal ∅, whose
-    complement is the full simplex."""
+    complement is the full simplex.
+
+    Read backwards, the complements are a canonical antichain in canonical
+    order.  Complementing is one-to-one and reverses inclusion, so an
+    antichain maps to one.  It also reverses canonical order: sizes s < t
+    become n - s > n - t, and two sets of one size differ at the same
+    positions as their complements, so the lowest such position, held by
+    the set that comes first, is held by the other complement."""
     full = family.universe.full_mask()
-    return (full & ~m for m in family.masks)
+    masks = tuple(full & ~m for m in reversed(family.masks))
+    return SpernerFamily._canonical(family.universe, masks)
 
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> SquareFreeIdeal:
     """Ideal of minimal non-faces: the minimal transversals of the facet
     complements.  VOID maps to the unit ideal, the full simplex to zero."""
-    complements = SpernerFamily(cx.universe, _complements(cx.facets))
-    return SquareFreeIdeal(minimal_transversals(complements))
+    return SquareFreeIdeal(minimal_transversals(_complements(cx.facets)))
 
 
 def stanley_reisner_complex(ideal: SquareFreeIdeal) -> SimplicialComplex:
     """Facets are the complements of the minimal primes, the generators'
     minimal transversals; inverse of stanley_reisner_ideal.  Unit maps to
     VOID and zero to the full simplex (see _complements)."""
-    dual = minimal_transversals(ideal.generators)
-    return SimplicialComplex(ideal.universe, _complements(dual))
+    return SimplicialComplex._of(_complements(minimal_transversals(ideal.generators)))
 
 
 def facet_ideal(cx: SimplicialComplex) -> SquareFreeIdeal:

@@ -375,14 +375,13 @@ def is_structurally_td_unmixed(tree: Graph) -> bool:
 def stable_complex(graph: Graph) -> SimplicialComplex:
     """Complements of the minimal TD-sets, the Stanley-Reisner complex of
     oni; void when no TD-set exists."""
-    return SimplicialComplex(graph.universe, _complements(minimal_td_sets(graph)))
+    return SimplicialComplex._of(_complements(minimal_td_sets(graph)))
 
 
 def even_stable_complex(graph: Graph) -> SimplicialComplex:
     """Complements, inside the even stratum, of the minimal odd-TD-sets:
     the Stanley-Reisner complex of odd_oni."""
-    family = minimal_odd_td_sets(graph)
-    return SimplicialComplex(family.universe, _complements(family))
+    return SimplicialComplex._of(_complements(minimal_odd_td_sets(graph)))
 
 
 def path_graph(n: int) -> Graph:

@@ -123,7 +123,12 @@ def _split_masks(gens: tuple[int, ...], ybit: int) -> tuple[tuple[int, ...], tup
 
 def split(ideal: SquareFreeIdeal, y: str) -> tuple[SquareFreeIdeal, SquareFreeIdeal]:
     """One-variable split: N keeps the generators y does not divide, C
-    adjoins the y-divided ones; both land in the universe without y."""
+    adjoins the y-divided ones; both land in the universe without y.
+
+    `_split_masks` gives both parts as canonical generator tuples, neither
+    holding y's bit.  Re-indexing moves the positions above y down by one,
+    an increasing map of positions, which keeps canonical order (see
+    `universe._masks_into`), so both are stored with no second check."""
     u = ideal.universe
     if y not in u:
         raise InputError(f"variable {y!r} not in the ideal's universe")
@@ -132,8 +137,8 @@ def split(ideal: SquareFreeIdeal, y: str) -> tuple[SquareFreeIdeal, SquareFreeId
     rest = Universe(lab for lab in u.labels if lab != y)
 
     def reindexed(masks: tuple[int, ...]) -> SquareFreeIdeal:
-        # neither part has y's bit; the positions above it move down by one
-        return SquareFreeIdeal(SpernerFamily(rest, ((m & low) | (m >> 1 & ~low) for m in masks)))
+        moved = tuple((m & low) | (m >> 1 & ~low) for m in masks)
+        return SquareFreeIdeal(SpernerFamily._canonical(rest, moved))
 
     c_masks, n_masks = _split_masks(ideal.generators.masks, 1 << p)
     return reindexed(c_masks), reindexed(n_masks)

@@ -34,7 +34,7 @@ class SquareFreeIdeal:
     ) -> "SquareFreeIdeal":
         """Ideal generated by the given supports; minimalized on the way in."""
         masks = minimal_masks(universe.mask_of(s) for s in supports)
-        return cls(SpernerFamily(universe, masks))
+        return cls(SpernerFamily._canonical(universe, masks))
 
     @classmethod
     def zero(cls, universe: Universe) -> "SquareFreeIdeal":
@@ -68,14 +68,14 @@ class SquareFreeIdeal:
     def sum(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
         self._check(other)
         masks = minimal_masks(self.generators.masks + other.generators.masks)
-        return SquareFreeIdeal(SpernerFamily(self.universe, masks))
+        return SquareFreeIdeal(SpernerFamily._canonical(self.universe, masks))
 
     def intersect(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
         self._check(other)
         masks = minimal_masks(
             a | b for a in self.generators.masks for b in other.generators.masks
         )
-        return SquareFreeIdeal(SpernerFamily(self.universe, masks))
+        return SquareFreeIdeal(SpernerFamily._canonical(self.universe, masks))
 
     def minimal_primes(self) -> SpernerFamily:
         """Supports of the minimal primes: the minimal transversals of the
@@ -91,9 +91,10 @@ class SquareFreeIdeal:
         return len({p.bit_count() for p in self.minimal_primes().masks}) <= 1
 
     def extended_to(self, universe: Universe) -> "SquareFreeIdeal":
-        """The same generators read over a larger universe."""
+        """The same generators read over a larger universe, still in
+        canonical order (see _masks_into)."""
         masks = _masks_into(self.universe, universe, self.generators.masks)
-        return SquareFreeIdeal(SpernerFamily(universe, masks))
+        return SquareFreeIdeal(SpernerFamily._canonical(universe, masks))
 
     def _check(self, other: "SquareFreeIdeal") -> None:
         if self.universe != other.universe:

@@ -8,7 +8,7 @@ single machine operations and every iteration order is deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InputError
 
@@ -98,13 +98,19 @@ class Universe:
         return VertexSet(self, self.mask_of(labels))
 
 
-def _masks_into(source: Universe, target: Universe, masks: Iterable[int]) -> list[int]:
+def _masks_into(source: Universe, target: Universe, masks: Iterable[int]) -> tuple[int, ...]:
     """The masks over `source` read over `target`, which must hold every
-    source label."""
+    source label.
+
+    Both universes hold their labels in sorted order, so the map from
+    source positions to target positions is increasing.  It keeps every
+    mask's size and the order of position tuples, and it is one-to-one on
+    masks and keeps inclusion both ways, so a canonical antichain in
+    canonical order is read as one."""
     for lab in source.labels:
         if lab not in target:
             raise InputError(f"target universe is missing label {lab!r}")
-    return [target.mask_of(source.labels_of(m)) for m in masks]
+    return tuple(target.mask_of(source.labels_of(m)) for m in masks)
 
 
 def _json_sets(obj: object, kind: str, labels_key: str, sets_key: str) -> tuple[Universe, list]:
@@ -228,37 +234,40 @@ def maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _comparable_pair(canon: Sequence[int]) -> Optional[tuple[int, int]]:
-    """First pair (a, b), a before b, with a inside b, among distinct masks
-    in canonical order; None for an antichain.  Canonical order puts every
-    proper subset before its supersets, so no pair is missed."""
-    for i, a in enumerate(canon):
-        for b in canon[i + 1 :]:
-            if a & b == a:
-                return a, b
-    return None
-
-
 class SpernerFamily:
     """An antichain of subsets of a Universe, in canonical order.
 
     The constructor rejects families with comparable members; use
     :func:`minimize_family` to collapse an arbitrary collection first.
+    Families the library's kernels build are stored by `_canonical`
+    without a second check.
     """
 
     __slots__ = ("universe", "masks")
 
     def __init__(self, universe: Universe, masks: Iterable[int]):
         canon = tuple(sorted(set(masks), key=sort_key))
-        pair = _comparable_pair(canon)
-        if pair is not None:
-            raise InputError(
-                "family is not an antichain: "
-                f"{{{', '.join(universe.labels_of(pair[0]))}}} is contained in "
-                f"{{{', '.join(universe.labels_of(pair[1]))}}}"
-            )
+        # canonical order puts every proper subset before its supersets
+        for i, a in enumerate(canon):
+            for b in canon[i + 1 :]:
+                if a & b == a:
+                    raise InputError(
+                        "family is not an antichain: "
+                        f"{{{', '.join(universe.labels_of(a))}}} is contained in "
+                        f"{{{', '.join(universe.labels_of(b))}}}"
+                    )
         self.universe = universe
         self.masks = canon
+
+    @classmethod
+    def _canonical(cls, universe: Universe, masks: tuple[int, ...]) -> "SpernerFamily":
+        """The family of `masks`, stored as given.  The caller has proven
+        them distinct, pairwise incomparable and in canonical order, as the
+        output of `minimal_masks`, `maximal_masks` or `minimal_transversals`
+        is, or its image under a map shown to keep that order."""
+        family = object.__new__(cls)
+        family.universe, family.masks = universe, masks
+        return family
 
     @classmethod
     def from_sets(
@@ -304,13 +313,14 @@ class SpernerFamily:
 
 def minimize_family(universe: Universe, sets: Iterable[Iterable[str]]) -> SpernerFamily:
     """Collapse an arbitrary collection to its inclusion-minimal antichain."""
-    return SpernerFamily(universe, minimal_masks(universe.mask_of(s) for s in sets))
+    return SpernerFamily._canonical(universe, minimal_masks(universe.mask_of(s) for s in sets))
 
 
 def is_sperner(universe: Universe, sets: Iterable[Iterable[str]]) -> bool:
+    """No repeated set and no comparable pair: exactly the lists that
+    `minimal_masks` keeps whole."""
     masks = [universe.mask_of(s) for s in sets]
-    distinct = sorted(set(masks), key=sort_key)
-    return len(distinct) == len(masks) and _comparable_pair(distinct) is None
+    return len(minimal_masks(masks)) == len(masks)
 
 
 def minimal_transversals(family: SpernerFamily) -> SpernerFamily:
@@ -324,7 +334,7 @@ def minimal_transversals(family: SpernerFamily) -> SpernerFamily:
     all (empty result); the empty family has exactly the empty transversal.
     """
     if any(m == 0 for m in family.masks):
-        return SpernerFamily(family.universe, ())
+        return SpernerFamily._canonical(family.universe, ())
     partial: tuple[int, ...] = (0,)
     for a in family.masks:
         staged: list[int] = []
@@ -334,7 +344,7 @@ def minimal_transversals(family: SpernerFamily) -> SpernerFamily:
             else:
                 staged.extend(t | (1 << e) for e in _bits(a))
         partial = minimal_masks(staged)
-    return SpernerFamily(family.universe, partial)
+    return SpernerFamily._canonical(family.universe, partial)
 
 
 def brute_force_transversals(

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: plain set arithmetic over explicit
 subset enumeration, the Stanley-Reisner complex with its unit and zero
-cases by hand, universe extension and join through labels, the pairwise
+cases by hand, the Stanley-Reisner ideal through the validating family
+constructor, universe extension and join through labels, the pairwise
 antichain test, the canonical order as position tuples, networkx for
 chordality and forests, Faridi's leaf test on every facet subcollection
 for simplicial forests and cycles, the GVD split that rebuilds both parts from
@@ -44,6 +45,7 @@ from oni_kit import (
     link,
     minimal_odd_td_sets,
     minimal_td_sets,
+    minimal_transversals,
     o_extend,
     odd_oni,
     oni,
@@ -224,6 +226,14 @@ def reference_stanley_reisner_complex(ideal):
         return SimplicialComplex.full_simplex(ideal.universe)
     full = ideal.universe.full_mask()
     return SimplicialComplex(ideal.universe, (full & ~p for p in ideal.minimal_primes().masks))
+
+
+def reference_stanley_reisner_ideal(cx):
+    """Minimal transversals of the facet complements, both families built
+    by the validating constructor."""
+    full = cx.universe.full_mask()
+    complements = SpernerFamily(cx.universe, (full & ~f for f in cx.facets.masks))
+    return SquareFreeIdeal(SpernerFamily(cx.universe, minimal_transversals(complements).masks))
 
 
 def reference_stable_complex(graph):

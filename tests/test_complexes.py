@@ -15,6 +15,7 @@ from oni_kit import (
     Leaf,
     Shed,
     SimplicialComplex,
+    SpernerFamily,
     SquareFreeIdeal,
     Universe,
     cycle_order,
@@ -32,14 +33,21 @@ from oni_kit import (
     is_vertex_decomposable,
     join,
     link,
+    minimal_odd_td_sets,
+    minimal_transversals,
     minimal_vertex_covers,
+    minimize_family,
+    odd_oni,
     shedding_certificate_from_json,
     shedding_certificate_to_json,
     stable_complex,
     stanley_reisner_complex,
     stanley_reisner_ideal,
+    split,
     validate_shedding_certificate,
 )
+from oni_kit import complexes as complexes_module
+from oni_kit import universe as universe_module
 
 LABELS = tuple("abcdef")
 LABELS8 = tuple("abcdefgh")
@@ -244,28 +252,95 @@ def test_consolidated_steps_match_their_older_forms(case):
     """The Stanley-Reisner complement step, universe extension, join and the
     antichain test agree with the forms they replaced in tests/oracles.py,
     including on unit, zero, void and empty inputs and on graphs with
-    isolated vertices."""
+    isolated vertices.  Every family the kernels store without a check is
+    the one the validating constructor builds from its masks: sums,
+    intersections, splits at every variable (used or not), both
+    Stanley-Reisner directions, both extensions and both stable complexes."""
     labels, sets, extra, edges, other = case
     universe = Universe(labels)
     ideal = SquareFreeIdeal.from_supports(universe, sets)
     complex_ = SimplicialComplex.from_facets(universe, sets)
-    assert stanley_reisner_complex(ideal) == oracles.reference_stanley_reisner_complex(ideal)
+    ideals = (
+        ideal,
+        SquareFreeIdeal.from_supports(universe, edges),
+        SquareFreeIdeal.zero(universe),
+        SquareFreeIdeal.unit(universe),
+    )
+    complexes = (complex_, SimplicialComplex.void(universe), SimplicialComplex.empty(universe))
+    built = [minimize_family(universe, sets), complex_.facets]
+    for one in ideals:
+        sr_complex = stanley_reisner_complex(one)
+        assert sr_complex == oracles.reference_stanley_reisner_complex(one)
+        built += [one.generators, minimal_transversals(one.generators), sr_complex.facets]
+        for two in ideals:
+            built += [one.sum(two).generators, one.intersect(two).generators]
+        for y in labels:
+            parts = split(one, y)
+            assert parts == oracles.reference_split(one, y)
+            built += [part.generators for part in parts]
+    for complex_one in complexes:
+        sr_ideal = stanley_reisner_ideal(complex_one)
+        assert sr_ideal == oracles.reference_stanley_reisner_ideal(complex_one)
+        built.append(sr_ideal.generators)
     assert is_sperner(universe, sets) == oracles.reference_is_sperner(universe, sets)
     for target in (Universe(labels + extra), Universe(labels[1:] + extra)):
-        assert outcome(ideal.extended_to, target) == outcome(
-            oracles.reference_ideal_extended_to, ideal, target
-        )
-        assert outcome(complex_.extended_to, target) == outcome(
-            oracles.reference_complex_extended_to, complex_, target
-        )
+        got = outcome(ideal.extended_to, target)
+        assert got == outcome(oracles.reference_ideal_extended_to, ideal, target)
+        if got[0] == "ok":
+            built.append(got[1].generators)
+        got = outcome(complex_.extended_to, target)
+        assert got == outcome(oracles.reference_complex_extended_to, complex_, target)
+        if got[0] == "ok":
+            built.append(got[1].facets)
     right = cx("UVW", other)
     for left in (complex_, right):
         assert outcome(join, left, right) == outcome(oracles.reference_join, left, right)
     graph = Graph(universe, edges)
-    assert stable_complex(graph) == oracles.reference_stable_complex(graph)
-    assert outcome(even_stable_complex, graph) == outcome(
-        oracles.reference_even_stable_complex, graph
-    )
+    stable = stable_complex(graph)
+    assert stable == oracles.reference_stable_complex(graph)
+    built.append(stable.facets)
+    even = outcome(even_stable_complex, graph)
+    assert even == outcome(oracles.reference_even_stable_complex, graph)
+    if even[0] == "ok":
+        built.append(even[1].facets)
+    for family in built:
+        assert SpernerFamily(family.universe, family.masks) == family
+        assert all(m >> len(family.universe) == 0 for m in family.masks)
+
+
+def test_kernel_families_skip_the_validating_constructor(monkeypatch):
+    """On the 31-vertex grown tree random.Random(14), the odd ideal, its
+    minimal odd TD-sets, both stable complexes, the Stanley-Reisner ideal
+    and every split are built with no validating SpernerFamily and no
+    maximal_masks pass: the kernels that made them own their order."""
+    tree = oracles.seeded_grown_tree(14)
+    calls = {"SpernerFamily": 0, "maximal_masks": 0}
+    validate = SpernerFamily.__init__
+    maximal = universe_module.maximal_masks
+
+    def counted_init(self, *args):
+        calls["SpernerFamily"] += 1
+        validate(self, *args)
+
+    def counted_maximal(masks):
+        calls["maximal_masks"] += 1
+        return maximal(masks)
+
+    monkeypatch.setattr(SpernerFamily, "__init__", counted_init)
+    for module in (universe_module, complexes_module):
+        monkeypatch.setattr(module, "maximal_masks", counted_maximal)
+    ideal = odd_oni(tree)
+    assert len(minimal_odd_td_sets(tree)) == 472
+    even = even_stable_complex(tree)
+    stable_complex(tree)
+    assert stanley_reisner_ideal(even) == ideal
+    for y in ideal.universe.labels:
+        split(ideal, y)
+    assert calls == {"SpernerFamily": 0, "maximal_masks": 0}
+    # the counters do see the validating paths
+    SimplicialComplex.void(ideal.universe)
+    SpernerFamily(ideal.universe, ())
+    assert calls == {"SpernerFamily": 1, "maximal_masks": 1}
 
 
 # ---------------------------------------------------------------------------
