@@ -61,10 +61,6 @@ class SimplicialComplex:
     def empty(cls, universe: Universe) -> "SimplicialComplex":
         return cls(universe, (0,))
 
-    @classmethod
-    def full_simplex(cls, universe: Universe) -> "SimplicialComplex":
-        return cls(universe, (universe.full_mask(),))
-
     @property
     def kind(self) -> str:
         if not self.facets.masks:
@@ -72,14 +68,6 @@ class SimplicialComplex:
         if self.facets.masks == (0,):
             return EMPTY
         return ORDINARY
-
-    @property
-    def facet_sets(self) -> tuple[VertexSet, ...]:
-        return self.facets.sets
-
-    def is_face(self, face: Iterable[str]) -> bool:
-        mask = self.universe.mask_of(face)
-        return any(mask & f == mask for f in self.facets.masks)
 
     def faces(self) -> Iterator[VertexSet]:
         """All faces, deduplicated, in canonical order.  Exponential; for
@@ -94,13 +82,6 @@ class SimplicialComplex:
                 sub = (sub - 1) & f
         for mask in sorted(seen, key=sort_key):
             yield VertexSet(self.universe, mask)
-
-    def dimension_profile(self) -> tuple[int, bool]:
-        """(dimension, is_pure).  The void complex has neither."""
-        if self.kind == VOID:
-            raise InputError("void complex has no dimension")
-        sizes = [m.bit_count() for m in self.facets.masks]
-        return max(sizes) - 1, len(set(sizes)) == 1
 
     def is_pure(self) -> bool:
         sizes = {m.bit_count() for m in self.facets.masks}
@@ -362,11 +343,6 @@ def minimal_vertex_covers(cx: SimplicialComplex) -> SpernerFamily:
     if cx.kind != ORDINARY:
         raise InputError("vertex covers need an ordinary complex")
     return minimal_transversals(cx.facets)
-
-
-def is_unmixed_complex(cx: SimplicialComplex) -> bool:
-    covers = minimal_vertex_covers(cx).masks
-    return len({c.bit_count() for c in covers}) <= 1
 
 
 def _leaf_of(facets: tuple[int, ...]) -> Optional[tuple[int, Optional[int]]]:

@@ -92,12 +92,6 @@ class Graph:
         p = self.universe.position(v)
         return VertexSet(self.universe, self.adj[p] | (1 << p))
 
-    def neighborhood_of(self, vs: Iterable[str]) -> VertexSet:
-        mask = 0
-        for v in vs:
-            mask |= self.adj[self.universe.position(v)]
-        return VertexSet(self.universe, mask)
-
     def induced(self, keep: Iterable[str]) -> "Graph":
         return _subgraph(self, self.adj, self.universe.mask_of(keep))
 
@@ -113,9 +107,6 @@ class Graph:
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.universe.labels_of(m) for m in self.component_masks())
-
-    def is_connected(self) -> bool:
-        return len(self.component_masks()) <= 1
 
     def is_forest(self) -> bool:
         return HeightProfile(self).is_forest
@@ -141,12 +132,6 @@ class Graph:
                 raise InputError(f"edge {e!r} is not a pair")
             edges.append((e[0], e[1]))
         return cls(universe, edges)
-
-    def to_text(self) -> str:
-        lines = [f"{a} {b}" for a, b in self.edges]
-        touched = {v for e in self.edges for v in e}
-        lines.extend(f"# vertex {v}" for v in self.vertices if v not in touched)
-        return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
@@ -354,14 +339,6 @@ def _structurally_unmixed(
     return True
 
 
-def is_td_unmixed_balanced_forest(graph: Graph) -> bool:
-    """Structural test applied per component; false (not an error) when the
-    graph is not a balanced forest at all."""
-    full = graph.universe.full_mask()
-    by_pos, _, _, balanced = _heights_of_adj(graph.adj, full)
-    return balanced and _structurally_unmixed(graph.adj, full, by_pos)
-
-
 def is_structurally_td_unmixed(tree: Graph) -> bool:
     """Height and stem/branch counting conditions on a balanced tree,
     equivalent to unmixedness without enumerating a single TD-set."""
@@ -531,9 +508,9 @@ def verify_decomposition(tree: Graph, t1: Graph, t2: Graph) -> bool:
     return _decomposes(tree.adj, ones, (_in_positions(tree, t) for t in (t1, t2)))
 
 
-# The exhaustive phase of search_decomposition tries 2^(k-1) even sides for
-# k non-stem vertices; every tree on at most 18 vertices has k <= 17.
-_EXHAUSTIVE_LIMIT = 17
+# The class phase of search_decomposition tries 2^(k-1) even sides for k
+# generator classes; every tree on at most 18 vertices has k <= 17.
+_CLASS_LIMIT = 17
 
 
 def _piece(adj: Sequence[int], a_mask: int) -> tuple[list[int], int]:
@@ -557,9 +534,22 @@ def _even_sides(
 ) -> Iterator[int]:
     """Even-side choices inside the non-stem vertices `w_mask`, lazily and
     in search order: the balanced strata, then the leaf-parity classes of
-    the stemless subgraph's components, then every subset holding the
-    first non-stem vertex.  The last phase raises CapExceeded past
-    _EXHAUSTIVE_LIMIT non-stem vertices."""
+    the stemless subgraph's components, then every union of generator
+    classes that holds the first non-stem vertex.  The last phase raises
+    CapExceeded past _CLASS_LIMIT classes.
+
+    A generator class is a component of the relation "lie in one minimal
+    generator of two or more elements" on the non-stem vertices.  Every
+    side that passes _decomposes is a union of classes: _piece joins each
+    added vertex, which lies outside the side, only to its neighborhood,
+    which lies inside it, so every piece neighborhood lies inside the side
+    or outside it.  _decomposes needs every minimal generator with two or
+    more elements to be a piece neighborhood, and such a generator holds no
+    stem (a stem's variable is a generator itself), so it lies inside the
+    side or inside the rest of the non-stem vertices.  The classes are
+    sorted as ints; being disjoint, they then order by their highest bit,
+    so counting through their unions yields the sides in increasing integer
+    order, the order of every subset holding the first non-stem vertex."""
     if balanced and max(by_pos.values()) <= 3:
         yield _parity_mask(by_pos.items(), 0)
     stemless = [nb & w_mask for nb in adj]
@@ -570,14 +560,22 @@ def _even_sides(
     if len(classes) <= 12:
         for vector in range(1 << len(classes)):
             yield sum(od if vector >> i & 1 else ev for i, (ev, od) in enumerate(classes))
-    first, *rest = _bits(w_mask)
-    if len(rest) >= _EXHAUSTIVE_LIMIT:
+    joined = [0] * len(adj)
+    for g in minimal_masks(adj):
+        if g.bit_count() > 1:
+            for p in _bits(g):
+                joined[p] |= g
+    gen_classes = sorted(_component_masks(joined, w_mask))
+    if len(gen_classes) > _CLASS_LIMIT:
         raise CapExceeded(
-            f"decomposition search bound is {_EXHAUSTIVE_LIMIT} non-stem vertices "
-            f"for its exhaustive phase; got {len(rest) + 1}"
+            f"decomposition search bound is {_CLASS_LIMIT} generator classes; "
+            f"got {len(gen_classes)}"
         )
-    for sub in range(1 << len(rest)):
-        yield (1 << first) | sum(1 << p for i, p in enumerate(rest) if sub >> i & 1)
+    first = w_mask & -w_mask
+    for vector in range(1 << len(gen_classes)):
+        side = sum(m for i, m in enumerate(gen_classes) if vector >> i & 1)
+        if side & first:
+            yield side
 
 
 def _subgraph(graph: Graph, adj: Sequence[int], present: int) -> Graph:
@@ -591,11 +589,12 @@ def _subgraph(graph: Graph, adj: Sequence[int], present: int) -> Graph:
 
 
 def search_decomposition(tree: Graph) -> Optional[TreeDecomposition]:
-    """Best-effort search for a verified decomposition: the first even side
-    from _even_sides whose piece and complementary piece pass _decomposes.
-    Absence of a result is not proof of absence.  A tree whose cheap
-    candidates all fail and that has more than _EXHAUSTIVE_LIMIT non-stem
-    vertices raises CapExceeded instead of returning None."""
+    """The first even side from _even_sides whose piece and complementary
+    piece pass _decomposes, as a verified decomposition.  None means that no
+    even side inside the non-stem vertices gives such pieces: the class
+    phase tries every side that can (proof at _even_sides).  A tree whose
+    cheap candidates all fail and that has more than _CLASS_LIMIT generator
+    classes raises CapExceeded instead of returning None."""
     full = tree.universe.full_mask()
     by_pos, comps, forest, balanced = _heights_of_adj(tree.adj, full)
     if not (forest and comps == 1):

@@ -52,18 +52,8 @@ class SquareFreeIdeal:
     def is_unit(self) -> bool:
         return self.generators.masks == (0,)
 
-    @property
-    def is_variable_generated(self) -> bool:
-        """True when every minimal generator is a single variable."""
-        return all(m.bit_count() == 1 for m in self.generators.masks)
-
     def minimal_generators(self) -> SpernerFamily:
         return self.generators
-
-    def contains_monomial(self, monomial: Iterable[str]) -> bool:
-        """Membership of a square-free monomial, given by its support."""
-        mono = self.universe.mask_of(monomial)
-        return any(g & mono == g for g in self.generators.masks)
 
     def sum(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
         self._check(other)

@@ -94,9 +94,6 @@ class Universe:
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
 
-    def set_of(self, labels: Iterable[str]) -> "VertexSet":
-        return VertexSet(self, self.mask_of(labels))
-
 
 def _masks_into(source: Universe, target: Universe, masks: Iterable[int]) -> tuple[int, ...]:
     """The masks over `source` read over `target`, which must hold every
@@ -177,14 +174,6 @@ class VertexSet:
     def intersection(self, other: "VertexSet") -> "VertexSet":
         self._check(other)
         return VertexSet(self.universe, self.mask & other.mask)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.universe, self.mask & ~other.mask)
-
-    def is_subset_of(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
 
     def complement(self) -> "VertexSet":
         return VertexSet(self.universe, self.universe.full_mask() & ~self.mask)
@@ -274,10 +263,6 @@ class SpernerFamily:
         cls, universe: Universe, sets: Iterable[Iterable[str]]
     ) -> "SpernerFamily":
         return cls(universe, (universe.mask_of(s) for s in sets))
-
-    @property
-    def sets(self) -> tuple[VertexSet, ...]:
-        return tuple(VertexSet(self.universe, m) for m in self.masks)
 
     @property
     def members(self) -> tuple[tuple[str, ...], ...]:

@@ -46,6 +46,7 @@ from oni_kit import (
     minimal_odd_td_sets,
     minimal_td_sets,
     minimal_transversals,
+    minimal_vertex_covers,
     o_extend,
     odd_oni,
     oni,
@@ -223,7 +224,7 @@ def reference_stanley_reisner_complex(ideal):
     if ideal.is_unit:
         return SimplicialComplex.void(ideal.universe)
     if ideal.is_zero:
-        return SimplicialComplex.full_simplex(ideal.universe)
+        return SimplicialComplex(ideal.universe, (ideal.universe.full_mask(),))
     full = ideal.universe.full_mask()
     return SimplicialComplex(ideal.universe, (full & ~p for p in ideal.minimal_primes().masks))
 
@@ -234,6 +235,11 @@ def reference_stanley_reisner_ideal(cx):
     full = cx.universe.full_mask()
     complements = SpernerFamily(cx.universe, (full & ~f for f in cx.facets.masks))
     return SquareFreeIdeal(SpernerFamily(cx.universe, minimal_transversals(complements).masks))
+
+
+def covers_unmixed(cx) -> bool:
+    """All minimal vertex covers of the complex's facets have one size."""
+    return len({c.bit_count() for c in minimal_vertex_covers(cx).masks}) <= 1
 
 
 def reference_stable_complex(graph):
@@ -400,17 +406,34 @@ def seeded_grown_tree(steps):
     return tree
 
 
+def _numbered_tree(n, edges):
+    """The tree on "v00".."v<n-1>" with the given "a-b" edges."""
+    return Graph.from_vertices(
+        [f"v{i:02d}" for i in range(n)],
+        [(f"v{a}", f"v{b}") for a, b in (e.split("-") for e in edges.split())],
+    )
+
+
 def tree_past_search_bound():
     """A 26-vertex tree with 18 non-stem vertices on which the cheap
-    candidates of search_decomposition all fail, so the search must stop at
-    its exhaustive-phase bound."""
-    edges = (
+    candidates of search_decomposition all fail.  Its 13 generator classes
+    are within the class phase's bound, which finds a decomposition."""
+    return _numbered_tree(
+        26,
         "00-01 00-03 00-15 01-02 01-08 02-04 02-06 02-13 02-22 02-25 03-05 03-09 "
-        "03-20 04-07 06-17 06-23 07-10 08-11 09-12 11-16 12-14 14-18 16-19 17-24 19-21"
+        "03-20 04-07 06-17 06-23 07-10 08-11 09-12 11-16 12-14 14-18 16-19 17-24 19-21",
     )
-    return Graph.from_vertices(
-        [f"v{i:02d}" for i in range(26)],
-        [(f"v{a}", f"v{b}") for a, b in (e.split("-") for e in edges.split())],
+
+
+def tree_past_class_bound():
+    """A 31-vertex tree whose minimal generators are all stem variables, so
+    each of its 19 non-stem vertices is a generator class of its own and
+    search_decomposition stops at its class-phase bound."""
+    return _numbered_tree(
+        31,
+        "00-03 00-09 01-14 01-28 02-16 03-06 03-07 03-23 04-20 05-08 05-09 05-19 "
+        "09-11 10-22 10-26 12-23 13-25 14-15 14-21 14-25 14-27 15-19 16-20 16-30 "
+        "17-22 18-25 20-25 21-24 22-23 23-29",
     )
 
 
@@ -541,6 +564,16 @@ def reference_split(ideal, y):
     )
 
 
+def contains_monomial(ideal, support) -> bool:
+    """Membership of the square-free monomial with this support."""
+    return any(set(g) <= set(support) for g in ideal.generators.members)
+
+
+def variable_generated(ideal) -> bool:
+    """Every minimal generator is a single variable."""
+    return all(m.bit_count() == 1 for m in ideal.generators.masks)
+
+
 def reference_is_gvd(ideal):
     """GVD search straight from the definition: every non-base node passes
     an unmixedness test by dualization before its memo lookup, and every
@@ -553,7 +586,7 @@ def reference_is_gvd(ideal):
             return Base("unit")
         if current.is_zero:
             return Base("zero")
-        if current.is_variable_generated:
+        if variable_generated(current):
             return Base("vars")
         if not current.is_unmixed():
             return None
@@ -589,7 +622,7 @@ def reference_validate_certificate(ideal, cert) -> bool:
         if cert.kind == "zero":
             return ideal.is_zero
         if cert.kind == "vars":
-            return not ideal.is_unit and ideal.is_variable_generated
+            return not ideal.is_unit and variable_generated(ideal)
         return False
     if cert.variable not in ideal.universe:
         return False
@@ -624,6 +657,12 @@ def reference_structurally_unmixed(graph, profile) -> bool:
             if hits > 1 or (comp_height == 3 and hits != 1):
                 return False
     return True
+
+
+def reference_td_unmixed_balanced_forest(graph) -> bool:
+    """False, not an error, when the graph is no balanced forest."""
+    profile = heights(graph)
+    return profile.balanced and reference_structurally_unmixed(graph, profile)
 
 
 def reference_find_split_vertex(tree) -> str:

@@ -31,8 +31,6 @@ from oni_kit import (
     is_simplicial_tree,
     is_structurally_td_unmixed,
     is_td_unmixed,
-    is_td_unmixed_balanced_forest,
-    is_unmixed_complex,
     is_vertex_decomposable,
     join,
     minimal_odd_td_sets,
@@ -272,11 +270,11 @@ def test_one_variable_splitting():
             odd = set(profile.v_odd.members)
             for r in profile.stratum(3).members:
                 minus_top = tree.delete_vertices([r])
-                assert is_td_unmixed_balanced_forest(minus_top)
+                assert oracles.reference_td_unmixed_balanced_forest(minus_top)
                 assert set(heights(minus_top).v_odd.members) == odd - {r}
             for w in profile.stratum(2).members:
                 minus_hood = tree.delete_closed_neighborhood(w)
-                assert is_td_unmixed_balanced_forest(minus_hood)
+                assert oracles.reference_td_unmixed_balanced_forest(minus_hood)
                 assert set(heights(minus_hood).v_odd.members) == odd - set(
                     tree.neighbors(w).members
                 )
@@ -334,7 +332,7 @@ def test_facet_ideal_bridge():
             masks = complex_.facets.masks
             assert len(masks) == len(odd)  # neighborhoods form an antichain
             assert is_simplicial_forest(complex_)
-            assert is_unmixed_complex(complex_)
+            assert oracles.covers_unmixed(complex_)
             assert all(
                 (masks[i] & masks[j]).bit_count() <= 1
                 for i in range(len(masks))

@@ -349,11 +349,16 @@ def test_graph_decompose(invoke):
     assert doc["found"] is True
     assert set(doc["t1"]) == {"vertices", "edges"} and set(doc["t2"]) == {"vertices", "edges"}
 
-    # past the search's bound a tree exits 2 with an error, never found:false
+    # the generator classes answer a tree whose cheap candidates all fail
     tree = json.dumps(oracles.tree_past_search_bound().to_json_obj())
+    code, out = invoke(["graph", "decompose", "--assert"], stdin=tree)
+    assert code == 0 and json.loads(out)["found"] is True
+
+    # past the search's bound a tree exits 2 with an error, never found:false
+    tree = json.dumps(oracles.tree_past_class_bound().to_json_obj())
     code, out = invoke(["graph", "decompose"], stdin=tree)
     assert code == 2 and out.count("\n") == 1
-    assert "bound is 17 non-stem vertices" in json.loads(out)["error"]
+    assert "bound is 17 generator classes; got 19" in json.loads(out)["error"]
 
 
 def test_graph_unmixed_reports_both_views(invoke):

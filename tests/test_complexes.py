@@ -29,7 +29,6 @@ from oni_kit import (
     is_simplicial_forest,
     is_simplicial_tree,
     is_sperner,
-    is_unmixed_complex,
     is_vertex_decomposable,
     join,
     link,
@@ -99,10 +98,9 @@ def test_kinds_and_absorption():
     assert cx("ab", [["a"]]).kind == ORDINARY
     # non-maximal faces and the empty face are absorbed
     merged = cx("abc", [["a", "b"], ["a"], [], ["b"]])
-    assert merged.facet_sets[0].members == ("a", "b")
-    assert len(merged.facet_sets) == 1
-    full = SimplicialComplex.full_simplex(Universe("abc"))
-    assert full.facets.members == (("a", "b", "c"),)
+    assert merged.facets.members == (("a", "b"),)
+    assert merged.is_pure()
+    assert not cx("abc", [["a", "b"], ["c"]]).is_pure()
 
 
 def test_json_round_trip_and_kind_contradiction():
@@ -126,18 +124,6 @@ def test_faces_and_membership_match_oracle(case):
     complex_ = cx(labels, facets)
     expected = oracles.faces_oracle(frozenset(f) for f in facets)
     assert {frozenset(f.members) for f in complex_.faces()} == expected
-    for mask in range(1 << len(labels)):
-        sub = {labels[i] for i in range(len(labels)) if mask >> i & 1}
-        assert complex_.is_face(sub) == (frozenset(sub) in expected)
-
-
-def test_dimension_profile():
-    assert cx("abc", [["a", "b"], ["c"]]).dimension_profile() == (1, False)
-    assert cx("abc", [["a", "b"], ["b", "c"]]).dimension_profile() == (1, True)
-    assert cx("abc", [[]]).dimension_profile() == (-1, True)
-    assert not cx("abc", [["a", "b"], ["c"]]).is_pure()
-    with pytest.raises(InputError, match="void complex has no dimension"):
-        SimplicialComplex.void(Universe("abc")).dimension_profile()
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +163,6 @@ def test_extended_to():
     wide = small.extended_to(Universe("abc"))
     assert wide.universe.labels == ("a", "b", "c")
     assert wide.facets.members == (("a", "b"),)
-    assert not wide.is_face(["c"])
     with pytest.raises(InputError, match="missing label 'b'"):
         small.extended_to(Universe("ac"))
 
@@ -189,7 +174,7 @@ def test_extended_to():
 def test_stanley_reisner_degenerate_pairs():
     universe = Universe("abc")
     assert stanley_reisner_ideal(SimplicialComplex.void(universe)).is_unit
-    assert stanley_reisner_ideal(SimplicialComplex.full_simplex(universe)).is_zero
+    assert stanley_reisner_ideal(cx("abc", [["a", "b", "c"]])).is_zero
     all_vars = stanley_reisner_ideal(cx("abc", [[]]))
     assert all_vars.minimal_generators().members == (("a",), ("b",), ("c",))
     assert stanley_reisner_complex(all_vars).kind == EMPTY
@@ -368,11 +353,6 @@ def test_vertex_covers_match_transversal_oracle(case):
     assert {frozenset(m) for m in covers.members} == expected
 
 
-def test_unmixedness_of_cover_sizes():
-    assert is_unmixed_complex(cx("abcd", [["a", "b"], ["c", "d"]]))
-    assert not is_unmixed_complex(cx("abc", [["a", "b"], ["a", "c"]]))
-
-
 # ---------------------------------------------------------------------------
 # shedding vertices and decomposability
 
@@ -433,7 +413,8 @@ def shedding_witness(complex_):
     if len(complex_.facets.masks) == 1:
         return Leaf("simplex")
     for v in complex_.universe.labels:
-        if complex_.is_face([v]) and oracles.reference_is_shedding_vertex(complex_, v):
+        is_vertex = any(v in f for f in complex_.facets.members)
+        if is_vertex and oracles.reference_is_shedding_vertex(complex_, v):
             cert_del = shedding_witness(deletion(complex_, [v]))
             cert_link = shedding_witness(link(complex_, [v]))
             if cert_del is not None and cert_link is not None:

@@ -21,7 +21,6 @@ from oni_kit import (
     find_split_vertex,
     heights,
     is_gvd,
-    is_td_unmixed_balanced_forest,
     is_valid_geometric_decomposition,
     is_vertex_decomposable,
     o_extend,
@@ -550,11 +549,6 @@ def certified(certify):
     return run
 
 
-def reference_balanced_forest_test(graph):
-    profile = heights(graph)
-    return profile.balanced and oracles.reference_structurally_unmixed(graph, profile)
-
-
 @given(st.one_of(grown_trees(), random_trees(), forests()))
 @settings(max_examples=200, deadline=None)
 def test_certify_tree_gvd_matches_reference(graph):
@@ -564,7 +558,6 @@ def test_certify_tree_gvd_matches_reference(graph):
     assert outcome(find_split_vertex, graph) == outcome(
         oracles.reference_find_split_vertex, graph
     )
-    assert is_td_unmixed_balanced_forest(graph) == reference_balanced_forest_test(graph)
 
 
 @pytest.mark.parametrize(

@@ -30,10 +30,6 @@ def test_degenerate_forms():
     unit = build("ab", [[]])
     assert zero.is_zero and not zero.is_unit
     assert unit.is_unit and not unit.is_zero
-    assert not unit.is_variable_generated
-    assert zero.is_variable_generated
-    assert build("ab", [["a"], ["b"]]).is_variable_generated
-    assert not build("ab", [["a", "b"]]).is_variable_generated
     # the empty support swallows everything else
     assert build("ab", [["a"], []]).is_unit
 
@@ -41,16 +37,6 @@ def test_degenerate_forms():
 def test_minimal_generators_form_an_antichain():
     ideal = build("abc", [["a"], ["a", "b"], ["b", "c"]])
     assert ideal.minimal_generators().members == (("a",), ("b", "c"))
-
-
-def test_monomial_membership():
-    ideal = build("abc", [["a", "b"]])
-    assert ideal.contains_monomial(["a", "b"])
-    assert ideal.contains_monomial(["a", "b", "c"])
-    assert not ideal.contains_monomial(["a"])
-    assert not ideal.contains_monomial([])
-    assert build("abc", [[]]).contains_monomial([])
-    assert not build("abc", []).contains_monomial(["a", "b", "c"])
 
 
 @given(ideals(), ideals())
@@ -63,12 +49,9 @@ def test_sum_and_intersection_membership(case_a, case_b):
     meet = left.intersect(right)
     for mask in range(1 << len(labels)):
         m = [labels[i] for i in range(len(labels)) if mask >> i & 1]
-        assert total.contains_monomial(m) == (
-            left.contains_monomial(m) or right.contains_monomial(m)
-        )
-        assert meet.contains_monomial(m) == (
-            left.contains_monomial(m) and right.contains_monomial(m)
-        )
+        in_left, in_right = (oracles.contains_monomial(i, m) for i in (left, right))
+        assert oracles.contains_monomial(total, m) == (in_left or in_right)
+        assert oracles.contains_monomial(meet, m) == (in_left and in_right)
 
 
 def test_cross_universe_operations_are_rejected():
