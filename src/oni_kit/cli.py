@@ -222,7 +222,7 @@ def _cmd_complex_cycle(args) -> Result:
     order = cycle_order(_complex_in(args))
     doc = {
         "cycle": order is not None,
-        "order": None if order is None else [list(vs.members) for vs in order],
+        "order": None if order is None else [list(facet) for facet in order],
     }
     return doc, order is not None
 

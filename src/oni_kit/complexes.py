@@ -10,21 +10,19 @@ under the Stanley-Reisner map, EMPTY to the ideal of all variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InputError
 from .ideals import SquareFreeIdeal
 from .universe import (
     SpernerFamily,
     Universe,
-    VertexSet,
     _bits,
     _component_masks,
     _json_sets,
     _masks_into,
     maximal_masks,
     minimal_transversals,
-    sort_key,
 )
 
 VOID = "void"
@@ -53,14 +51,6 @@ class SimplicialComplex:
         """Build from faces; non-maximal ones are absorbed."""
         return cls(universe, (universe.mask_of(f) for f in facets))
 
-    @classmethod
-    def void(cls, universe: Universe) -> "SimplicialComplex":
-        return cls(universe, ())
-
-    @classmethod
-    def empty(cls, universe: Universe) -> "SimplicialComplex":
-        return cls(universe, (0,))
-
     @property
     def kind(self) -> str:
         if not self.facets.masks:
@@ -68,20 +58,6 @@ class SimplicialComplex:
         if self.facets.masks == (0,):
             return EMPTY
         return ORDINARY
-
-    def faces(self) -> Iterator[VertexSet]:
-        """All faces, deduplicated, in canonical order.  Exponential; for
-        desk-scale checks only."""
-        seen = set()
-        for f in self.facets.masks:
-            sub = f
-            while True:
-                seen.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
-        for mask in sorted(seen, key=sort_key):
-            yield VertexSet(self.universe, mask)
 
     def is_pure(self) -> bool:
         sizes = {m.bit_count() for m in self.facets.masks}
@@ -209,13 +185,11 @@ def shedding_certificate_to_json(cert: SheddingCertificate) -> dict:
 def shedding_certificate_from_json(obj: dict) -> SheddingCertificate:
     if not isinstance(obj, dict):
         raise InputError("certificate must be a JSON object")
-    if "leaf" in obj:
+    if set(obj) == {"leaf"}:
         if obj["leaf"] not in ("simplex", "empty"):
             raise InputError(f'unknown leaf kind {obj["leaf"]!r}')
         return Leaf(obj["leaf"])
-    if "shed" in obj:
-        if "del" not in obj or "lk" not in obj:
-            raise InputError('shed node needs "del" and "lk" subtrees')
+    if set(obj) == {"shed", "del", "lk"}:
         if not isinstance(obj["shed"], str):
             raise InputError("shed vertex must be a string label")
         return Shed(
@@ -223,7 +197,9 @@ def shedding_certificate_from_json(obj: dict) -> SheddingCertificate:
             shedding_certificate_from_json(obj["del"]),
             shedding_certificate_from_json(obj["lk"]),
         )
-    raise InputError('certificate node needs "leaf" or "shed"')
+    raise InputError(
+        'certificate node needs exactly the key "leaf" or "shed" with "del" and "lk" subtrees'
+    )
 
 
 def is_vertex_decomposable(
@@ -364,7 +340,7 @@ def _leaf_of(facets: tuple[int, ...]) -> Optional[tuple[int, Optional[int]]]:
 
 def find_leaf(
     cx: SimplicialComplex,
-) -> Optional[tuple[VertexSet, Optional[VertexSet]]]:
+) -> Optional[tuple[tuple[str, ...], Optional[tuple[str, ...]]]]:
     """Canonically first leaf facet with one of its joints, if any."""
     if cx.kind != ORDINARY:
         raise InputError("leaf search needs an ordinary complex")
@@ -372,8 +348,8 @@ def find_leaf(
     if hit is None:
         return None
     i, j = hit
-    leaf = VertexSet(cx.universe, cx.facets.masks[i])
-    joint = None if j is None else VertexSet(cx.universe, cx.facets.masks[j])
+    leaf = cx.universe.labels_of(cx.facets.masks[i])
+    joint = None if j is None else cx.universe.labels_of(cx.facets.masks[j])
     return leaf, joint
 
 
@@ -478,7 +454,7 @@ def is_cycle(cx: SimplicialComplex) -> bool:
     return cycle_order(cx) is not None
 
 
-def cycle_order(cx: SimplicialComplex) -> Optional[tuple[VertexSet, ...]]:
+def cycle_order(cx: SimplicialComplex) -> Optional[tuple[tuple[str, ...], ...]]:
     """The circular facet enumeration of a cycle, None for non-cycles.  The
     proper subcollections are exactly the subcollections of the complexes
     with one facet F removed, so each of those must be a forest."""
@@ -488,4 +464,4 @@ def cycle_order(cx: SimplicialComplex) -> Optional[tuple[VertexSet, ...]]:
     if not all(_is_forest(facets[:i] + facets[i + 1 :]) for i in range(len(facets))):
         return None
     order = _strong_neighbor_order(facets)
-    return None if order is None else tuple(VertexSet(cx.universe, facets[i]) for i in order)
+    return None if order is None else tuple(cx.universe.labels_of(facets[i]) for i in order)

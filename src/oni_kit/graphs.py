@@ -20,7 +20,6 @@ from .ideals import SquareFreeIdeal
 from .universe import (
     SpernerFamily,
     Universe,
-    VertexSet,
     _bits,
     _component_masks,
     _json_sets,
@@ -82,31 +81,19 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({len(self)} vertices, {len(self.edges)} edges)"
 
-    def degree(self, v: str) -> int:
-        return self.adj[self.universe.position(v)].bit_count()
+    def neighbors(self, v: str) -> tuple[str, ...]:
+        return self.universe.labels_of(self.adj[self.universe.position(v)])
 
-    def neighbors(self, v: str) -> VertexSet:
-        return VertexSet(self.universe, self.adj[self.universe.position(v)])
-
-    def closed_neighbors(self, v: str) -> VertexSet:
+    def closed_neighbors(self, v: str) -> tuple[str, ...]:
         p = self.universe.position(v)
-        return VertexSet(self.universe, self.adj[p] | (1 << p))
-
-    def induced(self, keep: Iterable[str]) -> "Graph":
-        return _subgraph(self, self.adj, self.universe.mask_of(keep))
+        return self.universe.labels_of(self.adj[p] | (1 << p))
 
     def delete_vertices(self, gone: Iterable[str]) -> "Graph":
         keep = self.universe.full_mask() & ~self.universe.mask_of(gone)
         return _subgraph(self, self.adj, keep)
 
     def delete_closed_neighborhood(self, v: str) -> "Graph":
-        return self.delete_vertices(self.closed_neighbors(v).members)
-
-    def component_masks(self) -> tuple[int, ...]:
-        return _component_masks(self.adj, self.universe.full_mask())
-
-    def components(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(self.universe.labels_of(m) for m in self.component_masks())
+        return self.delete_vertices(self.closed_neighbors(v))
 
     def is_forest(self) -> bool:
         return HeightProfile(self).is_forest
@@ -222,20 +209,16 @@ class HeightProfile:
         defined = [h for h in self.heights if h is not None]
         return max(defined) if defined else None
 
-    def stratum(self, k: int) -> VertexSet:
-        mask = 0
-        for p, h in enumerate(self.heights):
-            if h == k:
-                mask |= 1 << p
-        return VertexSet(self.universe, mask)
+    def stratum(self, k: int) -> tuple[str, ...]:
+        return self.universe.labels_of(sum(1 << p for p, h in enumerate(self.heights) if h == k))
 
     @property
-    def v_odd(self) -> VertexSet:
-        return VertexSet(self.universe, _parity_mask(enumerate(self.heights), 1))
+    def v_odd(self) -> tuple[str, ...]:
+        return self.universe.labels_of(_parity_mask(enumerate(self.heights), 1))
 
     @property
-    def v_even(self) -> VertexSet:
-        return VertexSet(self.universe, _parity_mask(enumerate(self.heights), 0))
+    def v_even(self) -> tuple[str, ...]:
+        return self.universe.labels_of(_parity_mask(enumerate(self.heights), 0))
 
     def to_json_obj(self) -> dict:
         return {
@@ -247,8 +230,8 @@ class HeightProfile:
             "balanced": self.balanced,
             "forest": self.is_forest,
             "tree": self.is_tree,
-            "odd": list(self.v_odd.members),
-            "even": list(self.v_even.members),
+            "odd": list(self.v_odd),
+            "even": list(self.v_even),
         }
 
 
@@ -269,8 +252,8 @@ def odd_oni(graph: Graph) -> SquareFreeIdeal:
     profile = heights(graph)
     if not profile.balanced:
         raise InputError("graph is not a balanced forest")
-    even = Universe(profile.v_even.members)
-    supports = [graph.neighbors(v).members for v in profile.v_odd.members]
+    even = Universe(profile.v_even)
+    supports = [graph.neighbors(v) for v in profile.v_odd]
     return SquareFreeIdeal.from_supports(even, supports)
 
 
@@ -283,11 +266,11 @@ def induced_odd_oni(sub: Graph, graph: Graph) -> SquareFreeIdeal:
     if any(h is None for h in profile.heights):
         raise InputError("ambient heights are undefined (a component has no leaf)")
     sub_labels = set(sub.vertices)
-    even = Universe(v for v in profile.v_even.members if v in sub_labels)
+    even = Universe(v for v in profile.v_even if v in sub_labels)
     supports = []
-    for v in profile.v_odd.members:
+    for v in profile.v_odd:
         if v in sub_labels:
-            nb = sub.neighbors(v).members
+            nb = sub.neighbors(v)
             for u in nb:
                 if u not in even:
                     raise InputError(

@@ -52,9 +52,6 @@ class SquareFreeIdeal:
     def is_unit(self) -> bool:
         return self.generators.masks == (0,)
 
-    def minimal_generators(self) -> SpernerFamily:
-        return self.generators
-
     def sum(self, other: "SquareFreeIdeal") -> "SquareFreeIdeal":
         self._check(other)
         masks = minimal_masks(self.generators.masks + other.generators.masks)

@@ -1,9 +1,11 @@
-"""Labelled ground sets, bitmask vertex sets, and Sperner families.
+"""Labelled ground sets, bitmask kernels, and Sperner families.
 
 Every structure in this package lives over a Universe: a fixed tuple of
 string labels in lexicographic order.  Sets of labels are stored as int
 bitmasks over label positions, so subset tests and boolean operations are
 single machine operations and every iteration order is deterministic.
+Masks stay internal: every set of labels the API returns is a tuple in
+universe order, built by `Universe.labels_of`.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class Universe:
         return len(self.labels)
 
     def __contains__(self, label: object) -> bool:
-        return label in self._index
+        return isinstance(label, str) and label in self._index
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Universe) and self.labels == other.labels
@@ -124,61 +126,6 @@ def _json_sets(obj: object, kind: str, labels_key: str, sets_key: str) -> tuple[
     return Universe(labels), sets
 
 
-class VertexSet:
-    """An immutable subset of a Universe, stored as a bitmask."""
-
-    __slots__ = ("universe", "mask")
-
-    def __init__(self, universe: Universe, mask: int):
-        if mask < 0 or mask >> len(universe):
-            raise InputError("mask has bits outside the universe")
-        self.universe = universe
-        self.mask = mask
-
-    @property
-    def members(self) -> tuple[str, ...]:
-        return self.universe.labels_of(self.mask)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, label: object) -> bool:
-        return isinstance(label, str) and label in self.universe and bool(
-            self.mask >> self.universe.position(label) & 1
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, VertexSet)
-            and self.universe == other.universe
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.universe.labels, self.mask))
-
-    def __repr__(self) -> str:
-        return f"VertexSet({{{', '.join(self.members)}}})"
-
-    def _check(self, other: "VertexSet") -> None:
-        if self.universe != other.universe:
-            raise InputError("vertex sets live over different universes")
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.universe, self.mask | other.mask)
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.universe, self.mask & other.mask)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.universe, self.universe.full_mask() & ~self.mask)
-
-
 # _KEY_BYTE[b] is 255 minus the 8-bit reversal of b.
 _KEY_BYTE = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
@@ -227,7 +174,8 @@ class SpernerFamily:
     """An antichain of subsets of a Universe, in canonical order.
 
     The constructor rejects families with comparable members; use
-    :func:`minimize_family` to collapse an arbitrary collection first.
+    `SquareFreeIdeal.from_supports(...).generators` to collapse an
+    arbitrary collection first.
     Families the library's kernels build are stored by `_canonical`
     without a second check.
     """
@@ -294,18 +242,6 @@ class SpernerFamily:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SpernerFamily":
         return cls.from_sets(*_json_sets(obj, "family", "universe", "sets"))
-
-
-def minimize_family(universe: Universe, sets: Iterable[Iterable[str]]) -> SpernerFamily:
-    """Collapse an arbitrary collection to its inclusion-minimal antichain."""
-    return SpernerFamily._canonical(universe, minimal_masks(universe.mask_of(s) for s in sets))
-
-
-def is_sperner(universe: Universe, sets: Iterable[Iterable[str]]) -> bool:
-    """No repeated set and no comparable pair: exactly the lists that
-    `minimal_masks` keeps whole."""
-    masks = [universe.mask_of(s) for s in sets]
-    return len(minimal_masks(masks)) == len(masks)
 
 
 def minimal_transversals(family: SpernerFamily) -> SpernerFamily:

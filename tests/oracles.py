@@ -189,6 +189,22 @@ def forest_oracle(vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
     return nx.is_forest(graph), nx.is_tree(graph), comps
 
 
+def components(graph) -> tuple[tuple[str, ...], ...]:
+    """Connected components of a Graph, as forest_oracle lists them."""
+    return forest_oracle(graph.vertices, graph.edges)[2]
+
+
+def induced(graph, keep: Iterable[str]):
+    """The subgraph of a Graph on the labels `keep`, with every edge
+    between them."""
+    keep = set(keep)
+    return Graph(Universe(keep), [e for e in graph.edges if set(e) <= keep])
+
+
+def degree(graph, v: str) -> int:
+    return sum(v in e for e in graph.edges)
+
+
 def random_tree_edges(rng: random.Random, n: int) -> list[tuple[str, str]]:
     """Uniform labeled tree on "0".."n-1" via a random Pruefer sequence."""
     if n <= 1:
@@ -222,7 +238,7 @@ def reference_stanley_reisner_complex(ideal):
     """Complements of the minimal primes, with the unit ideal sent to the
     void complex and the zero ideal to the full simplex by hand."""
     if ideal.is_unit:
-        return SimplicialComplex.void(ideal.universe)
+        return SimplicialComplex(ideal.universe, ())
     if ideal.is_zero:
         return SimplicialComplex(ideal.universe, (ideal.universe.full_mask(),))
     full = ideal.universe.full_mask()
@@ -348,15 +364,6 @@ def reference_validate_shedding_certificate(cx, cert) -> bool:
     ) and reference_validate_shedding_certificate(link(cx, (cert.vertex,)), cert.link)
 
 
-def faces_oracle(facets: Iterable[frozenset[str]]) -> Sets:
-    out: Sets = set()
-    for f in facets:
-        elems = sorted(f)
-        for r in range(len(elems) + 1):
-            out.update(frozenset(c) for c in combinations(elems, r))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # simplicial forests and cycles by subcollection enumeration
 
@@ -453,9 +460,9 @@ def reference_verify_decomposition(tree, t1, t2) -> bool:
     if not p1.balanced or not p2.balanced:
         return False
     u = tree.universe
-    even1 = u.mask_of(p1.v_even.members)
-    even2 = u.mask_of(p2.v_even.members)
-    ones = heights(tree).stratum(1).mask
+    even1 = u.mask_of(p1.v_even)
+    even2 = u.mask_of(p2.v_even)
+    ones = u.mask_of(heights(tree).stratum(1))
     if even1 & even2 or even1 & ones or even2 & ones:
         return False
     if even1 | even2 | ones != u.full_mask():
@@ -485,7 +492,7 @@ def _reference_even_mask(tree, piece):
     """Even stratum of a piece in the tree's positions, or None when the
     piece is not a balanced forest."""
     profile = heights(piece)
-    return tree.universe.mask_of(profile.v_even.members) if profile.balanced else None
+    return tree.universe.mask_of(profile.v_even) if profile.balanced else None
 
 
 def reference_search_decomposition(tree):
@@ -498,7 +505,7 @@ def reference_search_decomposition(tree):
         raise InputError("decomposition search needs a tree")
     u = tree.universe
     ambient = heights(tree)
-    ones = ambient.stratum(1).mask
+    ones = u.mask_of(ambient.stratum(1))
     w_mask = u.full_mask() & ~ones
 
     candidates, seen = [], set()
@@ -510,12 +517,12 @@ def reference_search_decomposition(tree):
             candidates.append(a_mask)
 
     if ambient.balanced and (ambient.graph_height or 0) <= 3:
-        push(ambient.v_even.mask)
+        push(u.mask_of(ambient.v_even))
     stemless = tree.delete_vertices(u.labels_of(ones))
     classes = []
-    for comp in stemless.components():
-        profile = heights(stemless.induced(comp))
-        even = u.mask_of(profile.v_even.members)
+    for comp in components(stemless):
+        profile = heights(induced(stemless, comp))
+        even = u.mask_of(profile.v_even)
         classes.append((even, u.mask_of(comp) & ~even))
     if len(classes) <= 12:
         for vector in range(1 << len(classes)):
@@ -643,9 +650,9 @@ def reference_validate_certificate(ideal, cert) -> bool:
 def reference_structurally_unmixed(graph, profile) -> bool:
     """Height and stem/branch counting conditions per component, read off
     a HeightProfile."""
-    one = profile.stratum(1).mask
-    two = profile.stratum(2).mask
-    for comp in graph.component_masks():
+    one = graph.universe.mask_of(profile.stratum(1))
+    two = graph.universe.mask_of(profile.stratum(2))
+    for comp in map(graph.universe.mask_of, components(graph)):
         comp_height = max(profile.heights[p] for p in _bits(comp))
         if comp_height > 3:
             return False
@@ -676,15 +683,15 @@ def reference_find_split_vertex(tree) -> str:
         or not reference_structurally_unmixed(tree, profile)
     ):
         raise InputError("split vertex requires a TD-unmixed balanced tree of height 3")
-    for v in profile.stratum(2).members:
-        if tree.degree(v) == 2:
+    for v in profile.stratum(2):
+        if degree(tree, v) == 2:
             return v
     raise RuntimeError("no degree-2 height-2 vertex found; this cannot happen")
 
 
 def _component_ideal(piece, odd):
     even = Universe(v for v in piece.vertices if v not in odd)
-    supports = [piece.neighbors(v).members for v in piece.vertices if v in odd]
+    supports = [piece.neighbors(v) for v in piece.vertices if v in odd]
     return SquareFreeIdeal.from_supports(even, supports)
 
 
@@ -741,8 +748,8 @@ def _chain_certificate(ideal):
 def _certify_piece(piece, odd, memo):
     total = SquareFreeIdeal.zero(Universe(()))
     cert = Base("zero")
-    for comp in piece.components():
-        comp_ideal, comp_cert = _certify_component(piece.induced(comp), odd, memo)
+    for comp in components(piece):
+        comp_ideal, comp_cert = _certify_component(induced(piece, comp), odd, memo)
         total, cert = _merge(total, cert, comp_ideal, comp_cert)
     return total, cert
 
@@ -782,5 +789,5 @@ def reference_certify_tree_gvd(forest):
     profile = heights(forest)
     if not profile.balanced or not reference_structurally_unmixed(forest, profile):
         raise InputError("certificate construction needs a TD-unmixed balanced forest")
-    _, cert = _certify_piece(forest, frozenset(profile.v_odd.members), {})
+    _, cert = _certify_piece(forest, frozenset(profile.v_odd), {})
     return cert

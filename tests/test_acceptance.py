@@ -36,7 +36,6 @@ from oni_kit import (
     minimal_odd_td_sets,
     minimal_td_sets,
     minimal_transversals,
-    minimize_family,
     o_extend,
     odd_oni,
     oni,
@@ -139,7 +138,7 @@ def test_realization_golden_values():
         graph = realize_as_oni(family)
         assert len(graph) == 10
         assert family_sets(minimal_td_sets(graph)) == family_sets(family)
-        assert family_sets(oni(graph).minimal_generators()) == golden(FAMILY_TAU)
+        assert family_sets(oni(graph).generators) == golden(FAMILY_TAU)
         assert is_chordal(graph)
 
     run_criterion("realization-golden", 1.0, body)
@@ -182,7 +181,7 @@ def test_double_dualization():
                 rng.sample(labs, rng.randint(1, n))
                 for _ in range(rng.randint(0, 6))
             ]
-            family = minimize_family(sub, sets)
+            family = SquareFreeIdeal.from_supports(sub, sets).generators
             tau = minimal_transversals(family)
             assert family_sets(tau) == oracles.transversals_oracle(family.members)
             assert minimal_transversals(tau) == family
@@ -267,17 +266,15 @@ def test_one_variable_splitting():
             )
             assert got == want, (u, tree.edges)
 
-            odd = set(profile.v_odd.members)
-            for r in profile.stratum(3).members:
+            odd = set(profile.v_odd)
+            for r in profile.stratum(3):
                 minus_top = tree.delete_vertices([r])
                 assert oracles.reference_td_unmixed_balanced_forest(minus_top)
-                assert set(heights(minus_top).v_odd.members) == odd - {r}
-            for w in profile.stratum(2).members:
+                assert set(heights(minus_top).v_odd) == odd - {r}
+            for w in profile.stratum(2):
                 minus_hood = tree.delete_closed_neighborhood(w)
                 assert oracles.reference_td_unmixed_balanced_forest(minus_hood)
-                assert set(heights(minus_hood).v_odd.members) == odd - set(
-                    tree.neighbors(w).members
-                )
+                assert set(heights(minus_hood).v_odd) == odd - set(tree.neighbors(w))
 
     run_criterion("one-variable-splitting", 30.0, body)
 
@@ -294,7 +291,7 @@ def test_decomposition_laws():
             assert verify_decomposition(tree, piece1, piece2)
 
             universe = tree.universe
-            ones = heights(tree).stratum(1).members
+            ones = heights(tree).stratum(1)
             stems = SquareFreeIdeal.from_supports(universe, ([v] for v in ones))
             total = (
                 odd_oni(piece1)
@@ -322,12 +319,12 @@ def test_facet_ideal_bridge():
     def body():
         for tree in corpus():
             profile = heights(tree)
-            odd = profile.v_odd.members
+            odd = profile.v_odd
             if len(odd) > 14:
                 continue
-            even_universe = Universe(profile.v_even.members)
+            even_universe = Universe(profile.v_even)
             complex_ = SimplicialComplex.from_facets(
-                even_universe, (tree.neighbors(v).members for v in odd)
+                even_universe, (tree.neighbors(v) for v in odd)
             )
             masks = complex_.facets.masks
             assert len(masks) == len(odd)  # neighborhoods form an antichain
@@ -398,14 +395,14 @@ def test_path_reference_values():
             frozenset(adjacency[v]) for v in labels
         )
         assert neighborhoods == golden(P6_ONI_GENS)
-        assert family_sets(oni(tree).minimal_generators()) == neighborhoods
+        assert family_sets(oni(tree).generators) == neighborhoods
 
         height_map = oracles.heights_oracle(labels, edges)
         odd_hoods = oracles.minimalize(
             frozenset(adjacency[v]) for v in labels if height_map[v] % 2 == 1
         )
         assert odd_hoods == golden(P6_ODD_ONI_GENS)
-        assert family_sets(odd_oni(tree).minimal_generators()) == odd_hoods
+        assert family_sets(odd_oni(tree).generators) == odd_hoods
 
         evens = {v for v in labels if height_map[v] % 2 == 0}
         stable_facets = {frozenset(evens - s) for s in odd_td}

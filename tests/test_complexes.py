@@ -1,4 +1,4 @@
-"""Facet-level simplicial complex tests: kinds, faces, Stanley-Reisner
+"""Facet-level simplicial complex tests: kinds, Stanley-Reisner
 bridges, vertex decomposability, and the forest/cycle classifiers."""
 
 import pytest
@@ -28,14 +28,12 @@ from oni_kit import (
     is_shedding_vertex,
     is_simplicial_forest,
     is_simplicial_tree,
-    is_sperner,
     is_vertex_decomposable,
     join,
     link,
     minimal_odd_td_sets,
     minimal_transversals,
     minimal_vertex_covers,
-    minimize_family,
     odd_oni,
     shedding_certificate_from_json,
     shedding_certificate_to_json,
@@ -89,11 +87,11 @@ def pure_complexes(draw, max_elems: int = 6, max_facets: int = 6):
 
 
 # ---------------------------------------------------------------------------
-# kinds, faces, JSON
+# kinds, JSON
 
 
 def test_kinds_and_absorption():
-    assert SimplicialComplex.void(Universe("ab")).kind == VOID
+    assert SimplicialComplex(Universe("ab"), ()).kind == VOID
     assert cx("ab", [[]]).kind == EMPTY
     assert cx("ab", [["a"]]).kind == ORDINARY
     # non-maximal faces and the empty face are absorbed
@@ -115,15 +113,6 @@ def test_json_round_trip_and_kind_contradiction():
         SimplicialComplex.from_json_obj({"universe": ["a"]})
     with pytest.raises(InputError, match='"universe" and "facets"'):
         SimplicialComplex.from_json_obj(["a"])
-
-
-@given(complexes())
-@settings(max_examples=150, deadline=None)
-def test_faces_and_membership_match_oracle(case):
-    labels, facets = case
-    complex_ = cx(labels, facets)
-    expected = oracles.faces_oracle(frozenset(f) for f in facets)
-    assert {frozenset(f.members) for f in complex_.faces()} == expected
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +141,7 @@ def test_join_and_degenerate_factors():
 
     combined = product.universe
     assert join(left, cx("xy", [[]])) == left.extended_to(Universe("abxy"))
-    assert join(left, SimplicialComplex.void(Universe("xy"))).kind == VOID
+    assert join(left, SimplicialComplex(Universe("xy"), ())).kind == VOID
     with pytest.raises(InputError, match="disjoint universes; shared: b"):
         join(left, cx("bc", [["b"]]))
     assert combined.labels == ("a", "b", "x", "y")
@@ -173,10 +162,10 @@ def test_extended_to():
 
 def test_stanley_reisner_degenerate_pairs():
     universe = Universe("abc")
-    assert stanley_reisner_ideal(SimplicialComplex.void(universe)).is_unit
+    assert stanley_reisner_ideal(SimplicialComplex(universe, ())).is_unit
     assert stanley_reisner_ideal(cx("abc", [["a", "b", "c"]])).is_zero
     all_vars = stanley_reisner_ideal(cx("abc", [[]]))
-    assert all_vars.minimal_generators().members == (("a",), ("b",), ("c",))
+    assert all_vars.generators.members == (("a",), ("b",), ("c",))
     assert stanley_reisner_complex(all_vars).kind == EMPTY
     assert stanley_reisner_complex(SquareFreeIdeal.from_supports(universe, [])).kind == ORDINARY
 
@@ -184,7 +173,7 @@ def test_stanley_reisner_degenerate_pairs():
 def test_stanley_reisner_example():
     path = cx("abc", [["a", "b"], ["b", "c"]])
     ideal = stanley_reisner_ideal(path)
-    assert ideal.minimal_generators().members == (("a", "c"),)
+    assert ideal.generators.members == (("a", "c"),)
     assert stanley_reisner_complex(ideal) == path
 
 
@@ -251,8 +240,8 @@ def test_consolidated_steps_match_their_older_forms(case):
         SquareFreeIdeal.zero(universe),
         SquareFreeIdeal.unit(universe),
     )
-    complexes = (complex_, SimplicialComplex.void(universe), SimplicialComplex.empty(universe))
-    built = [minimize_family(universe, sets), complex_.facets]
+    complexes = (complex_, SimplicialComplex(universe, ()), SimplicialComplex(universe, (0,)))
+    built = [complex_.facets]
     for one in ideals:
         sr_complex = stanley_reisner_complex(one)
         assert sr_complex == oracles.reference_stanley_reisner_complex(one)
@@ -267,7 +256,9 @@ def test_consolidated_steps_match_their_older_forms(case):
         sr_ideal = stanley_reisner_ideal(complex_one)
         assert sr_ideal == oracles.reference_stanley_reisner_ideal(complex_one)
         built.append(sr_ideal.generators)
-    assert is_sperner(universe, sets) == oracles.reference_is_sperner(universe, sets)
+    deduplicated = list({frozenset(s) for s in sets})
+    rejected = outcome(SpernerFamily.from_sets, universe, sets)[0] == "error"
+    assert rejected == (not oracles.reference_is_sperner(universe, deduplicated))
     for target in (Universe(labels + extra), Universe(labels[1:] + extra)):
         got = outcome(ideal.extended_to, target)
         assert got == outcome(oracles.reference_ideal_extended_to, ideal, target)
@@ -323,7 +314,7 @@ def test_kernel_families_skip_the_validating_constructor(monkeypatch):
         split(ideal, y)
     assert calls == {"SpernerFamily": 0, "maximal_masks": 0}
     # the counters do see the validating paths
-    SimplicialComplex.void(ideal.universe)
+    SimplicialComplex(ideal.universe, ())
     SpernerFamily(ideal.universe, ())
     assert calls == {"SpernerFamily": 1, "maximal_masks": 1}
 
@@ -333,14 +324,14 @@ def test_kernel_families_skip_the_validating_constructor(monkeypatch):
 
 
 def test_facet_ideal_and_guards():
-    assert facet_ideal(cx("abc", [["a", "b"], ["c"]])).minimal_generators().members == (
+    assert facet_ideal(cx("abc", [["a", "b"], ["c"]])).generators.members == (
         ("c",),
         ("a", "b"),
     )
     with pytest.raises(InputError, match="facet ideal needs an ordinary complex"):
         facet_ideal(cx("ab", [[]]))
     with pytest.raises(InputError, match="vertex covers need an ordinary complex"):
-        minimal_vertex_covers(SimplicialComplex.void(Universe("ab")))
+        minimal_vertex_covers(SimplicialComplex(Universe("ab"), ()))
 
 
 @given(ordinary_complexes())
@@ -371,7 +362,7 @@ def test_shedding_examples():
 
 
 def test_decomposability_base_cases():
-    void = SimplicialComplex.void(Universe("ab"))
+    void = SimplicialComplex(Universe("ab"), ())
     ok, cert = is_vertex_decomposable(void)
     assert ok and cert == Leaf("empty")
     assert validate_shedding_certificate(void, cert)
@@ -514,6 +505,12 @@ def test_certificate_json_round_trip_and_errors():
         )
     with pytest.raises(InputError, match='"leaf" or "shed"'):
         shedding_certificate_from_json({"vertex": "a"})
+    with pytest.raises(InputError, match='"leaf" or "shed"'):
+        shedding_certificate_from_json({"leaf": "simplex", "shed": "a"})
+    with pytest.raises(InputError, match='"leaf" or "shed"'):
+        shedding_certificate_from_json(
+            {"shed": "a", "del": {"leaf": "empty"}, "lk": {"leaf": "empty"}, "extra": 0}
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +521,7 @@ def test_chain_is_a_tree_with_leaf():
     chain = cx("abcdef", [["a", "b", "c"], ["c", "d"], ["d", "e", "f"]])
     assert is_simplicial_forest(chain)
     assert is_simplicial_tree(chain)
-    leaf, joint = find_leaf(chain)
-    assert leaf.members == ("a", "b", "c")
-    assert joint.members == ("c", "d")
+    assert find_leaf(chain) == (("a", "b", "c"), ("c", "d"))
     assert cycle_order(chain) is None
 
 
@@ -536,8 +531,7 @@ def test_forest_need_not_be_connected():
     assert not is_connected_complex(pair)
     assert not is_simplicial_tree(pair)
     lone = cx("ab", [["a", "b"]])
-    leaf, joint = find_leaf(lone)
-    assert leaf.members == ("a", "b") and joint is None
+    assert find_leaf(lone) == (("a", "b"), None)
 
 
 def test_triangle_is_a_cycle():
@@ -545,8 +539,7 @@ def test_triangle_is_a_cycle():
     assert find_leaf(triangle) is None
     assert not is_simplicial_forest(triangle)
     assert is_cycle(triangle)
-    order = cycle_order(triangle)
-    assert tuple(f.members for f in order) == (("a", "b"), ("a", "c"), ("b", "c"))
+    assert cycle_order(triangle) == (("a", "b"), ("a", "c"), ("b", "c"))
 
 
 def test_square_cycle_order_is_circular():
@@ -556,7 +549,7 @@ def test_square_cycle_order_is_circular():
     assert len(order) == 4
     for i, facet in enumerate(order):
         nxt = order[(i + 1) % 4]
-        assert facet.intersection(nxt).mask != 0
+        assert set(facet) & set(nxt)
     # two facets can never form a cycle
     assert cycle_order(cx("abc", [["a", "b"], ["b", "c"]])) is None
 
@@ -565,7 +558,7 @@ def test_guards_and_facet_cap():
     with pytest.raises(InputError, match="forest/cycle checks need an ordinary"):
         is_simplicial_forest(cx("ab", [[]]))
     with pytest.raises(InputError, match="leaf search needs an ordinary complex"):
-        find_leaf(SimplicialComplex.void(Universe("ab")))
+        find_leaf(SimplicialComplex(Universe("ab"), ()))
     crowd = cx("abcde", [["a"], ["b"], ["c"], ["d"], ["e"]])
     assert is_simplicial_forest(crowd)
     # no facet cap: a 200-facet path of triangles and a 40-gon get verdicts
@@ -612,7 +605,7 @@ def test_good_leaf_removal_matches_subcollection_oracle(case):
         return
     # a circular enumeration of every facet in which neighbours meet
     # outside every third facet
-    masks = [f.mask for f in order]
+    masks = [complex_.universe.mask_of(f) for f in order]
     assert sorted(masks) == sorted(facets)
     for i, f in enumerate(masks):
         g = masks[(i + 1) % len(masks)]

@@ -63,8 +63,8 @@ def ideals(draw, max_elems: int = 5, max_gens: int = 4):
 def test_split_example():
     c_part, n_part = split(p6_odd_ideal(), "2")
     assert c_part.universe.labels == ("0", "4", "6")
-    assert c_part.minimal_generators().members == (("0",), ("4",))
-    assert n_part.minimal_generators().members == (("4", "6"),)
+    assert c_part.generators.members == (("0",), ("4",))
+    assert n_part.generators.members == (("4", "6"),)
 
 
 def test_split_degenerate_cases():
@@ -74,9 +74,11 @@ def test_split_degenerate_cases():
     # a variable no generator uses splits the ideal into two copies of itself
     c_part, n_part = split(build("abc", [["a", "b"]]), "c")
     assert c_part == n_part
-    assert c_part.minimal_generators().members == (("a", "b"),)
+    assert c_part.generators.members == (("a", "b"),)
     with pytest.raises(InputError, match="variable 'z' not in the ideal's universe"):
         split(principal, "z")
+    with pytest.raises(InputError, match=r"variable \['a'\] not in the ideal's universe"):
+        split(principal, ["a"])
 
 
 def is_canonical_antichain(masks):

@@ -36,7 +36,7 @@ def test_degenerate_forms():
 
 def test_minimal_generators_form_an_antichain():
     ideal = build("abc", [["a"], ["a", "b"], ["b", "c"]])
-    assert ideal.minimal_generators().members == (("a",), ("b", "c"))
+    assert ideal.generators.members == (("a",), ("b", "c"))
 
 
 @given(ideals(), ideals())
@@ -75,7 +75,7 @@ def test_minimal_primes_match_transversal_oracle(case):
         assert ideal.minimal_primes().masks == ()
         return
     primes = {frozenset(p) for p in ideal.minimal_primes().members}
-    assert primes == oracles.transversals_oracle(ideal.minimal_generators().members)
+    assert primes == oracles.transversals_oracle(ideal.generators.members)
 
 
 def test_unmixedness():
@@ -91,7 +91,7 @@ def test_extension():
     small = build("ab", [["a", "b"]])
     wide = small.extended_to(Universe(["a", "b", "c"]))
     assert wide.universe.labels == ("a", "b", "c")
-    assert wide.minimal_generators().members == (("a", "b"),)
+    assert wide.generators.members == (("a", "b"),)
     with pytest.raises(InputError, match="missing label"):
         wide.extended_to(Universe(["a", "b"]))
 

@@ -9,12 +9,10 @@ from oni_kit import (
     CapExceeded,
     InputError,
     SpernerFamily,
+    SquareFreeIdeal,
     Universe,
-    VertexSet,
     brute_force_transversals,
-    is_sperner,
     minimal_transversals,
-    minimize_family,
 )
 from oni_kit.universe import maximal_masks, minimal_masks, sort_key
 
@@ -40,6 +38,7 @@ def test_universe_sorts_and_indexes():
     assert u.labels_of(0b110) == ("b", "c")
     assert u.full_mask() == 0b111
     assert "c" in u and "z" not in u
+    assert ["c"] not in u and 1 not in u
 
 
 def test_universe_rejects_bad_labels():
@@ -51,24 +50,12 @@ def test_universe_rejects_bad_labels():
         Universe(["a"]).mask_of(["b"])
 
 
-def test_vertex_set_algebra():
-    u = Universe(["a", "b", "c", "d"])
-    s = VertexSet(u, u.mask_of(["a", "c"]))
-    t = VertexSet(u, u.mask_of(["c", "d"]))
-    assert s.members == ("a", "c")
-    assert s.union(t).members == ("a", "c", "d")
-    assert s.intersection(t).members == ("c",)
-    assert s.complement().members == ("b", "d")
-
-
 def test_family_canonical_order_and_rejection():
     u = Universe(["a", "b", "c"])
     fam = SpernerFamily.from_sets(u, [("a", "c"), ("b",)])
     assert fam.members == (("b",), ("a", "c"))
     with pytest.raises(InputError, match="not an antichain"):
         SpernerFamily.from_sets(u, [("a",), ("a", "b")])
-    assert is_sperner(u, [("a",), ("b", "c")])
-    assert not is_sperner(u, [("a",), ("a", "b")])
 
 
 # Masks of 0-80 bits.  Sparse ones give many equal-size pairs whose keys
@@ -98,9 +85,9 @@ def test_family_json_round_trip():
 
 @given(label_families())
 @settings(max_examples=200, deadline=None)
-def test_minimize_family_matches_oracle(case):
+def test_from_supports_generators_match_oracle(case):
     labels, sets = case
-    fam = minimize_family(Universe(labels), sets)
+    fam = SquareFreeIdeal.from_supports(Universe(labels), sets).generators
     assert {frozenset(m) for m in fam.members} == oracles.minimalize(
         frozenset(s) for s in sets
     )
@@ -110,7 +97,7 @@ def test_minimize_family_matches_oracle(case):
 @settings(max_examples=200, deadline=None)
 def test_dualization_matches_oracle_and_involutes(case):
     labels, sets = case
-    fam = minimize_family(Universe(labels), sets)
+    fam = SquareFreeIdeal.from_supports(Universe(labels), sets).generators
     tau = minimal_transversals(fam)
     assert {frozenset(m) for m in tau.members} == oracles.transversals_oracle(
         fam.members
