@@ -145,8 +145,12 @@ def _shed(
     """
     kept = tuple(f for f in facets if not f & bit)
     link_facets = tuple(f ^ bit for f in facets if f & bit)
-    if any(not any(h & g == h for g in kept) for h in link_facets):
-        return None
+    for h in link_facets:
+        for g in kept:
+            if h & g == h:
+                break
+        else:
+            return None
     return kept, link_facets
 
 
@@ -182,14 +186,19 @@ def shedding_certificate_to_json(cert: SheddingCertificate) -> dict:
     }
 
 
+_LEAF_KEYS = frozenset({"leaf"})
+_SHED_KEYS = frozenset({"shed", "del", "lk"})
+
+
 def shedding_certificate_from_json(obj: dict) -> SheddingCertificate:
     if not isinstance(obj, dict):
         raise InputError("certificate must be a JSON object")
-    if set(obj) == {"leaf"}:
+    keys = obj.keys()
+    if keys == _LEAF_KEYS:
         if obj["leaf"] not in ("simplex", "empty"):
             raise InputError(f'unknown leaf kind {obj["leaf"]!r}')
         return Leaf(obj["leaf"])
-    if set(obj) == {"shed", "del", "lk"}:
+    if keys == _SHED_KEYS:
         if not isinstance(obj["shed"], str):
             raise InputError("shed vertex must be a string label")
         return Shed(
@@ -254,8 +263,9 @@ def validate_shedding_certificate(
     cx: SimplicialComplex, cert: SheddingCertificate
 ) -> bool:
     """Replay a certificate: every Shed node must pass one `_shed` test on
-    an ordinary complex, every Leaf must match its base case.  Purity is
-    checked once, at the root, because `_shed` keeps it."""
+    an ordinary complex, every Leaf must match its base case, and any other
+    node is rejected.  Purity is checked once, at the root, because `_shed`
+    keeps it."""
     return cx.is_pure() and _replay(cx.universe, cx.facets.masks, cert)
 
 
@@ -263,8 +273,8 @@ def _replay(universe: Universe, facets: tuple[int, ...], cert: SheddingCertifica
     if isinstance(cert, Leaf):
         if cert.kind == "empty":
             return facets in ((), (0,))
-        return len(facets) == 1
-    if facets in ((), (0,)) or cert.vertex not in universe:
+        return cert.kind == "simplex" and len(facets) == 1
+    if not isinstance(cert, Shed) or facets in ((), (0,)) or cert.vertex not in universe:
         return False
     parts = _shed(facets, 1 << universe.position(cert.vertex))
     return parts is not None and (

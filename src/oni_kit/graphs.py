@@ -413,19 +413,23 @@ def o_sequence(picks: Iterable[str]) -> Graph:
 
 def _split_vertex(adj: Sequence[int], present: int) -> int:
     """Position of the first height-2 vertex of degree 2 in the TD-unmixed
-    balanced height-3 tree on `present`, heights taken inside it."""
-    by_pos, comps, _, balanced = _heights_of_adj(adj, present)
-    if (
-        comps != 1
-        or not balanced
-        or max(by_pos.values()) != 3
-        or not _structurally_unmixed(adj, present, by_pos)
-    ):
-        raise InputError(
-            "split vertex requires a TD-unmixed balanced tree of height 3"
-        )
+    balanced height-3 tree on `present`, heights taken inside it.
+
+    The tree is not checked here: `find_split_vertex` checks it, and
+    `gvd.certify_tree_gvd` checks its forest once, at entry.  Three mask
+    sweeps find the heights needed: the leaves (degree at most 1), the
+    other vertices next to a leaf (height 1), and, among the rest, those
+    next to a height-1 vertex (height 2)."""
+    leaves = 0
     for p in _bits(present):
-        if by_pos[p] == 2 and (adj[p] & present).bit_count() == 2:
+        if (adj[p] & present).bit_count() <= 1:
+            leaves |= 1 << p
+    ones = 0
+    for p in _bits(present & ~leaves):
+        if adj[p] & leaves:
+            ones |= 1 << p
+    for p in _bits(present & ~leaves & ~ones):
+        if adj[p] & ones and (adj[p] & present).bit_count() == 2:
             return p
     raise RuntimeError("no degree-2 height-2 vertex found; this cannot happen")
 
@@ -433,7 +437,18 @@ def _split_vertex(adj: Sequence[int], present: int) -> int:
 def find_split_vertex(tree: Graph) -> str:
     """Canonically first height-2 vertex of degree 2 in a TD-unmixed
     balanced height-3 tree."""
-    return tree.universe.labels[_split_vertex(tree.adj, tree.universe.full_mask())]
+    full = tree.universe.full_mask()
+    by_pos, comps, _, balanced = _heights_of_adj(tree.adj, full)
+    if (
+        comps != 1
+        or not balanced
+        or max(by_pos.values()) != 3
+        or not _structurally_unmixed(tree.adj, full, by_pos)
+    ):
+        raise InputError(
+            "split vertex requires a TD-unmixed balanced tree of height 3"
+        )
+    return tree.universe.labels[_split_vertex(tree.adj, full)]
 
 
 @dataclass(frozen=True)

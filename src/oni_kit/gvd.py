@@ -26,7 +26,14 @@ from typing import Optional, Union
 from .errors import InputError
 from .graphs import Graph, _heights_of_adj, _parity_mask, _split_vertex, _structurally_unmixed
 from .ideals import SquareFreeIdeal
-from .universe import SpernerFamily, Universe, _bits, _component_masks, minimal_masks
+from .universe import (
+    SpernerFamily,
+    Universe,
+    _bits,
+    _component_masks,
+    minimal_masks,
+    sort_key,
+)
 
 BASE_UNIT = "unit"
 BASE_ZERO = "zero"
@@ -62,23 +69,35 @@ def certificate_to_json_obj(cert: GvdCertificate) -> dict:
     }
 
 
+_BASE_KEYS = frozenset({"base"})
+_SPLIT_KEYS = frozenset({"split"})
+_SPLIT_FIELDS = frozenset({"y", "C", "N"})
+# Decoded certificates share one Base per kind; only their equality with
+# the encoded certificate is part of the contract, not their node sharing.
+_DECODED_BASES = {kind: Base(kind) for kind in _BASE_KINDS}
+
+
 def certificate_from_json_obj(obj: object) -> GvdCertificate:
-    if isinstance(obj, dict) and set(obj) == {"base"}:
-        kind = obj["base"]
-        if kind not in _BASE_KINDS:
-            raise InputError(f"unknown certificate base kind {kind!r}")
-        return Base(kind)
-    if isinstance(obj, dict) and set(obj) == {"split"}:
-        inner = obj["split"]
-        if not isinstance(inner, dict) or set(inner) != {"y", "C", "N"}:
-            raise InputError('certificate "split" needs keys y, C, N')
-        if not isinstance(inner["y"], str):
-            raise InputError("split variable must be a string label")
-        return Split(
-            inner["y"],
-            certificate_from_json_obj(inner["C"]),
-            certificate_from_json_obj(inner["N"]),
-        )
+    if isinstance(obj, dict):
+        keys = obj.keys()
+        if keys == _BASE_KEYS:
+            kind = obj["base"]
+            base = _DECODED_BASES.get(kind) if isinstance(kind, str) else None
+            if base is None:
+                raise InputError(f"unknown certificate base kind {kind!r}")
+            return base
+        if keys == _SPLIT_KEYS:
+            inner = obj["split"]
+            if not isinstance(inner, dict) or inner.keys() != _SPLIT_FIELDS:
+                raise InputError('certificate "split" needs keys y, C, N')
+            y = inner["y"]
+            if not isinstance(y, str):
+                raise InputError("split variable must be a string label")
+            return Split(
+                y,
+                certificate_from_json_obj(inner["C"]),
+                certificate_from_json_obj(inner["N"]),
+            )
     raise InputError('certificate JSON must be {"base": …} or {"split": …}')
 
 
@@ -104,7 +123,13 @@ def _split_masks(gens: tuple[int, ...], ybit: int) -> tuple[tuple[int, ...], tup
     """
     stripped = [g ^ ybit for g in gens if g & ybit]
     n_gens = tuple(g for g in gens if not g & ybit)
-    kept = [g for g in n_gens if not any(s & g == s for s in stripped)]
+    kept = []
+    for g in n_gens:
+        for s in stripped:
+            if s & g == s:
+                break
+        else:
+            kept.append(g)
     c_gens = []
     i = 0
     for b in kept:
@@ -262,54 +287,58 @@ def validate_certificate(ideal: SquareFreeIdeal, cert: GvdCertificate) -> bool:
     from the bases, and `_split_height` checks that every split ideal is
     unmixed.  The replay runs on (live, gens) mask pairs in the ideal's
     universe, as `is_gvd` does, so a split variable must be one of the
-    universe's labels not yet split away.  Replays are memoized per call
-    on (certificate node, live, gens), so the shared nodes of the DAG
-    certificates `is_gvd` returns are replayed once.
+    universe's labels not yet split away: one label-to-bit dict, built per
+    call, reads it, and an unknown or non-string variable gets the bit 0,
+    which is never live.  A node that is neither a Base nor a Split is
+    rejected.  Replays are memoized per call on (certificate node, live,
+    gens), so the shared nodes of the DAG certificates `is_gvd` returns are
+    replayed once.
     """
-    u = ideal.universe
+    bit_of = {lab: 1 << p for p, lab in enumerate(ideal.universe.labels)}
+    memo: dict[tuple, Optional[int]] = {}
+
+    def replay(live: int, gens: tuple[int, ...], node: GvdCertificate) -> Optional[int]:
+        """Height (None if unit) of the ideal with generators `gens` over
+        the `live` positions when `node` certifies it; raises _Rejected
+        otherwise."""
+        key = (id(node), live, gens)
+        if key in memo:
+            return memo[key]
+        is_unit = gens == (0,)
+        if isinstance(node, Base):
+            kind = node.kind
+            if kind == BASE_UNIT:
+                ok = is_unit
+            elif kind == BASE_ZERO:
+                ok = not gens
+            else:
+                ok = kind == BASE_VARIABLES and not is_unit and (
+                    not gens or gens[-1].bit_count() == 1
+                )
+            if not ok:
+                raise _Rejected
+            height = None if is_unit else len(gens)
+        elif isinstance(node, Split):
+            y = node.variable
+            ybit = bit_of.get(y, 0) if isinstance(y, str) else 0
+            if not live & ybit or is_unit:
+                raise _Rejected
+            c_gens, n_gens = _split_masks(gens, ybit)
+            c_height = replay(live ^ ybit, c_gens, node.c_branch)
+            n_height = replay(live ^ ybit, n_gens, node.n_branch)
+            height = _split_height(c_gens, c_height, n_gens, n_height)
+            if height is None:
+                raise _Rejected
+        else:
+            raise _Rejected
+        memo[key] = height
+        return height
+
     try:
-        _replay(u, u.full_mask(), ideal.generators.masks, cert, {})
+        replay(ideal.universe.full_mask(), ideal.generators.masks, cert)
     except _Rejected:
         return False
     return True
-
-
-def _replay(
-    u: Universe, live: int, gens: tuple[int, ...], cert: GvdCertificate, memo: dict
-) -> Optional[int]:
-    """Height (None if unit) of the ideal with generators `gens` over the
-    `live` positions of `u` when `cert` certifies it; raises _Rejected
-    otherwise."""
-    key = (id(cert), live, gens)
-    if key in memo:
-        return memo[key]
-    is_unit = gens == (0,)
-    if isinstance(cert, Base):
-        if cert.kind == BASE_UNIT:
-            ok = is_unit
-        elif cert.kind == BASE_ZERO:
-            ok = not gens
-        else:
-            ok = cert.kind == BASE_VARIABLES and not is_unit and (
-                not gens or gens[-1].bit_count() == 1
-            )
-        if not ok:
-            raise _Rejected
-        height = None if is_unit else len(gens)
-    else:
-        if cert.variable not in u or is_unit:
-            raise _Rejected
-        ybit = 1 << u.position(cert.variable)
-        if not live & ybit:
-            raise _Rejected
-        c_gens, n_gens = _split_masks(gens, ybit)
-        c_height = _replay(u, live ^ ybit, c_gens, cert.c_branch, memo)
-        n_height = _replay(u, live ^ ybit, n_gens, cert.n_branch, memo)
-        height = _split_height(c_gens, c_height, n_gens, n_height)
-        if height is None:
-            raise _Rejected
-    memo[key] = height
-    return height
 
 
 def _merge_certs(
@@ -326,17 +355,19 @@ def _merge_certs(
     descends with the untouched summand carried along; a variable base,
     on either side, peels one generator at a time first (its C is the unit
     ideal)."""
-    if ca == Base(BASE_ZERO):
+    a_kind = ca.kind if isinstance(ca, Base) else None
+    b_kind = cb.kind if isinstance(cb, Base) else None
+    if a_kind == BASE_ZERO:
         return cb
-    if cb == Base(BASE_ZERO):
+    if b_kind == BASE_ZERO:
         return ca
-    if Base(BASE_UNIT) in (ca, cb):
+    if BASE_UNIT in (a_kind, b_kind):
         return Base(BASE_UNIT)
-    if isinstance(ca, Base) and isinstance(cb, Base):
+    if a_kind and b_kind:
         return Base(BASE_VARIABLES)
-    if isinstance(cb, Base):
+    if b_kind:
         return _merge_certs(b, cb, a, ca, u)
-    if isinstance(ca, Base):
+    if a_kind:
         y = next(_bits(a[0]))
         rest = tuple(m for m in a if not m >> y & 1)
         rest_cert = Base(BASE_VARIABLES) if rest else Base(BASE_ZERO)
@@ -363,7 +394,35 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     TD-unmixed balanced forest; no search, recursion mirrors deleting a
     degree-2 branch vertex or its closed neighborhood.  Certificates are
     memoized per call on a piece's even vertices and generators, so equal
-    ideals reached along different deletions share one node."""
+    ideals reached along different deletions share one node; a component
+    met again is looked up by its vertex mask before its generators are
+    computed, and gets the same (generators, certificate) pair.
+
+    The forest is checked once, here, and no piece is checked again.
+    Every piece reached from a checked forest is again a TD-unmixed
+    balanced forest whose split components have height 3: this is the
+    induction of the paper's main theorem, which deletes a degree-2
+    height-2 vertex of such a tree, or its closed neighborhood, and keeps
+    the class.  So `graphs._split_vertex`, which checks nothing, picks the
+    vertex the checked `find_split_vertex` rule would; a property test
+    compares the two on every component split.
+
+    The deletions keep an invariant that the merge below needs: every
+    odd vertex keeps an even neighbor in its piece.  In the forest it has
+    height at least 1, so a neighbor, and balance makes every neighbor of
+    an odd vertex even.  Deleting a closed neighborhood N[y] of an even y
+    removes odd vertices and no other even vertex.  Deleting a split
+    vertex y alone takes one neighbor from each of its two odd neighbors,
+    of heights 1 and 3 in the component, and each keeps another: the
+    first its leaf, the second, not a leaf, a second neighbor.  So no
+    component's generators hold the empty mask.
+
+    A piece's components have disjoint vertex sets, so their generators
+    have disjoint supports, and none is empty: no generator of one lies
+    inside a generator of another.  Their union is therefore an antichain,
+    and one sort by `sort_key` puts it in canonical order, the tuple
+    `minimal_masks` would return.
+    """
     u = forest.universe
     adj = forest.adj
     full = u.full_mask()
@@ -373,23 +432,27 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
             "certificate construction needs a TD-unmixed balanced forest"
         )
     odd = _parity_mask(by_pos.items(), 1)
-    memo: dict[tuple, GvdCertificate] = {}
+    memo: dict[tuple, tuple[tuple[int, ...], GvdCertificate]] = {}
+    by_comp: dict[int, tuple[tuple[int, ...], GvdCertificate]] = {}
 
     def piece_cert(piece: int) -> GvdCertificate:
         """Merge the certificates of the piece's components, in order."""
         gens: tuple[int, ...] = ()
         cert: GvdCertificate = Base(BASE_ZERO)
         for comp in _component_masks(adj, piece):
-            comp_gens, comp_cert = component_cert(comp)
+            found = by_comp.get(comp)
+            if found is None:
+                found = by_comp[comp] = component_cert(comp)
+            comp_gens, comp_cert = found
             cert = _merge_certs(gens, cert, comp_gens, comp_cert, u)
-            gens = minimal_masks(gens + comp_gens)
+            gens = tuple(sorted(gens + comp_gens, key=sort_key)) if gens else comp_gens
         return cert
 
     def component_cert(comp: int) -> tuple[tuple[int, ...], GvdCertificate]:
         gens = minimal_masks(adj[p] & comp for p in _bits(comp & odd))
         key = (comp & ~odd, gens)
         if key in memo:
-            return gens, memo[key]
+            return memo[key]
         if not gens:
             cert: GvdCertificate = Base(BASE_ZERO)
         elif len(gens) == 1:
@@ -407,7 +470,7 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
                 piece_cert(comp & ~(1 << y)),
                 piece_cert(comp & ~(adj[y] | 1 << y)),
             )
-        memo[key] = cert
-        return gens, cert
+        memo[key] = gens, cert
+        return memo[key]
 
     return piece_cert(full)

@@ -52,6 +52,7 @@ from oni_kit import (
     oni,
 )
 from oni_kit.fixtures import p6
+from oni_kit.graphs import _heights_of_adj, _structurally_unmixed
 from oni_kit.universe import _bits
 
 Sets = set[frozenset[str]]
@@ -686,6 +687,24 @@ def reference_find_split_vertex(tree) -> str:
     for v in profile.stratum(2):
         if degree(tree, v) == 2:
             return v
+    raise RuntimeError("no degree-2 height-2 vertex found; this cannot happen")
+
+
+def reference_split_vertex(adj, present) -> int:
+    """The checked split-vertex choice on masks: a full heights pass, the
+    tree, balance, height-3 and structural tests, then the first height-2
+    vertex of degree 2."""
+    by_pos, comps, _, balanced = _heights_of_adj(adj, present)
+    if (
+        comps != 1
+        or not balanced
+        or max(by_pos.values()) != 3
+        or not _structurally_unmixed(adj, present, by_pos)
+    ):
+        raise InputError("split vertex requires a TD-unmixed balanced tree of height 3")
+    for p in _bits(present):
+        if by_pos[p] == 2 and (adj[p] & present).bit_count() == 2:
+            return p
     raise RuntimeError("no degree-2 height-2 vertex found; this cannot happen")
 
 

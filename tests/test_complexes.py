@@ -393,6 +393,17 @@ def test_decomposability_with_certificate():
     # tampering with the shed vertex fails
     forged = Shed("0", cert.deletion, cert.link)
     assert not validate_shedding_certificate(stable, forged)
+    # nodes that are not certificates are rejected, not raised on
+    malformed = [
+        None,
+        "simplex",
+        Shed(cert.vertex, None, cert.link),
+        Shed(cert.vertex, cert.deletion, "empty"),
+        Shed([cert.vertex], cert.deletion, cert.link),
+    ]
+    for node in malformed:
+        assert validate_shedding_certificate(stable, node) is False
+    assert validate_shedding_certificate(cx("ab", [["a", "b"]]), Leaf("cone")) is False
 
 
 def shedding_witness(complex_):
@@ -511,6 +522,16 @@ def test_certificate_json_round_trip_and_errors():
         shedding_certificate_from_json(
             {"shed": "a", "del": {"leaf": "empty"}, "lk": {"leaf": "empty"}, "extra": 0}
         )
+    # non-string values must not reach a dict lookup as keys
+    with pytest.raises(InputError, match="unknown leaf kind"):
+        shedding_certificate_from_json({"leaf": ["simplex"]})
+    for doc in (
+        {"base": ["unit"]},
+        {"base": {}},
+        {"split": {"y": ["a"], "C": {"base": "zero"}, "N": {"base": "zero"}}},
+    ):
+        with pytest.raises(InputError, match='"leaf" or "shed"'):
+            shedding_certificate_from_json(doc)
 
 
 # ---------------------------------------------------------------------------

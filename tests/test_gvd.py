@@ -1,7 +1,10 @@
 """Geometric vertex decomposition tests: splits, search, certificates,
 and the structural construction for balanced forests."""
 
+import hashlib
+import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +36,7 @@ from oni_kit import (
 from oni_kit.fixtures import beg_a, p6, t_a, twin_broom
 from oni_kit import gvd as gvd_module
 from oni_kit import universe as universe_module
+from oni_kit.graphs import _split_vertex
 from oni_kit.gvd import _split_height, _split_masks
 from oni_kit.universe import SpernerFamily, minimal_masks
 
@@ -398,6 +402,23 @@ def test_replay_rejects_variables_not_live():
         assert not oracles.reference_validate_certificate(ideal, forged)
 
 
+def test_replay_rejects_nodes_that_are_not_certificates():
+    ideal = p6_odd_ideal()
+    _, cert = is_gvd(ideal)
+    y = cert.variable
+    malformed = [
+        "vars",
+        None,
+        Split(y, None, cert.n_branch),
+        Split(y, cert.c_branch, "vars"),
+        Split([y], cert.c_branch, cert.n_branch),
+        Split(0, cert.c_branch, cert.n_branch),
+    ]
+    for node in malformed:
+        assert validate_certificate(ideal, node) is False
+    assert validate_certificate(build("ab", [["a", "b"]]), Split("a", None, Base("zero"))) is False
+
+
 def all_pure_complexes(n):
     from itertools import combinations
 
@@ -442,6 +463,16 @@ def test_certificate_json_errors():
         certificate_from_json_obj({"leaf": "simplex"})
     with pytest.raises(InputError, match='must be {"base": …} or {"split": …}'):
         certificate_from_json_obj({"base": "zero", "extra": 1})
+    # non-string values must not reach a dict lookup as keys
+    for kind in (["unit"], {}):
+        with pytest.raises(InputError, match="unknown certificate base kind"):
+            certificate_from_json_obj({"base": kind})
+    with pytest.raises(InputError, match="split variable must be a string"):
+        certificate_from_json_obj(
+            {"split": {"y": ["a"], "C": {"base": "zero"}, "N": {"base": "zero"}}}
+        )
+    with pytest.raises(InputError, match='must be {"base": …} or {"split": …}'):
+        certificate_from_json_obj({"leaf": ["simplex"]})
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +591,59 @@ def test_certify_tree_gvd_matches_reference(graph):
     assert outcome(find_split_vertex, graph) == outcome(
         oracles.reference_find_split_vertex, graph
     )
+
+
+@given(st.one_of(grown_trees(), random_trees(), forests()))
+@settings(max_examples=200, deadline=None)
+@example(o_sequence(["3", "1", "4"]))
+def test_split_components_pass_the_checked_split_vertex(graph):
+    # certify_tree_gvd checks its forest once, at entry, and _split_vertex
+    # checks nothing: every component it splits must pass the full check
+    # and get the same vertex from it.
+    seen = []
+
+    def recording(adj, present):
+        p = _split_vertex(adj, present)
+        seen.append((adj, present, p))
+        return p
+
+    with mock.patch.object(gvd_module, "_split_vertex", recording):
+        try:
+            certify_tree_gvd(graph)
+        except InputError:
+            return
+    for adj, present, p in seen:
+        assert oracles.reference_split_vertex(adj, present) == p
+
+
+def distinct_nodes(cert):
+    seen = set()
+    stack = [cert]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Split):
+                stack += (node.c_branch, node.n_branch)
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "k, nodes, digest",
+    [
+        (10, 204, "49cf4b8b6dc2434a"),
+        (14, 212, "26361745a8e0e21d"),
+        (16, 5_006, "7c08593770438a2e"),
+        (18, 10_177, "3d8305cb11de88f5"),
+    ],
+)
+def test_certify_tree_gvd_pinned_on_large_grown_trees(k, nodes, digest):
+    # Trees larger than the hypothesis draws: the node sharing and the
+    # JSON bytes of their certificates are pinned.
+    cert = certify_tree_gvd(oracles.seeded_grown_tree(k))
+    text = json.dumps(certificate_to_json_obj(cert), separators=(",", ":"))
+    assert distinct_nodes(cert) == nodes
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize(
