@@ -10,7 +10,6 @@ All builders return new immutable graphs.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -141,84 +140,83 @@ class Graph:
         return cls(Universe(declared), edges)
 
 
+def _strata(adj: Sequence[int], present: int) -> list[int]:
+    """Leaf-distance height strata of the subgraph on `present` positions
+    with the given (possibly non-induced) adjacency masks, by one frontier
+    sweep: stratum 0 is the vertices of degree at most 1, and each later
+    stratum the unseen neighbours of the one before.  A vertex in no
+    stratum has no leaf in its component."""
+    layer = 0
+    for p in _bits(present):
+        if (adj[p] & present).bit_count() <= 1:
+            layer |= 1 << p
+    strata = []
+    seen = layer
+    while layer:
+        strata.append(layer)
+        reached = 0
+        for p in _bits(layer):
+            reached |= adj[p]
+        layer = reached & present & ~seen
+        seen |= layer
+    return strata
+
+
 def _heights_of_adj(
     adj: Sequence[int], present: int
-) -> tuple[dict[int, Optional[int]], int, bool, bool]:
-    """Leaf-distance heights, component count, forest flag and balance flag
-    for the subgraph on `present` positions with the given (possibly
-    non-induced) adjacency masks.  Balanced means a forest in which no edge
-    joins two vertices of equal height; every height of a forest is
-    defined, since each of its components has a vertex of degree <= 1."""
-    heights: dict[int, Optional[int]] = {}
-    queue: deque[int] = deque()
-    edge_twice = 0
-    for p in _bits(present):
-        deg = (adj[p] & present).bit_count()
-        edge_twice += deg
-        if deg <= 1:
-            heights[p] = 0
-            queue.append(p)
-        else:
-            heights[p] = None
-    while queue:
-        p = queue.popleft()
-        h = heights[p]
-        assert h is not None
-        for q in _bits(adj[p] & present):
-            if heights[q] is None:
-                heights[q] = h + 1
-                queue.append(q)
+) -> tuple[list[int], int, bool, bool]:
+    """Height strata, component count, forest flag and balance flag for the
+    subgraph on `present` positions with the given adjacency masks.
+    Balanced means a forest in which no stratum holds an edge; every vertex
+    of a forest lies in a stratum, since each of its components has a
+    vertex of degree <= 1.  The strata are disjoint, so the sum of any of
+    them is their union."""
+    strata = _strata(adj, present)
     comps = len(_component_masks(adj, present))
-    forest = edge_twice // 2 == len(heights) - comps
-    balanced = forest and not any(
-        heights[q] == h for p, h in heights.items() for q in _bits(adj[p] & present)
-    )
-    return heights, comps, forest, balanced
-
-
-def _parity_mask(heights: Iterable[tuple[int, Optional[int]]], parity: int) -> int:
-    """Mask of the positions whose height is defined and has the given
-    parity, from (position, height) pairs."""
-    mask = 0
-    for p, h in heights:
-        if h is not None and h % 2 == parity:
-            mask |= 1 << p
-    return mask
+    edge_twice = sum((adj[p] & present).bit_count() for p in _bits(present))
+    forest = edge_twice // 2 == present.bit_count() - comps
+    balanced = forest and not any(adj[p] & s for s in strata for p in _bits(s))
+    return strata, comps, forest, balanced
 
 
 class HeightProfile:
     """Per-vertex leaf distances with parity strata and the balance flag."""
 
-    __slots__ = ("universe", "heights", "is_forest", "is_tree", "balanced")
+    __slots__ = ("universe", "heights", "is_forest", "is_tree", "balanced", "_strata")
 
     def __init__(self, graph: Graph):
-        by_pos, comps, forest, balanced = _heights_of_adj(
+        strata, comps, forest, balanced = _heights_of_adj(
             graph.adj, graph.universe.full_mask()
         )
+        by_pos: list[Optional[int]] = [None] * len(graph.universe)
+        for k, layer in enumerate(strata):
+            for p in _bits(layer):
+                by_pos[p] = k
         self.universe = graph.universe
-        self.heights = tuple(by_pos[p] for p in range(len(graph.universe)))
+        self.heights = tuple(by_pos)
         self.is_forest = forest
         self.is_tree = forest and comps == 1
         self.balanced = balanced
+        self._strata = strata
 
     def height_of(self, v: str) -> Optional[int]:
         return self.heights[self.universe.position(v)]
 
     @property
     def graph_height(self) -> Optional[int]:
-        defined = [h for h in self.heights if h is not None]
-        return max(defined) if defined else None
+        return len(self._strata) - 1 if self._strata else None
 
     def stratum(self, k: int) -> tuple[str, ...]:
-        return self.universe.labels_of(sum(1 << p for p, h in enumerate(self.heights) if h == k))
+        in_range = 0 <= k < len(self._strata)
+        return self.universe.labels_of(self._strata[k] if in_range else 0)
 
     @property
     def v_odd(self) -> tuple[str, ...]:
-        return self.universe.labels_of(_parity_mask(enumerate(self.heights), 1))
+        return self.universe.labels_of(sum(self._strata[1::2]))
 
     @property
     def v_even(self) -> tuple[str, ...]:
-        return self.universe.labels_of(_parity_mask(enumerate(self.heights), 0))
+        return self.universe.labels_of(sum(self._strata[0::2]))
 
     def to_json_obj(self) -> dict:
         return {
@@ -298,26 +296,22 @@ def is_td_unmixed(graph: Graph) -> bool:
     return len(sizes) <= 1
 
 
-def _structurally_unmixed(
-    adj: Sequence[int], present: int, heights: dict[int, Optional[int]]
-) -> bool:
+def _structurally_unmixed(adj: Sequence[int], present: int, strata: list[int]) -> bool:
     """Height and stem/branch counting conditions, per component of the
-    balanced forest on `present` with the heights `_heights_of_adj` gave:
+    balanced forest on `present` with the strata `_heights_of_adj` gave:
     height at most 3, every height-2 vertex next to exactly one height-1
     vertex, and every height-1 vertex next to at most one height-2 vertex,
     exactly one when its component has height 3."""
-    one = sum(1 << p for p, h in heights.items() if h == 1)
-    two = sum(1 << p for p, h in heights.items() if h == 2)
+    if len(strata) > 4:
+        return False
+    one, two, three = (strata[1:] + [0, 0, 0])[:3]
     for comp in _component_masks(adj, present):
-        comp_height = max(heights[p] for p in _bits(comp))
-        if comp_height > 3:
-            return False
         for p in _bits(comp & two):
             if (adj[p] & one).bit_count() != 1:
                 return False
         for p in _bits(comp & one):
             hits = (adj[p] & two).bit_count()
-            if hits > 1 or (comp_height == 3 and hits != 1):
+            if hits > 1 or (comp & three and hits != 1):
                 return False
     return True
 
@@ -326,10 +320,10 @@ def is_structurally_td_unmixed(tree: Graph) -> bool:
     """Height and stem/branch counting conditions on a balanced tree,
     equivalent to unmixedness without enumerating a single TD-set."""
     full = tree.universe.full_mask()
-    by_pos, comps, _, balanced = _heights_of_adj(tree.adj, full)
+    strata, comps, _, balanced = _heights_of_adj(tree.adj, full)
     if comps != 1 or not balanced:
         raise InputError("structural unmixedness test needs a balanced tree")
-    return _structurally_unmixed(tree.adj, full, by_pos)
+    return _structurally_unmixed(tree.adj, full, strata)
 
 
 def stable_complex(graph: Graph) -> SimplicialComplex:
@@ -415,21 +409,11 @@ def _split_vertex(adj: Sequence[int], present: int) -> int:
     """Position of the first height-2 vertex of degree 2 in the TD-unmixed
     balanced height-3 tree on `present`, heights taken inside it.
 
-    The tree is not checked here: `find_split_vertex` checks it, and
-    `gvd.certify_tree_gvd` checks its forest once, at entry.  Three mask
-    sweeps find the heights needed: the leaves (degree at most 1), the
-    other vertices next to a leaf (height 1), and, among the rest, those
-    next to a height-1 vertex (height 2)."""
-    leaves = 0
-    for p in _bits(present):
-        if (adj[p] & present).bit_count() <= 1:
-            leaves |= 1 << p
-    ones = 0
-    for p in _bits(present & ~leaves):
-        if adj[p] & leaves:
-            ones |= 1 << p
-    for p in _bits(present & ~leaves & ~ones):
-        if adj[p] & ones and (adj[p] & present).bit_count() == 2:
+    The tree is not checked here, so its components are not counted and
+    its balance is not tested: `find_split_vertex` checks it, and
+    `gvd.certify_tree_gvd` checks its forest once, at entry."""
+    for p in _bits(_strata(adj, present)[2]):
+        if (adj[p] & present).bit_count() == 2:
             return p
     raise RuntimeError("no degree-2 height-2 vertex found; this cannot happen")
 
@@ -438,12 +422,12 @@ def find_split_vertex(tree: Graph) -> str:
     """Canonically first height-2 vertex of degree 2 in a TD-unmixed
     balanced height-3 tree."""
     full = tree.universe.full_mask()
-    by_pos, comps, _, balanced = _heights_of_adj(tree.adj, full)
+    strata, comps, _, balanced = _heights_of_adj(tree.adj, full)
     if (
         comps != 1
         or not balanced
-        or max(by_pos.values()) != 3
-        or not _structurally_unmixed(tree.adj, full, by_pos)
+        or len(strata) != 4
+        or not _structurally_unmixed(tree.adj, full, strata)
     ):
         raise InputError(
             "split vertex requires a TD-unmixed balanced tree of height 3"
@@ -469,10 +453,10 @@ def _decomposes(
     covered = ones
     gens = [1 << p for p in _bits(ones)]
     for piece, present in pieces:
-        by_pos, _, _, balanced = _heights_of_adj(piece, present)
+        strata, _, _, balanced = _heights_of_adj(piece, present)
         if not balanced:
             return False
-        even = _parity_mask(by_pos.items(), 0)
+        even = sum(strata[0::2])
         if even & covered:
             return False
         covered |= even
@@ -497,17 +481,17 @@ def verify_decomposition(tree: Graph, t1: Graph, t2: Graph) -> bool:
     balanced forests, their even strata partition the vertices together
     with the ambient height-1 stratum, and the neighborhood ideal is the
     three-term sum."""
-    by_pos, comps, forest, _ = _heights_of_adj(tree.adj, tree.universe.full_mask())
+    strata, comps, forest, _ = _heights_of_adj(tree.adj, tree.universe.full_mask())
     if not (forest and comps == 1):
         raise InputError("decomposition target must be a tree")
     if not t1.is_subgraph_of(tree) or not t2.is_subgraph_of(tree):
         raise InputError("decomposition pieces must be subgraphs")
-    ones = sum(1 << p for p, h in by_pos.items() if h == 1)
+    ones = sum(strata[1:2])
     return _decomposes(tree.adj, ones, (_in_positions(tree, t) for t in (t1, t2)))
 
 
-# The class phase of search_decomposition tries 2^(k-1) even sides for k
-# generator classes; every tree on at most 18 vertices has k <= 17.
+# After the balanced strata, search_decomposition tries 2^(k-1) even sides
+# for k generator classes; every tree on at most 18 vertices has k <= 17.
 _CLASS_LIMIT = 17
 
 
@@ -528,13 +512,12 @@ def _piece(adj: Sequence[int], a_mask: int) -> tuple[list[int], int]:
 
 
 def _even_sides(
-    adj: Sequence[int], by_pos: dict[int, Optional[int]], balanced: bool, w_mask: int
+    adj: Sequence[int], strata: list[int], balanced: bool, w_mask: int
 ) -> Iterator[int]:
     """Even-side choices inside the non-stem vertices `w_mask`, lazily and
-    in search order: the balanced strata, then the leaf-parity classes of
-    the stemless subgraph's components, then every union of generator
-    classes that holds the first non-stem vertex.  The last phase raises
-    CapExceeded past _CLASS_LIMIT classes.
+    in search order: the even strata of a balanced tree of height at most
+    3, then every union of generator classes that holds the first non-stem
+    vertex.  The second phase raises CapExceeded past _CLASS_LIMIT classes.
 
     A generator class is a component of the relation "lie in one minimal
     generator of two or more elements" on the non-stem vertices.  Every
@@ -548,16 +531,8 @@ def _even_sides(
     sorted as ints; being disjoint, they then order by their highest bit,
     so counting through their unions yields the sides in increasing integer
     order, the order of every subset holding the first non-stem vertex."""
-    if balanced and max(by_pos.values()) <= 3:
-        yield _parity_mask(by_pos.items(), 0)
-    stemless = [nb & w_mask for nb in adj]
-    classes = []
-    for comp in _component_masks(stemless, w_mask):
-        ev = _parity_mask(_heights_of_adj(stemless, comp)[0].items(), 0)
-        classes.append((ev, comp & ~ev))
-    if len(classes) <= 12:
-        for vector in range(1 << len(classes)):
-            yield sum(od if vector >> i & 1 else ev for i, (ev, od) in enumerate(classes))
+    if balanced and len(strata) <= 4:
+        yield sum(strata[0::2])
     joined = [0] * len(adj)
     for g in minimal_masks(adj):
         if g.bit_count() > 1:
@@ -588,23 +563,21 @@ def _subgraph(graph: Graph, adj: Sequence[int], present: int) -> Graph:
 
 def search_decomposition(tree: Graph) -> Optional[TreeDecomposition]:
     """The first even side from _even_sides whose piece and complementary
-    piece pass _decomposes, as a verified decomposition.  None means that no
-    even side inside the non-stem vertices gives such pieces: the class
+    piece pass _decomposes, as a verified decomposition: the balanced
+    strata if they decompose, else the least union of generator classes,
+    as an integer, that holds the first non-stem vertex.  None means that
+    no even side inside the non-stem vertices gives such pieces: the class
     phase tries every side that can (proof at _even_sides).  A tree whose
-    cheap candidates all fail and that has more than _CLASS_LIMIT generator
-    classes raises CapExceeded instead of returning None."""
+    strata do not decompose and that has more than _CLASS_LIMIT generator
+    classes raises CapExceeded instead of returning None.  The strata side
+    may come again in the class phase; it is then tried a second time."""
     full = tree.universe.full_mask()
-    by_pos, comps, forest, balanced = _heights_of_adj(tree.adj, full)
+    strata, comps, forest, balanced = _heights_of_adj(tree.adj, full)
     if not (forest and comps == 1):
         raise InputError("decomposition search needs a tree")
-    ones = sum(1 << p for p, h in by_pos.items() if h == 1)
+    ones = sum(strata[1:2])
     w_mask = full & ~ones
-    tried: set[int] = set()
-    for a_mask in _even_sides(tree.adj, by_pos, balanced, w_mask):
-        key = min(a_mask, w_mask & ~a_mask)
-        if key in tried:
-            continue
-        tried.add(key)
+    for a_mask in _even_sides(tree.adj, strata, balanced, w_mask):
         sides = (a_mask, w_mask & ~a_mask)
         if _decomposes(tree.adj, ones, (_piece(tree.adj, a) for a in sides)):
             return TreeDecomposition(*(_subgraph(tree, *_piece(tree.adj, a)) for a in sides))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InputError
-from .graphs import Graph, _heights_of_adj, _parity_mask, _split_vertex, _structurally_unmixed
+from .graphs import Graph, _heights_of_adj, _split_vertex, _structurally_unmixed
 from .ideals import SquareFreeIdeal
 from .universe import (
     SpernerFamily,
@@ -426,12 +426,12 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     u = forest.universe
     adj = forest.adj
     full = u.full_mask()
-    by_pos, _, _, balanced = _heights_of_adj(adj, full)
-    if not balanced or not _structurally_unmixed(adj, full, by_pos):
+    strata, _, _, balanced = _heights_of_adj(adj, full)
+    if not balanced or not _structurally_unmixed(adj, full, strata):
         raise InputError(
             "certificate construction needs a TD-unmixed balanced forest"
         )
-    odd = _parity_mask(by_pos.items(), 1)
+    odd = sum(strata[1::2])
     memo: dict[tuple, tuple[tuple[int, ...], GvdCertificate]] = {}
     by_comp: dict[int, tuple[tuple[int, ...], GvdCertificate]] = {}
 

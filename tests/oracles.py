@@ -5,7 +5,8 @@ subset enumeration, the Stanley-Reisner complex with its unit and zero
 cases by hand, the Stanley-Reisner ideal through the validating family
 constructor, universe extension and join through labels, the pairwise
 antichain test, the canonical order as position tuples, networkx for
-chordality and forests, Faridi's leaf test on every facet subcollection
+chordality and forests, leaf-distance heights as a dict filled by a
+deque BFS, Faridi's leaf test on every facet subcollection
 for simplicial forests and cycles, the GVD split that rebuilds both parts from
 labels, the GVD search and replay that re-check unmixedness and the split
 identity at every node, the shedding test and replay that rebuild deletion
@@ -52,7 +53,6 @@ from oni_kit import (
     oni,
 )
 from oni_kit.fixtures import p6
-from oni_kit.graphs import _heights_of_adj, _structurally_unmixed
 from oni_kit.universe import _bits
 
 Sets = set[frozenset[str]]
@@ -153,6 +153,21 @@ def heights_oracle(
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def reference_heights_of_adj(adj, present):
+    """The dict form of the heights pass on `present` positions with the
+    given adjacency masks: heights_oracle on the positions, the component
+    count by networkx, the forest flag by the edge count, and the balance
+    flag by comparing the heights at both ends of every edge."""
+    graph = nx.Graph()
+    graph.add_nodes_from(_bits(present))
+    graph.add_edges_from((p, q) for p in _bits(present) for q in _bits(adj[p] & present))
+    height = heights_oracle(graph.nodes, graph.edges)
+    comps = nx.number_connected_components(graph)
+    forest = graph.number_of_edges() == len(height) - comps
+    balanced = forest and all(height[p] != height[q] for p, q in graph.edges)
+    return height, comps, forest, balanced
 
 
 def odd_td_sets_oracle(
@@ -423,9 +438,10 @@ def _numbered_tree(n, edges):
 
 
 def tree_past_search_bound():
-    """A 26-vertex tree with 18 non-stem vertices on which the cheap
-    candidates of search_decomposition all fail.  Its 13 generator classes
-    are within the class phase's bound, which finds a decomposition."""
+    """A 26-vertex tree with 18 non-stem vertices, more than the exhaustive
+    reference enumerates, and no balanced strata.  Its 13 generator classes
+    are within search_decomposition's bound, and their unions hold a
+    decomposition."""
     return _numbered_tree(
         26,
         "00-01 00-03 00-15 01-02 01-08 02-04 02-06 02-13 02-22 02-25 03-05 03-09 "
@@ -497,11 +513,11 @@ def _reference_even_mask(tree, piece):
 
 
 def reference_search_decomposition(tree):
-    """Every candidate even side listed first, in order (balanced strata,
-    stemless leaf-parity classes for at most 12 classes, all subsets holding
-    the first non-stem vertex for at most 17 non-stem vertices), each
-    unordered pair once; then the first pair of Graph pieces that passes the
-    balance and partition filter and reference_verify_decomposition."""
+    """The candidate even sides in order, each tried as it comes: the
+    balanced strata, then every subset of the non-stem vertices that holds
+    the first one, in increasing order, for at most 17 non-stem vertices.
+    The first pair of Graph pieces that passes the balance and partition
+    filter and reference_verify_decomposition is returned."""
     if not tree.is_tree():
         raise InputError("decomposition search needs a tree")
     u = tree.universe
@@ -509,36 +525,22 @@ def reference_search_decomposition(tree):
     ones = u.mask_of(ambient.stratum(1))
     w_mask = u.full_mask() & ~ones
 
-    candidates, seen = [], set()
+    def candidates():
+        if ambient.balanced and (ambient.graph_height or 0) <= 3:
+            yield u.mask_of(ambient.v_even)
+        first, *rest = _bits(w_mask)
+        if len(rest) < 17:
+            for sub in range(1 << len(rest)):
+                yield (1 << first) | sum(1 << p for i, p in enumerate(rest) if sub >> i & 1)
 
-    def push(a_mask):
-        key = frozenset((a_mask, w_mask & ~a_mask))
-        if key not in seen:
-            seen.add(key)
-            candidates.append(a_mask)
-
-    if ambient.balanced and (ambient.graph_height or 0) <= 3:
-        push(u.mask_of(ambient.v_even))
-    stemless = tree.delete_vertices(u.labels_of(ones))
-    classes = []
-    for comp in components(stemless):
-        profile = heights(induced(stemless, comp))
-        even = u.mask_of(profile.v_even)
-        classes.append((even, u.mask_of(comp) & ~even))
-    if len(classes) <= 12:
-        for vector in range(1 << len(classes)):
-            push(sum(od if vector >> i & 1 else ev for i, (ev, od) in enumerate(classes)))
-    first, *rest = _bits(w_mask)
-    if len(rest) < 17:
-        for sub in range(1 << len(rest)):
-            push((1 << first) | sum(1 << p for i, p in enumerate(rest) if sub >> i & 1))
-
-    for a_mask in candidates:
+    for a_mask in candidates():
         piece1 = _reference_piece(tree, a_mask)
-        piece2 = _reference_piece(tree, w_mask & ~a_mask)
         even1 = _reference_even_mask(tree, piece1)
+        if even1 is None:
+            continue
+        piece2 = _reference_piece(tree, w_mask & ~a_mask)
         even2 = _reference_even_mask(tree, piece2)
-        if even1 is None or even2 is None:
+        if even2 is None:
             continue
         if even1 & even2 or (even1 | even2 | ones) != u.full_mask():
             continue
@@ -648,29 +650,36 @@ def reference_validate_certificate(ideal, cert) -> bool:
 # structural tree certificates, built piece by piece as graphs and ideals
 
 
-def reference_structurally_unmixed(graph, profile) -> bool:
-    """Height and stem/branch counting conditions per component, read off
-    a HeightProfile."""
-    one = graph.universe.mask_of(profile.stratum(1))
-    two = graph.universe.mask_of(profile.stratum(2))
-    for comp in map(graph.universe.mask_of, components(graph)):
-        comp_height = max(profile.heights[p] for p in _bits(comp))
+def reference_structurally_unmixed(adj, comps, height) -> bool:
+    """Height and stem/branch counting conditions per component mask in
+    `comps`, read off per-position heights (a sequence or a dict)."""
+    one = sum(1 << p for comp in comps for p in _bits(comp) if height[p] == 1)
+    two = sum(1 << p for comp in comps for p in _bits(comp) if height[p] == 2)
+    for comp in comps:
+        comp_height = max(height[p] for p in _bits(comp))
         if comp_height > 3:
             return False
         for p in _bits(comp & two):
-            if (graph.adj[p] & one).bit_count() != 1:
+            if (adj[p] & one).bit_count() != 1:
                 return False
         for p in _bits(comp & one):
-            hits = (graph.adj[p] & two).bit_count()
+            hits = (adj[p] & two).bit_count()
             if hits > 1 or (comp_height == 3 and hits != 1):
                 return False
     return True
 
 
+def _profile_unmixed(graph, profile) -> bool:
+    """reference_structurally_unmixed on a Graph, its networkx components
+    and a HeightProfile's heights."""
+    comps = [graph.universe.mask_of(c) for c in components(graph)]
+    return reference_structurally_unmixed(graph.adj, comps, profile.heights)
+
+
 def reference_td_unmixed_balanced_forest(graph) -> bool:
     """False, not an error, when the graph is no balanced forest."""
     profile = heights(graph)
-    return profile.balanced and reference_structurally_unmixed(graph, profile)
+    return profile.balanced and _profile_unmixed(graph, profile)
 
 
 def reference_find_split_vertex(tree) -> str:
@@ -681,7 +690,7 @@ def reference_find_split_vertex(tree) -> str:
         not profile.is_tree
         or not profile.balanced
         or profile.graph_height != 3
-        or not reference_structurally_unmixed(tree, profile)
+        or not _profile_unmixed(tree, profile)
     ):
         raise InputError("split vertex requires a TD-unmixed balanced tree of height 3")
     for v in profile.stratum(2):
@@ -691,19 +700,19 @@ def reference_find_split_vertex(tree) -> str:
 
 
 def reference_split_vertex(adj, present) -> int:
-    """The checked split-vertex choice on masks: a full heights pass, the
-    tree, balance, height-3 and structural tests, then the first height-2
-    vertex of degree 2."""
-    by_pos, comps, _, balanced = _heights_of_adj(adj, present)
+    """The checked split-vertex choice on masks: the dict-form heights pass
+    of reference_heights_of_adj, the tree, balance, height-3 and structural
+    tests, then the first height-2 vertex of degree 2."""
+    height, comps, _, balanced = reference_heights_of_adj(adj, present)
     if (
         comps != 1
         or not balanced
-        or max(by_pos.values()) != 3
-        or not _structurally_unmixed(adj, present, by_pos)
+        or max(height.values()) != 3
+        or not reference_structurally_unmixed(adj, [present], height)
     ):
         raise InputError("split vertex requires a TD-unmixed balanced tree of height 3")
     for p in _bits(present):
-        if by_pos[p] == 2 and (adj[p] & present).bit_count() == 2:
+        if height[p] == 2 and (adj[p] & present).bit_count() == 2:
             return p
     raise RuntimeError("no degree-2 height-2 vertex found; this cannot happen")
 
@@ -806,7 +815,7 @@ def reference_certify_tree_gvd(forest):
     so it returns the same certificate, with the same node sharing, as
     `certify_tree_gvd`."""
     profile = heights(forest)
-    if not profile.balanced or not reference_structurally_unmixed(forest, profile):
+    if not profile.balanced or not _profile_unmixed(forest, profile):
         raise InputError("certificate construction needs a TD-unmixed balanced forest")
     _, cert = _certify_piece(forest, frozenset(profile.v_odd), {})
     return cert

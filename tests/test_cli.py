@@ -349,7 +349,7 @@ def test_graph_decompose(invoke):
     assert doc["found"] is True
     assert set(doc["t1"]) == {"vertices", "edges"} and set(doc["t2"]) == {"vertices", "edges"}
 
-    # the generator classes answer a tree whose cheap candidates all fail
+    # the generator classes answer a tree whose strata are not balanced
     tree = json.dumps(oracles.tree_past_search_bound().to_json_obj())
     code, out = invoke(["graph", "decompose", "--assert"], stdin=tree)
     assert code == 0 and json.loads(out)["found"] is True

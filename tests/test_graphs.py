@@ -5,7 +5,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -38,6 +38,7 @@ from oni_kit import (
     verify_decomposition,
 )
 from oni_kit.fixtures import beg_a, p6, t_a, twin_broom
+from oni_kit.graphs import _heights_of_adj, _piece
 from oni_kit.universe import _component_masks
 
 LABELS = tuple("abcdefgh")
@@ -154,9 +155,10 @@ def test_cycle_heights_are_undefined():
     assert profile.stratum(0) == ()
 
 
-@given(graphs())
+@given(graphs(), st.integers(0, 2**6 - 1))
+@example((tuple("abcde"), [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]), 0b10111)
 @settings(max_examples=150, deadline=None)
-def test_heights_match_oracle(case):
+def test_heights_match_oracle(case, drawn):
     labels, edges = case
     g = graph(labels, edges)
     profile = heights(g)
@@ -168,6 +170,18 @@ def test_heights_match_oracle(case):
     assert profile.v_even == tuple(v for v in defined if expected[v] % 2 == 0)
     for k in range(len(labels) + 1):
         assert profile.stratum(k) == tuple(v for v in order if expected[v] == k)
+    assert profile.stratum(-1) == profile.stratum(len(labels) + 1) == ()
+    # the strata kernel against the dict form, on the whole graph, on a
+    # drawn vertex subset, and on the non-induced piece adjacency of _piece
+    present = drawn & g.universe.full_mask()
+    for adj, within in ((g.adj, g.universe.full_mask()), (g.adj, present), _piece(g.adj, present)):
+        strata, *flags = _heights_of_adj(adj, within)
+        by_pos, *expected_flags = oracles.reference_heights_of_adj(adj, within)
+        top = max((h for h in by_pos.values() if h is not None), default=-1)
+        assert strata == [
+            sum(1 << p for p, h in by_pos.items() if h == k) for k in range(top + 1)
+        ]
+        assert flags == expected_flags
     forest, tree, comps = oracles.forest_oracle(labels, edges)
     assert (profile.is_forest, profile.is_tree) == (forest, tree)
     assert (g.is_forest(), g.is_tree()) == (forest, tree)
@@ -396,7 +410,7 @@ def test_decomposition_search():
     assert found is not None
     assert verify_decomposition(p6(), found.t1, found.t2)
     assert search_decomposition(path_graph(0)) is None
-    # past 18 vertices the cheap candidates answer the first two trees and
+    # past 18 vertices the balanced strata answer the first two trees and
     # the generator classes the third
     for tree in (
         path_graph(18), oracles.seeded_grown_tree(18), oracles.tree_past_search_bound()
