@@ -58,15 +58,30 @@ GvdCertificate = Union[Base, Split]
 
 
 def certificate_to_json_obj(cert: GvdCertificate) -> dict:
-    if isinstance(cert, Base):
-        return {"base": cert.kind}
-    return {
-        "split": {
-            "y": cert.variable,
-            "C": certificate_to_json_obj(cert.c_branch),
-            "N": certificate_to_json_obj(cert.n_branch),
-        }
-    }
+    """The certificate as nested JSON objects, built once per distinct
+    node: the sub-dicts are shared wherever the certificate shares nodes.
+    `json.dumps` writes a shared dict out in full at each place it occurs,
+    so the text is the certificate's tree expansion, as it would be with
+    no sharing."""
+    encoded: dict[int, dict] = {}
+
+    def encode(node: GvdCertificate) -> dict:
+        obj = encoded.get(id(node))
+        if obj is None:
+            if isinstance(node, Base):
+                obj = {"base": node.kind}
+            else:
+                obj = {
+                    "split": {
+                        "y": node.variable,
+                        "C": encode(node.c_branch),
+                        "N": encode(node.n_branch),
+                    }
+                }
+            encoded[id(node)] = obj
+        return obj
+
+    return encode(cert)
 
 
 _BASE_KEYS = frozenset({"base"})
@@ -78,27 +93,39 @@ _DECODED_BASES = {kind: Base(kind) for kind in _BASE_KINDS}
 
 
 def certificate_from_json_obj(obj: object) -> GvdCertificate:
-    if isinstance(obj, dict):
-        keys = obj.keys()
-        if keys == _BASE_KEYS:
-            kind = obj["base"]
-            base = _DECODED_BASES.get(kind) if isinstance(kind, str) else None
-            if base is None:
-                raise InputError(f"unknown certificate base kind {kind!r}")
-            return base
-        if keys == _SPLIT_KEYS:
-            inner = obj["split"]
-            if not isinstance(inner, dict) or inner.keys() != _SPLIT_FIELDS:
-                raise InputError('certificate "split" needs keys y, C, N')
-            y = inner["y"]
-            if not isinstance(y, str):
-                raise InputError("split variable must be a string label")
-            return Split(
-                y,
-                certificate_from_json_obj(inner["C"]),
-                certificate_from_json_obj(inner["N"]),
-            )
-    raise InputError('certificate JSON must be {"base": …} or {"split": …}')
+    """The certificate a JSON object encodes, hash-consed: a split is
+    built once per (variable, C node, N node), after both its branches,
+    so equal subtrees of the JSON decode to one node.  By induction on
+    depth the result is the maximally shared DAG of its JSON, and it
+    compares equal to the certificate that was encoded."""
+    splits: dict[tuple[str, int, int], Split] = {}
+
+    def decode(obj: object) -> GvdCertificate:
+        if isinstance(obj, dict):
+            keys = obj.keys()
+            if keys == _BASE_KEYS:
+                kind = obj["base"]
+                base = _DECODED_BASES.get(kind) if isinstance(kind, str) else None
+                if base is None:
+                    raise InputError(f"unknown certificate base kind {kind!r}")
+                return base
+            if keys == _SPLIT_KEYS:
+                inner = obj["split"]
+                if not isinstance(inner, dict) or inner.keys() != _SPLIT_FIELDS:
+                    raise InputError('certificate "split" needs keys y, C, N')
+                y = inner["y"]
+                if not isinstance(y, str):
+                    raise InputError("split variable must be a string label")
+                c_node, n_node = decode(inner["C"]), decode(inner["N"])
+                # the nodes in `splits` hold their branches, so no id is reused
+                key = (y, id(c_node), id(n_node))
+                node = splits.get(key)
+                if node is None:
+                    node = splits[key] = Split(y, c_node, n_node)
+                return node
+        raise InputError('certificate JSON must be {"base": …} or {"split": …}')
+
+    return decode(obj)
 
 
 def _split_masks(gens: tuple[int, ...], ybit: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -290,18 +317,42 @@ def validate_certificate(ideal: SquareFreeIdeal, cert: GvdCertificate) -> bool:
     universe's labels not yet split away: one label-to-bit dict, built per
     call, reads it, and an unknown or non-string variable gets the bit 0,
     which is never live.  A node that is neither a Base nor a Split is
-    rejected.  Replays are memoized per call on (certificate node, live,
-    gens), so the shared nodes of the DAG certificates `is_gvd` returns are
-    replayed once.
+    rejected.
+
+    Replays are memoized per call on (node, live & used(node), gens),
+    where used(node) is the union of the split-variable bits in the node's
+    sub-DAG (0 for an unknown variable), itself memoized per node.  This
+    is sound: a replay reads `live` only through `live & ybit` at the
+    split variables of its sub-DAG, and passes `live ^ ybit` down, equal
+    to `live & ~ybit` once that bit is found live.  So by induction on the
+    sub-DAG, a replay depends on `live` only through `live & used(node)`,
+    and two visits that agree on it and on `gens` do the same work.  The
+    key (node, gens) alone would not be sound: a node replayed once with a
+    variable still live would then pass where that variable is gone.
+    Shared nodes, in the DAG certificates `is_gvd` returns and in decoded
+    ones, are replayed once per distinct key.
     """
     bit_of = {lab: 1 << p for p, lab in enumerate(ideal.universe.labels)}
+    used_of: dict[int, int] = {}
     memo: dict[tuple, Optional[int]] = {}
+
+    def bit(y: object) -> int:
+        return bit_of.get(y, 0) if isinstance(y, str) else 0
+
+    def used(node: GvdCertificate) -> int:
+        bits = used_of.get(id(node))
+        if bits is None:
+            bits = 0
+            if isinstance(node, Split):
+                bits = bit(node.variable) | used(node.c_branch) | used(node.n_branch)
+            used_of[id(node)] = bits
+        return bits
 
     def replay(live: int, gens: tuple[int, ...], node: GvdCertificate) -> Optional[int]:
         """Height (None if unit) of the ideal with generators `gens` over
         the `live` positions when `node` certifies it; raises _Rejected
         otherwise."""
-        key = (id(node), live, gens)
+        key = (id(node), live & used(node), gens)
         if key in memo:
             return memo[key]
         is_unit = gens == (0,)
@@ -319,8 +370,7 @@ def validate_certificate(ideal: SquareFreeIdeal, cert: GvdCertificate) -> bool:
                 raise _Rejected
             height = None if is_unit else len(gens)
         elif isinstance(node, Split):
-            y = node.variable
-            ybit = bit_of.get(y, 0) if isinstance(y, str) else 0
+            ybit = bit(node.variable)
             if not live & ybit or is_unit:
                 raise _Rejected
             c_gens, n_gens = _split_masks(gens, ybit)

@@ -515,9 +515,11 @@ def _reference_even_mask(tree, piece):
 def reference_search_decomposition(tree):
     """The candidate even sides in order, each tried as it comes: the
     balanced strata, then every subset of the non-stem vertices that holds
-    the first one, in increasing order, for at most 17 non-stem vertices.
-    The first pair of Graph pieces that passes the balance and partition
-    filter and reference_verify_decomposition is returned."""
+    the first one, in increasing order.  The enumeration stops at 17
+    non-stem vertices: past that, reaching it raises ValueError rather
+    than answer "no decomposition" untried.  The first pair of Graph
+    pieces that passes the balance and partition filter and
+    reference_verify_decomposition is returned."""
     if not tree.is_tree():
         raise InputError("decomposition search needs a tree")
     u = tree.universe
@@ -529,9 +531,12 @@ def reference_search_decomposition(tree):
         if ambient.balanced and (ambient.graph_height or 0) <= 3:
             yield u.mask_of(ambient.v_even)
         first, *rest = _bits(w_mask)
-        if len(rest) < 17:
-            for sub in range(1 << len(rest)):
-                yield (1 << first) | sum(1 << p for i, p in enumerate(rest) if sub >> i & 1)
+        if len(rest) >= 17:
+            raise ValueError(
+                f"reference enumerates at most 17 non-stem vertices; got {len(rest) + 1}"
+            )
+        for sub in range(1 << len(rest)):
+            yield (1 << first) | sum(1 << p for i, p in enumerate(rest) if sub >> i & 1)
 
     for a_mask in candidates():
         piece1 = _reference_piece(tree, a_mask)

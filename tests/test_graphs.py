@@ -475,6 +475,15 @@ def test_decomposition_matches_reference_on_every_small_tree():
                 )
 
 
+def test_reference_search_raises_past_its_bound():
+    # the library decomposes this tree by its generator classes; the
+    # exhaustive reference must not answer None for it
+    tree = oracles.tree_past_search_bound()
+    assert search_decomposition(tree) is not None
+    with pytest.raises(ValueError, match="at most 17 non-stem vertices; got 18$"):
+        oracles.reference_search_decomposition(tree)
+
+
 @given(decomposition_cases())
 @settings(max_examples=150, deadline=None)
 def test_decomposition_matches_reference(case):

@@ -226,13 +226,20 @@ def test_search_cuts_off_below_a_mixed_c_branch(monkeypatch):
     assert calls > 0
 
 
+def json_round_trip(cert):
+    return certificate_from_json_obj(json.loads(json.dumps(certificate_to_json_obj(cert))))
+
+
 def test_replay_splits_each_shared_node_once(monkeypatch):
-    # The 52-vertex tree's certificate has 10,177 distinct nodes; a replay
-    # that expanded the shared ones would split far more often.
+    # The 52-vertex tree's certificate has 10,177 distinct nodes, and its
+    # decoded copy, with equal subtrees shared, 496; a replay that expanded
+    # the shared ones would split far more often than once per node.
     tree = oracles.seeded_grown_tree(18)
     ideal = odd_oni(tree)
     assert (len(tree.vertices), len(ideal.universe)) == (52, 32)
     cert = certify_tree_gvd(tree)
+    decoded = json_round_trip(cert)
+    assert decoded == cert and len(dag_nodes(decoded)) == 496
     calls = 0
 
     def counted_split(gens, ybit):
@@ -242,7 +249,26 @@ def test_replay_splits_each_shared_node_once(monkeypatch):
 
     monkeypatch.setattr(gvd_module, "_split_masks", counted_split)
     assert validate_certificate(ideal, cert)
-    assert 0 < calls <= 12_057
+    assert 0 < calls <= 10_177
+    calls = 0
+    assert validate_certificate(ideal, decoded)
+    assert 0 < calls <= 496
+
+
+def test_replay_memo_keeps_the_live_variables_a_node_uses():
+    # X splits at v and is reached twice with the same generators: under
+    # C of w with v live, and under a split at v, where v is gone.  A memo
+    # keyed on (node, generators) alone would reuse the first verdict and
+    # accept the forgery.
+    ideal = build("abvw", [["a", "b"]])
+    y_node = Split("a", Base("vars"), Base("zero"))
+    x_node = Split("v", y_node, y_node)
+    forged = Split("w", x_node, Split("v", x_node, x_node))
+    genuine = Split("w", x_node, x_node)
+    for cert, expected in ((forged, False), (genuine, True)):
+        assert oracles.reference_validate_certificate(ideal, cert) is expected
+        assert validate_certificate(ideal, cert) is expected
+        assert validate_certificate(ideal, json_round_trip(cert)) is expected
 
 
 @pytest.mark.parametrize("name", ["grown_tree", "beg_a"])
@@ -379,15 +405,22 @@ certificates = st.recursive(
 @given(ideals(max_gens=6), ideals(max_gens=6), certificates)
 @settings(max_examples=300, deadline=None)
 def test_validate_certificate_matches_reference(case, other, random_cert):
+    # Each candidate is also replayed after a JSON round trip.  Bases are
+    # one per kind, so no two decoded splits with one variable and the same
+    # branch objects means that equal subtrees decoded to one node.
     ideal = build(*case)
     _, cert = is_gvd(ideal)
     _, other_cert = is_gvd(build(*other))
     candidates = [random_cert, *forged_certificates(ideal, cert)]
     candidates += [c for c in (cert, other_cert) if c is not None]
     for candidate in candidates:
-        assert validate_certificate(ideal, candidate) == (
-            oracles.reference_validate_certificate(ideal, candidate)
-        )
+        verdict = oracles.reference_validate_certificate(ideal, candidate)
+        assert validate_certificate(ideal, candidate) == verdict
+        decoded = json_round_trip(candidate)
+        assert decoded == candidate
+        splits = [node for node in dag_nodes(decoded) if isinstance(node, Split)]
+        assert len({(n.variable, id(n.c_branch), id(n.n_branch)) for n in splits}) == len(splits)
+        assert validate_certificate(ideal, decoded) == verdict
     if cert is not None:
         assert validate_certificate(ideal, cert)
 
@@ -616,16 +649,17 @@ def test_split_components_pass_the_checked_split_vertex(graph):
         assert oracles.reference_split_vertex(adj, present) == p
 
 
-def distinct_nodes(cert):
-    seen = set()
+def dag_nodes(cert):
+    """The distinct node objects of a certificate."""
+    seen = {}
     stack = [cert]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
-            seen.add(id(node))
+            seen[id(node)] = node
             if isinstance(node, Split):
                 stack += (node.c_branch, node.n_branch)
-    return len(seen)
+    return list(seen.values())
 
 
 @pytest.mark.parametrize(
@@ -642,8 +676,32 @@ def test_certify_tree_gvd_pinned_on_large_grown_trees(k, nodes, digest):
     # JSON bytes of their certificates are pinned.
     cert = certify_tree_gvd(oracles.seeded_grown_tree(k))
     text = json.dumps(certificate_to_json_obj(cert), separators=(",", ":"))
-    assert distinct_nodes(cert) == nodes
+    assert len(dag_nodes(cert)) == nodes
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def interleaved_forest(trees):
+    """Disjoint union of the trees, their vertices numbered by dealing
+    them out in turns, so that the components' positions interleave."""
+    queues = [list(tree.vertices) for tree in trees]
+    names = {}
+    while any(queues):
+        for k, queue in enumerate(queues):
+            if queue:
+                names[k, queue.pop(0)] = f"v{len(names):02d}"
+    edges = [(names[k, a], names[k, b]) for k, tree in enumerate(trees) for a, b in tree.edges]
+    return Graph.from_vertices(sorted(names.values()), edges)
+
+
+def test_interleaved_forest_certificate_matches_reference():
+    # The components' generators interleave, so their union is in
+    # canonical order only after the sort in certify_tree_gvd's piece
+    # merge.  No valid forest makes that order observable (a variable
+    # base component arises only in a two-component piece), so this pins
+    # the certificate rather than the sort.
+    forest = interleaved_forest([p6(), o_sequence(["3", "1", "4"]), twin_broom(), t_a()])
+    assert certified(certify_tree_gvd)(forest) == certified(oracles.reference_certify_tree_gvd)(forest)
+    assert validate_certificate(odd_oni(forest), certify_tree_gvd(forest))
 
 
 @pytest.mark.parametrize(
