@@ -15,13 +15,13 @@ the ideal a shrinking universe would hold, variables are tried in the
 same order, and below the root no Universe, family or ideal is built.
 The forest certifier likewise recurses on vertex masks of the forest, a
 piece's ideal being the minimal masks of its odd vertices' neighborhoods
-in it.
+in it, which splits carry down from the forest's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import InputError
 from .graphs import Graph, _heights_of_adj, _split_vertex, _structurally_unmixed
@@ -32,7 +32,6 @@ from .universe import (
     _bits,
     _component_masks,
     minimal_masks,
-    sort_key,
 )
 
 BASE_UNIT = "unit"
@@ -87,25 +86,47 @@ def certificate_to_json_obj(cert: GvdCertificate) -> dict:
 _BASE_KEYS = frozenset({"base"})
 _SPLIT_KEYS = frozenset({"split"})
 _SPLIT_FIELDS = frozenset({"y", "C", "N"})
-# Decoded certificates share one Base per kind; only their equality with
-# the encoded certificate is part of the contract, not their node sharing.
-_DECODED_BASES = {kind: Base(kind) for kind in _BASE_KINDS}
+# One Base per kind, shared by the certificates the decoder and
+# `certify_tree_gvd` build.  `is_gvd` makes its own, one per base node its
+# search reaches, and the tests pin that sharing against a reference.
+_BASES = {kind: Base(kind) for kind in _BASE_KINDS}
+_UNIT, _ZERO, _VARS = (_BASES[kind] for kind in _BASE_KINDS)
+
+
+def _interning() -> Callable[[str, GvdCertificate, GvdCertificate], Split]:
+    """A Split constructor for one certificate under construction: it
+    builds one node per (variable, C node, N node) and returns that node
+    again for the same key.  When every branch comes from it or is one of
+    the `_BASES`, equal subtrees are one node, by induction on depth: the
+    result is the maximally shared DAG.  Its table holds every node it
+    returned, and each node its branches, so no id in a key is reused
+    while the constructor lives."""
+    splits: dict[tuple[str, int, int], Split] = {}
+
+    def make(y: str, c_node: GvdCertificate, n_node: GvdCertificate) -> Split:
+        key = (y, id(c_node), id(n_node))
+        node = splits.get(key)
+        if node is None:
+            node = splits[key] = Split(y, c_node, n_node)
+        return node
+
+    return make
 
 
 def certificate_from_json_obj(obj: object) -> GvdCertificate:
-    """The certificate a JSON object encodes, hash-consed: a split is
-    built once per (variable, C node, N node), after both its branches,
-    so equal subtrees of the JSON decode to one node.  By induction on
-    depth the result is the maximally shared DAG of its JSON, and it
-    compares equal to the certificate that was encoded."""
-    splits: dict[tuple[str, int, int], Split] = {}
+    """The certificate a JSON object encodes, hash-consed: each split is
+    built by one `_interning` constructor after both its branches, and
+    each base is one of the `_BASES`, so equal subtrees of the JSON decode
+    to one node.  The result is the maximally shared DAG of its JSON, and
+    it compares equal to the certificate that was encoded."""
+    make_split = _interning()
 
     def decode(obj: object) -> GvdCertificate:
         if isinstance(obj, dict):
             keys = obj.keys()
             if keys == _BASE_KEYS:
                 kind = obj["base"]
-                base = _DECODED_BASES.get(kind) if isinstance(kind, str) else None
+                base = _BASES.get(kind) if isinstance(kind, str) else None
                 if base is None:
                     raise InputError(f"unknown certificate base kind {kind!r}")
                 return base
@@ -116,13 +137,7 @@ def certificate_from_json_obj(obj: object) -> GvdCertificate:
                 y = inner["y"]
                 if not isinstance(y, str):
                     raise InputError("split variable must be a string label")
-                c_node, n_node = decode(inner["C"]), decode(inner["N"])
-                # the nodes in `splits` hold their branches, so no id is reused
-                key = (y, id(c_node), id(n_node))
-                node = splits.get(key)
-                if node is None:
-                    node = splits[key] = Split(y, c_node, n_node)
-                return node
+                return make_split(y, decode(inner["C"]), decode(inner["N"]))
         raise InputError('certificate JSON must be {"base": …} or {"split": …}')
 
     return decode(obj)
@@ -397,56 +412,74 @@ def _merge_certs(
     b: tuple[int, ...],
     cb: GvdCertificate,
     u: Universe,
+    make_split: Callable[[str, GvdCertificate, GvdCertificate], Split],
+    memo: dict[tuple, GvdCertificate],
 ) -> GvdCertificate:
-    """Certificate for the sum of the ideals generated by the masks `a` and
-    `b` (positions in `u`, disjoint supports), from the summands' ones.
+    """Certificate for the sum of the ideals generated by the canonical
+    masks `a` and `b` (positions in `u`, disjoint supports), from the
+    summands' ones, built by `make_split` from an `_interning` call.
 
     Splits of one summand commute with adding the other, so a Split node
     descends with the untouched summand carried along; a variable base,
     on either side, peels one generator at a time first (its C is the unit
-    ideal)."""
-    a_kind = ca.kind if isinstance(ca, Base) else None
-    b_kind = cb.kind if isinstance(cb, Base) else None
-    if a_kind == BASE_ZERO:
+    ideal).  Its generators are single variables, in position order, so
+    the first is the lowest and the rest are what N keeps.
+
+    Merges are memoized in `memo`, one dict per certificate built, on
+    (id(ca), a, id(cb), b): the result depends on nothing else.  The keyed
+    nodes are `_BASES` or came from `make_split`, whose table keeps them
+    alive as long as `memo`, so no id in a key is reused."""
+    if ca is _ZERO or cb is _UNIT:
         return cb
-    if b_kind == BASE_ZERO:
+    if cb is _ZERO or ca is _UNIT:
         return ca
-    if BASE_UNIT in (a_kind, b_kind):
-        return Base(BASE_UNIT)
-    if a_kind and b_kind:
-        return Base(BASE_VARIABLES)
-    if b_kind:
-        return _merge_certs(b, cb, a, ca, u)
-    if a_kind:
-        y = next(_bits(a[0]))
-        rest = tuple(m for m in a if not m >> y & 1)
-        rest_cert = Base(BASE_VARIABLES) if rest else Base(BASE_ZERO)
-        return Split(u.labels[y], Base(BASE_UNIT), _merge_certs(rest, rest_cert, b, cb, u))
-    c_gens, n_gens = _split_masks(a, 1 << u.position(ca.variable))
-    return Split(
-        ca.variable,
-        _merge_certs(c_gens, ca.c_branch, b, cb, u),
-        _merge_certs(n_gens, ca.n_branch, b, cb, u),
-    )
+    if isinstance(cb, Base):
+        if isinstance(ca, Base):
+            return _VARS
+        return _merge_certs(b, cb, a, ca, u, make_split, memo)
+    key = (id(ca), a, id(cb), b)
+    cert = memo.get(key)
+    if cert is None:
+        if isinstance(ca, Base):
+            rest = a[1:]
+            cert = make_split(
+                u.labels[a[0].bit_length() - 1],
+                _UNIT,
+                _merge_certs(rest, _VARS if rest else _ZERO, b, cb, u, make_split, memo),
+            )
+        else:
+            c_gens, n_gens = _split_masks(a, 1 << u.position(ca.variable))
+            cert = make_split(
+                ca.variable,
+                _merge_certs(c_gens, ca.c_branch, b, cb, u, make_split, memo),
+                _merge_certs(n_gens, ca.n_branch, b, cb, u, make_split, memo),
+            )
+        memo[key] = cert
+    return cert
 
 
-def _chain_certificate(support: tuple[str, ...]) -> GvdCertificate:
+def _chain_certificate(
+    support: tuple[str, ...],
+    make_split: Callable[[str, GvdCertificate, GvdCertificate], Split],
+) -> GvdCertificate:
     """Certificate for a single nonempty square-free monomial with the
     given support: peel it one variable at a time, in label order."""
-    cert: GvdCertificate = Base(BASE_VARIABLES)
+    cert: GvdCertificate = _VARS
     for y in reversed(support[:-1]):
-        cert = Split(y, cert, Base(BASE_ZERO))
+        cert = make_split(y, cert, _ZERO)
     return cert
 
 
 def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     """Structural certificate for the odd-vertex neighborhood ideal of a
     TD-unmixed balanced forest; no search, recursion mirrors deleting a
-    degree-2 branch vertex or its closed neighborhood.  Certificates are
-    memoized per call on a piece's even vertices and generators, so equal
-    ideals reached along different deletions share one node; a component
-    met again is looked up by its vertex mask before its generators are
-    computed, and gets the same (generators, certificate) pair.
+    degree-2 branch vertex or its closed neighborhood.  Every node is
+    built by one `_interning` constructor or is one of the `_BASES`, so
+    the certificate returned is the maximally shared DAG: equal subtrees
+    are one node, as in the decoded copy of its JSON.  Component
+    certificates are memoized per call on the component's even vertices
+    and generators, and merges as `_merge_certs` says, so each distinct
+    component and merge costs one split of generators.
 
     The forest is checked once, here, and no piece is checked again.
     Every piece reached from a checked forest is again a TD-unmixed
@@ -457,21 +490,33 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     vertex the checked `find_split_vertex` rule would; a property test
     compares the two on every component split.
 
-    The deletions keep an invariant that the merge below needs: every
-    odd vertex keeps an even neighbor in its piece.  In the forest it has
-    height at least 1, so a neighbor, and balance makes every neighbor of
-    an odd vertex even.  Deleting a closed neighborhood N[y] of an even y
-    removes odd vertices and no other even vertex.  Deleting a split
-    vertex y alone takes one neighbor from each of its two odd neighbors,
-    of heights 1 and 3 in the component, and each keeps another: the
-    first its leaf, the second, not a leaf, a second neighbor.  So no
-    component's generators hold the empty mask.
+    The deletions keep an invariant that the rest needs: every odd vertex
+    keeps an even neighbor in its piece.  In the forest it has height at
+    least 1, so a neighbor, and balance makes every neighbor of an odd
+    vertex even.  Deleting a closed neighborhood N[y] of an even y removes
+    odd vertices and no other even vertex.  Deleting a split vertex y
+    alone takes one neighbor from each of its two odd neighbors, of
+    heights 1 and 3 in the component, and each keeps another: the first
+    its leaf, the second, not a leaf, a second neighbor.  So no generator
+    is the empty mask.
 
-    A piece's components have disjoint vertex sets, so their generators
-    have disjoint supports, and none is empty: no generator of one lies
-    inside a generator of another.  Their union is therefore an antichain,
-    and one sort by `sort_key` puts it in canonical order, the tuple
-    `minimal_masks` would return.
+    A piece's generators are the minimal masks of its odd vertices'
+    neighborhoods in it; `minimal_masks` computes them once, for the
+    forest, and splits carry them down.  Deleting y from a component
+    removes y from every odd neighborhood, and the minimal masks of
+    those are the minimal masks of the old generators with y removed (each
+    neighborhood holds a generator), which is C of the split at y.
+    Deleting N[y] removes y's neighbors, which are odd by balance, and
+    leaves every other odd vertex's neighborhood as it was.  The odd
+    vertices removed are exactly those whose neighborhood holds y, so the
+    minimal masks left are the generators y does not divide, which is N;
+    a stranded vertex's lone neighbor y is the case where C is the unit
+    ideal.  A generator is a neighborhood inside the component of its odd
+    vertex and is not empty, so it meets exactly one component of a
+    piece, and the components' generators, and those of the components
+    merged so far, are filters of the piece's.  A subsequence of a
+    canonical antichain is still one, in canonical order, so every
+    generator tuple here is the one `minimal_masks` would return.
     """
     u = forest.universe
     adj = forest.adj
@@ -482,45 +527,48 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
             "certificate construction needs a TD-unmixed balanced forest"
         )
     odd = sum(strata[1::2])
-    memo: dict[tuple, tuple[tuple[int, ...], GvdCertificate]] = {}
-    by_comp: dict[int, tuple[tuple[int, ...], GvdCertificate]] = {}
+    make_split = _interning()
+    merges: dict[tuple, GvdCertificate] = {}
+    memo: dict[tuple[int, tuple[int, ...]], GvdCertificate] = {}
 
-    def piece_cert(piece: int) -> GvdCertificate:
-        """Merge the certificates of the piece's components, in order."""
-        gens: tuple[int, ...] = ()
-        cert: GvdCertificate = Base(BASE_ZERO)
+    def piece_cert(piece: int, gens: tuple[int, ...]) -> GvdCertificate:
+        """Merge the certificates of the piece's components, in order;
+        `gens` are the piece's canonical generators."""
+        cert: GvdCertificate = _ZERO
+        merged: tuple[int, ...] = ()
+        seen = 0
         for comp in _component_masks(adj, piece):
-            found = by_comp.get(comp)
-            if found is None:
-                found = by_comp[comp] = component_cert(comp)
-            comp_gens, comp_cert = found
-            cert = _merge_certs(gens, cert, comp_gens, comp_cert, u)
-            gens = tuple(sorted(gens + comp_gens, key=sort_key)) if gens else comp_gens
+            comp_gens = tuple(g for g in gens if g & comp)
+            if comp_gens:  # else its ideal is zero, and so is its certificate
+                comp_cert = component_cert(comp, comp_gens)
+                cert = _merge_certs(merged, cert, comp_gens, comp_cert, u, make_split, merges)
+                seen |= comp
+                merged = tuple(g for g in gens if g & seen)
         return cert
 
-    def component_cert(comp: int) -> tuple[tuple[int, ...], GvdCertificate]:
-        gens = minimal_masks(adj[p] & comp for p in _bits(comp & odd))
+    def component_cert(comp: int, gens: tuple[int, ...]) -> GvdCertificate:
         key = (comp & ~odd, gens)
-        if key in memo:
-            return memo[key]
-        if not gens:
-            cert: GvdCertificate = Base(BASE_ZERO)
-        elif len(gens) == 1:
-            cert = _chain_certificate(u.labels_of(gens[0]))
-        elif gens[0].bit_count() == 1:
-            # A stranded branch vertex kept a lone neighbor: its variable
-            # generates, so C is unit and N drops the closed neighborhood.
-            y = gens[0].bit_length() - 1
-            cert = Split(u.labels[y], Base(BASE_UNIT),
-                         piece_cert(comp & ~(adj[y] | 1 << y)))
-        else:
-            y = _split_vertex(adj, comp)
-            cert = Split(
-                u.labels[y],
-                piece_cert(comp & ~(1 << y)),
-                piece_cert(comp & ~(adj[y] | 1 << y)),
-            )
-        memo[key] = gens, cert
-        return memo[key]
+        cert = memo.get(key)
+        if cert is None:
+            if len(gens) == 1:
+                cert = _chain_certificate(u.labels_of(gens[0]), make_split)
+            elif gens[0].bit_count() == 1:
+                # A stranded branch vertex kept a lone neighbor: its variable
+                # generates, so C is unit, and N, the other generators (none
+                # holds y), is the ideal left by deleting N[y].
+                y = gens[0].bit_length() - 1
+                cert = make_split(
+                    u.labels[y], _UNIT, piece_cert(comp & ~(adj[y] | 1 << y), gens[1:])
+                )
+            else:
+                y = _split_vertex(adj, comp)
+                c_gens, n_gens = _split_masks(gens, 1 << y)
+                cert = make_split(
+                    u.labels[y],
+                    piece_cert(comp & ~(1 << y), c_gens),
+                    piece_cert(comp & ~(adj[y] | 1 << y), n_gens),
+                )
+            memo[key] = cert
+        return cert
 
-    return piece_cert(full)
+    return piece_cert(full, minimal_masks(adj[p] for p in _bits(odd)))

@@ -28,19 +28,19 @@ def _bits(mask: int) -> Iterator[int]:
 def _component_masks(adj: Sequence[int], present: int) -> tuple[int, ...]:
     """Connected components of the graph with adjacency masks `adj`,
     restricted to the `present` positions, as masks ordered by their lowest
-    position."""
+    position.  Each component grows from the lowest position left by a
+    frontier mask, whose lowest bit is popped until it empties."""
     out = []
-    seen = 0
-    for start in _bits(present):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = [start]
+    rest = present
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
-            nxt = adj[frontier.pop()] & present & ~comp
+            low = frontier & -frontier
+            frontier ^= low
+            nxt = adj[low.bit_length() - 1] & rest & ~comp
             comp |= nxt
-            frontier.extend(_bits(nxt))
-        seen |= comp
+            frontier |= nxt
+        rest ^= comp
         out.append(comp)
     return tuple(out)
 

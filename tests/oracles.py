@@ -824,3 +824,30 @@ def reference_certify_tree_gvd(forest):
         raise InputError("certificate construction needs a TD-unmixed balanced forest")
     _, cert = _certify_piece(forest, frozenset(profile.v_odd), {})
     return cert
+
+
+def shared(cert):
+    """The maximally shared DAG of a certificate: equal subtrees become one
+    node.  A walk memoized on the input's node objects rebuilds each
+    distinct one once, bottom up, looking each split up by (variable, C
+    node, N node) among those already rebuilt, so it takes time linear in
+    the distinct nodes, not in the expansion."""
+    bases = {}
+    splits = {}
+    rebuilt = {}
+
+    def walk(node):
+        out = rebuilt.get(id(node))
+        if out is None:
+            if isinstance(node, Base):
+                out = bases.setdefault(node.kind, node)
+            else:
+                c_node, n_node = walk(node.c_branch), walk(node.n_branch)
+                key = (node.variable, id(c_node), id(n_node))
+                out = splits.get(key)
+                if out is None:
+                    out = splits[key] = Split(node.variable, c_node, n_node)
+            rebuilt[id(node)] = out
+        return out
+
+    return walk(cert)

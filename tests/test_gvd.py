@@ -4,6 +4,7 @@ and the structural construction for balanced forests."""
 import hashlib
 import json
 import random
+from itertools import permutations
 from unittest import mock
 
 import pytest
@@ -231,9 +232,10 @@ def json_round_trip(cert):
 
 
 def test_replay_splits_each_shared_node_once(monkeypatch):
-    # The 52-vertex tree's certificate has 10,177 distinct nodes, and its
-    # decoded copy, with equal subtrees shared, 496; a replay that expanded
-    # the shared ones would split far more often than once per node.
+    # The 52-vertex tree's certificate, like its decoded copy, shares equal
+    # subtrees: 496 distinct nodes, where the JSON writes out 24,115; a
+    # replay that expanded the shared ones would split far more often than
+    # once per node.
     tree = oracles.seeded_grown_tree(18)
     ideal = odd_oni(tree)
     assert (len(tree.vertices), len(ideal.universe)) == (52, 32)
@@ -249,7 +251,7 @@ def test_replay_splits_each_shared_node_once(monkeypatch):
 
     monkeypatch.setattr(gvd_module, "_split_masks", counted_split)
     assert validate_certificate(ideal, cert)
-    assert 0 < calls <= 10_177
+    assert 0 < calls <= 496
     calls = 0
     assert validate_certificate(ideal, decoded)
     assert 0 < calls <= 496
@@ -395,6 +397,24 @@ def forged_certificates(ideal, cert):
             yield Split(y, c_cert, n_cert)
 
 
+def reused_below_own_variable(ideal):
+    """Forgeries that reach one genuine node X, a split at v, twice: as C
+    of a split at w, with v live, and below a split at v, where v is gone.
+    Neither v nor w divides a generator, so both visits see the ideal's
+    own generators, and a replay memo keyed on (node, generators) alone
+    would accept the forgery.  X's branches certify the ideal over the
+    universe without v and w."""
+    support = 0
+    for mask in ideal.generators.masks:
+        support |= mask
+    unused = [y for p, y in enumerate(ideal.universe.labels) if not support >> p & 1]
+    for v, w in permutations(unused, 2):
+        ok, rest = is_gvd(split(split(ideal, v)[1], w)[1])
+        if ok:
+            x_node = Split(v, rest, rest)
+            yield Split(w, x_node, Split(v, x_node, x_node))
+
+
 certificates = st.recursive(
     st.sampled_from([Base("unit"), Base("zero"), Base("vars")]),
     lambda kids: st.builds(Split, st.sampled_from(LABELS), kids, kids),
@@ -412,6 +432,7 @@ def test_validate_certificate_matches_reference(case, other, random_cert):
     _, cert = is_gvd(ideal)
     _, other_cert = is_gvd(build(*other))
     candidates = [random_cert, *forged_certificates(ideal, cert)]
+    candidates += reused_below_own_variable(ideal)
     candidates += [c for c in (cert, other_cert) if c is not None]
     for candidate in candidates:
         verdict = oracles.reference_validate_certificate(ideal, candidate)
@@ -615,11 +636,17 @@ def certified(certify):
     return run
 
 
+def shared_reference(forest):
+    """The reference certificate with equal subtrees made one node:
+    `certify_tree_gvd` returns the maximally shared DAG."""
+    return oracles.shared(oracles.reference_certify_tree_gvd(forest))
+
+
 @given(st.one_of(grown_trees(), random_trees(), forests()))
 @settings(max_examples=200, deadline=None)
 def test_certify_tree_gvd_matches_reference(graph):
     assert outcome(certified(certify_tree_gvd), graph) == outcome(
-        certified(oracles.reference_certify_tree_gvd), graph
+        certified(shared_reference), graph
     )
     assert outcome(find_split_vertex, graph) == outcome(
         oracles.reference_find_split_vertex, graph
@@ -665,18 +692,20 @@ def dag_nodes(cert):
 @pytest.mark.parametrize(
     "k, nodes, digest",
     [
-        (10, 204, "49cf4b8b6dc2434a"),
-        (14, 212, "26361745a8e0e21d"),
-        (16, 5_006, "7c08593770438a2e"),
-        (18, 10_177, "3d8305cb11de88f5"),
+        (10, 59, "49cf4b8b6dc2434a"),
+        (14, 59, "26361745a8e0e21d"),
+        (16, 398, "7c08593770438a2e"),
+        (18, 496, "3d8305cb11de88f5"),
     ],
 )
 def test_certify_tree_gvd_pinned_on_large_grown_trees(k, nodes, digest):
     # Trees larger than the hypothesis draws: the node sharing and the
-    # JSON bytes of their certificates are pinned.
+    # JSON bytes of their certificates are pinned.  The certificate built
+    # shares as much as the one decoded from its JSON.
     cert = certify_tree_gvd(oracles.seeded_grown_tree(k))
     text = json.dumps(certificate_to_json_obj(cert), separators=(",", ":"))
     assert len(dag_nodes(cert)) == nodes
+    assert len(dag_nodes(certificate_from_json_obj(json.loads(text)))) == nodes
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
@@ -694,13 +723,12 @@ def interleaved_forest(trees):
 
 
 def test_interleaved_forest_certificate_matches_reference():
-    # The components' generators interleave, so their union is in
-    # canonical order only after the sort in certify_tree_gvd's piece
-    # merge.  No valid forest makes that order observable (a variable
-    # base component arises only in a two-component piece), so this pins
-    # the certificate rather than the sort.
+    # The components' generators interleave, so the generators of the
+    # components merged so far are not a concatenation of theirs:
+    # certify_tree_gvd's piece merge filters them, in canonical order, out
+    # of the piece's, which splits carry down from the forest's.
     forest = interleaved_forest([p6(), o_sequence(["3", "1", "4"]), twin_broom(), t_a()])
-    assert certified(certify_tree_gvd)(forest) == certified(oracles.reference_certify_tree_gvd)(forest)
+    assert certified(certify_tree_gvd)(forest) == certified(shared_reference)(forest)
     assert validate_certificate(odd_oni(forest), certify_tree_gvd(forest))
 
 
@@ -711,4 +739,4 @@ def test_pieces_with_one_ideal_share_a_node(picks):
     # Some pieces of these trees differ only in their odd vertices and have
     # the same generators, hence one ideal: they must share one node.
     tree = o_sequence(picks)
-    assert certified(certify_tree_gvd)(tree) == certified(oracles.reference_certify_tree_gvd)(tree)
+    assert certified(certify_tree_gvd)(tree) == certified(shared_reference)(tree)
