@@ -261,31 +261,84 @@ def _split_height(
     return c_height if c_height == n_height + 1 else None
 
 
-_MIXED = object()  # search verdict for an ideal shown to be mixed
-
-
 def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
     """Decide geometric vertex decomposability, with a witness.
 
     Each node looks up the memo first, then the bases (unit, zero,
     generated by variables), then loops over its live variables in
     canonical order: the first variable whose C and N are both GVD yields
-    the witness reported.  A GVD ideal must also be unmixed.  Rather than
-    dualize, the search carries heights up from the bases and settles
-    unmixedness at that first variable with `_split_height`; it does not
-    depend on the variable, so a mixed ideal fails there.  Every minimal
-    prime of C is one of I (see `_split_height`), so a C shown to be mixed
-    shows I mixed at once, which keeps the search out of the rest of a
-    mixed ideal.  Nodes are (live, gens) mask pairs in the ideal's own
-    universe, split by `_split_masks`, and are memoized on that pair, so
-    isomorphic subproblems reached along different split orders share one
+    the witness reported, and the first whose C is not GVD ends the loop,
+    as the node is then not GVD (the lemma below).  A GVD ideal must also
+    be unmixed.  Rather than dualize, the search carries heights up from
+    the bases and settles unmixedness at that first variable with
+    `_split_height`; it does not depend on the variable, so a mixed ideal
+    fails there.  A mixed C is not GVD, so it ends the loop too, which
+    keeps the search out of the rest of a mixed ideal.  Nodes are
+    (live, gens) mask pairs in the ideal's own universe, split by
+    `_split_masks`, and are memoized on that pair, so isomorphic
+    subproblems reached along different split orders share one
     certificate node within the call.
+
+    The lemma is the ideal form of Provan and Billera's fact that links of
+    vertex decomposable complexes are vertex decomposable (C of a split at
+    y is the ideal of the link of y); the proof below uses nothing but the
+    definition the search decides.  Write C_y and N_y for the parts of a
+    split at y, as ideals over the live variables less y, and read an
+    ideal as its square-free monomials.
+
+    Lemma.  If I is GVD over the live set L and y is in L, then C_y(I) is
+    GVD over L less y.
+
+    (a) The splits commute: for z ≠ y, C_z C_y I = C_y C_z I and
+    N_z C_y I = C_y N_z I, as canonical generator tuples.  C_y of an ideal
+    is generated by g less y for g in any monomial generating set, since
+    every generator in it is a multiple of a minimal one and the minimal
+    ones are among them; N_z of an ideal is generated by the members of
+    any monomial generating set that z does not divide, since a monomial
+    of the ideal free of z is a multiple of a minimal generator free of z.
+    So both sides of the first identity are generated by g less {y, z},
+    and both sides of the second by g less y over the g that z does not
+    divide (z ≠ y, so z divides g less y exactly when it divides g).
+    Equal ideals have one canonical generator tuple.
+
+    (b) The minimal primes of C_y(I) are exactly the minimal primes of I
+    that avoid y.  A prime P of I that misses y meets every generator g
+    off y, so meets g less y; a smaller prime over C_y(I) would be one
+    over I.  Conversely a minimal prime T of C_y(I) misses y and meets
+    every g, so it contains a minimal prime P of I, which misses y and is
+    therefore over C_y(I), and P = T.  So if I is unmixed, C_y(I) is the
+    unit ideal (no prime avoids y) or unmixed of the height of I.
+
+    (c) Induction on |L|.  If I is a base, C_y(I) is one too: C_y of the
+    unit or the zero ideal is itself, and of an ideal generated by
+    variables it is the unit ideal if y is one of them and the ideal
+    itself if not.  Otherwise I is GVD by a split at some z in L, with
+    C_z I and N_z I GVD over L less z and I unmixed.  If z = y there is
+    nothing to show.  If z ≠ y, let J = C_y(I); if J is a base it is GVD.
+    Otherwise split J at z, which is live in L less y.  By (a) its parts
+    are C_y(C_z I) and C_y(N_z I), and these are GVD over L less {y, z}
+    by the induction hypothesis on L less z.  GVD ideals are unmixed (the
+    bases are, and `_split_height` gives a height only to an unmixed
+    ideal), and J is unmixed by (b), since I is unmixed and J is not the
+    unit ideal.  Given unmixed parts, `_split_height` returns a height in
+    each of its cases exactly when the ideal split is unmixed: a unit C
+    always gives one, C = N gives the height of N, and otherwise it asks
+    that C have one more than N, which is unmixedness (its docstring).
+    So J is GVD by its split at z.
+
+    Hence a node whose C at some variable is not GVD is not GVD.  On a GVD
+    node every C is GVD, so the loop tries the same variables, with the
+    same verdicts, as it would if it skipped such variables instead.  The
+    certificate is therefore the same, and so is its sharing, which does
+    not depend on the order nodes are first reached in: one Split per memo
+    key, one Base per branch that ends in a base.  The rule changes only
+    how soon a node that is not GVD is settled.
     """
     labels = ideal.universe.labels
-    memo: dict[tuple, object] = {}
+    memo: dict[tuple, Optional[tuple]] = {}
 
-    def search(live: int, gens: tuple[int, ...]):
-        """(certificate, height) if GVD, _MIXED if shown mixed, else None."""
+    def search(live: int, gens: tuple[int, ...]) -> Optional[tuple]:
+        """(certificate, height) if GVD, else None."""
         key = (live, gens)
         if key in memo:
             return memo[key]
@@ -300,22 +353,20 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
             ybit = 1 << y
             c_gens, n_gens = _split_masks(gens, ybit)
             c_found = search(live ^ ybit, c_gens)
-            if c_found is _MIXED:
-                found = _MIXED
+            if c_found is None:  # then neither is this node (the lemma)
                 break
-            if c_found is None:
-                continue
             n_found = search(live ^ ybit, n_gens)
-            if n_found is None or n_found is _MIXED:
+            if n_found is None:
                 continue
             height = _split_height(c_gens, c_found[1], n_gens, n_found[1])
-            found = _MIXED if height is None else (Split(labels[y], c_found[0], n_found[0]), height)
+            if height is not None:
+                found = Split(labels[y], c_found[0], n_found[0]), height
             break
         memo[key] = found
         return found
 
     found = search(ideal.universe.full_mask(), ideal.generators.masks)
-    return (True, found[0]) if isinstance(found, tuple) else (False, None)
+    return (True, found[0]) if found else (False, None)
 
 
 class _Rejected(Exception):

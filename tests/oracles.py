@@ -593,7 +593,10 @@ def reference_is_gvd(ideal):
     """GVD search straight from the definition: every non-base node passes
     an unmixedness test by dualization before its memo lookup, and every
     split is checked to recombine.  Same canonical order, same memo, so it
-    returns the same certificate as `is_gvd`."""
+    returns the same certificate as `is_gvd`.  It stays exhaustive: a node
+    tries every variable, where `is_gvd` stops at the first whose C is not
+    GVD, so their agreement on ideals that are not GVD is the test of the
+    lemma that C of a GVD ideal is GVD."""
     memo = {}
 
     def search(current):

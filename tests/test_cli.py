@@ -374,6 +374,30 @@ def test_graph_unmixed_reports_both_views(invoke):
     assert json.loads(out)["structurally_td_unmixed"] is None
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, expected",
+    [
+        (["a"], [], '{"td_unmixed":true,"structurally_td_unmixed":true}\n'),  # K1
+        (["a", "b"], [["a", "b"]], '{"td_unmixed":true,"structurally_td_unmixed":null}\n'),
+        (["a", "b", "c"], [["a", "b"]], '{"td_unmixed":true,"structurally_td_unmixed":null}\n'),
+        ([], [], '{"td_unmixed":true,"structurally_td_unmixed":null}\n'),
+    ],
+    ids=["K1", "K2", "edge-and-isolated-vertex", "empty"],
+)
+def test_graph_unmixed_pinned_on_degenerate_graphs(invoke, vertices, edges, expected):
+    # today's answers, pinned before unmixedness is decided another way
+    graph = json.dumps({"vertices": vertices, "edges": edges})
+    code, out = invoke(["graph", "unmixed"], stdin=graph)
+    assert code == 0 and out == expected
+
+
+def test_ideal_unmixed_pinned_on_degenerate_ideals(invoke):
+    one_generator = '{"universe":["a","b","c"],"generators":[["a","b"]]}'
+    for ideal in (ZERO_IDEAL, one_generator):
+        code, out = invoke(["ideal", "unmixed", "--assert"], stdin=ideal)
+        assert code == 0 and out == '{"unmixed":true}\n'
+
+
 def test_build_o_seq(invoke):
     code, out = invoke(["build", "o-seq"], stdin="[]")
     assert code == 0 and out == P6_DOC

@@ -177,6 +177,19 @@ def test_height_rule_matches_dualization(case):
 # the decision procedure
 
 
+@pytest.fixture
+def split_calls(monkeypatch):
+    """A one-item list counting the `_split_masks` calls gvd makes."""
+    calls = [0]
+
+    def counted_split(gens, ybit):
+        calls[0] += 1
+        return _split_masks(gens, ybit)
+
+    monkeypatch.setattr(gvd_module, "_split_masks", counted_split)
+    return calls
+
+
 def test_base_cases():
     assert is_gvd(build("ab", [[]])) == (True, Base("unit"))
     assert is_gvd(build("ab", [])) == (True, Base("zero"))
@@ -196,13 +209,40 @@ def test_path_odd_ideal_is_gvd():
     assert not validate_certificate(build("ab", [["a", "b"]]), cert)
 
 
-def test_seven_cycle_edge_ideal_is_not_gvd():
+def test_seven_cycle_edge_ideal_is_not_gvd(split_calls):
     labels = [str(i) for i in range(7)]
     supports = [[labels[i], labels[(i + 1) % 7]] for i in range(7)]
     ideal = build(labels, supports)
     assert ideal.is_unmixed()
     ok, cert = is_gvd(ideal)
     assert not ok and cert is None
+    # Every link in the 7-cycle's independence complex is that of a path,
+    # so every C the search meets is GVD (at the root, the 4-vertex path's
+    # edge ideal plus the two neighbours of the split vertex as variables):
+    # the search never stops early at a C, and splits as often as one that
+    # tries every variable.
+    assert split_calls[0] == 124
+
+
+def test_search_stops_at_the_first_c_that_is_not_gvd(split_calls):
+    # C of a GVD ideal is GVD, so a node is settled as not GVD by the first
+    # variable whose C is not; going on to the later variables, as a search
+    # without that lemma must, takes 36 splits.
+    assert is_gvd(SquareFreeIdeal(beg_a())) == (False, None)
+    assert 0 < split_calls[0] <= 20
+
+
+@given(ideals(max_gens=6))
+@example(("abc", [["a"], ["b", "c"]]))  # C at a is the unit ideal
+@settings(max_examples=300, deadline=None)
+def test_c_of_a_gvd_ideal_is_gvd(case):
+    # the lemma behind that stop, checked with the exhaustive reference
+    ideal = build(*case)
+    if not oracles.reference_is_gvd(ideal)[0]:
+        return
+    for y in ideal.universe.labels:
+        c_part, _ = split(ideal, y)
+        assert oracles.reference_is_gvd(c_part)[0]
 
 
 def test_search_cuts_off_below_a_mixed_c_branch(monkeypatch):
@@ -231,7 +271,7 @@ def json_round_trip(cert):
     return certificate_from_json_obj(json.loads(json.dumps(certificate_to_json_obj(cert))))
 
 
-def test_replay_splits_each_shared_node_once(monkeypatch):
+def test_replay_splits_each_shared_node_once(split_calls):
     # The 52-vertex tree's certificate, like its decoded copy, shares equal
     # subtrees: 496 distinct nodes, where the JSON writes out 24,115; a
     # replay that expanded the shared ones would split far more often than
@@ -242,19 +282,10 @@ def test_replay_splits_each_shared_node_once(monkeypatch):
     cert = certify_tree_gvd(tree)
     decoded = json_round_trip(cert)
     assert decoded == cert and len(dag_nodes(decoded)) == 496
-    calls = 0
-
-    def counted_split(gens, ybit):
-        nonlocal calls
-        calls += 1
-        return _split_masks(gens, ybit)
-
-    monkeypatch.setattr(gvd_module, "_split_masks", counted_split)
-    assert validate_certificate(ideal, cert)
-    assert 0 < calls <= 496
-    calls = 0
-    assert validate_certificate(ideal, decoded)
-    assert 0 < calls <= 496
+    for certificate in (cert, decoded):
+        split_calls[0] = 0
+        assert validate_certificate(ideal, certificate)
+        assert 0 < split_calls[0] <= 496
 
 
 def test_replay_memo_keeps_the_live_variables_a_node_uses():
@@ -346,6 +377,9 @@ def assert_matches_reference(ideal):
 
 
 @given(ideals(max_gens=6))
+# mixed, and its C at c, the 4-cycle's edge ideal, is unmixed but not GVD:
+# the search stops there, where going on to d would show the ideal mixed
+@example(("abcde", [["a", "b"], ["a", "d"], ["b", "e"], ["c", "d", "e"]]))
 @settings(max_examples=300, deadline=None)
 def test_is_gvd_matches_reference(case):
     assert_matches_reference(build(*case))
