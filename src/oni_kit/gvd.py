@@ -15,7 +15,10 @@ the ideal a shrinking universe would hold, variables are tried in the
 same order, and below the root no Universe, family or ideal is built.
 The forest certifier likewise recurses on vertex masks of the forest, a
 piece's ideal being the minimal masks of its odd vertices' neighborhoods
-in it, which splits carry down from the forest's.
+in it, which splits carry down from the forest's.  It certifies a piece
+as the sum of its components' ideals, by one recursion over the ordered
+components, with no merging of separate certificates.  Every certificate
+built here is the maximally shared DAG: equal subtrees are one node.
 """
 
 from __future__ import annotations
@@ -86,9 +89,7 @@ def certificate_to_json_obj(cert: GvdCertificate) -> dict:
 _BASE_KEYS = frozenset({"base"})
 _SPLIT_KEYS = frozenset({"split"})
 _SPLIT_FIELDS = frozenset({"y", "C", "N"})
-# One Base per kind, shared by the certificates the decoder and
-# `certify_tree_gvd` build.  `is_gvd` makes its own, one per base node its
-# search reaches, and the tests pin that sharing against a reference.
+# One Base per kind, shared by every certificate the library builds.
 _BASES = {kind: Base(kind) for kind in _BASE_KINDS}
 _UNIT, _ZERO, _VARS = (_BASES[kind] for kind in _BASE_KINDS)
 
@@ -275,9 +276,10 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
     fails there.  A mixed C is not GVD, so it ends the loop too, which
     keeps the search out of the rest of a mixed ideal.  Nodes are
     (live, gens) mask pairs in the ideal's own universe, split by
-    `_split_masks`, and are memoized on that pair, so isomorphic
-    subproblems reached along different split orders share one
-    certificate node within the call.
+    `_split_masks`, and are memoized on that pair.  Every split is built
+    by one `_interning` constructor and every base is one of the
+    `_BASES`, so the certificate is the maximally shared DAG: equal
+    subtrees are one node, as in the decoded copy of its JSON.
 
     The lemma is the ideal form of Provan and Billera's fact that links of
     vertex decomposable complexes are vertex decomposable (C of a split at
@@ -329,12 +331,12 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
     Hence a node whose C at some variable is not GVD is not GVD.  On a GVD
     node every C is GVD, so the loop tries the same variables, with the
     same verdicts, as it would if it skipped such variables instead.  The
-    certificate is therefore the same, and so is its sharing, which does
-    not depend on the order nodes are first reached in: one Split per memo
-    key, one Base per branch that ends in a base.  The rule changes only
-    how soon a node that is not GVD is settled.
+    certificate is therefore the same, and so is its sharing, which the
+    certificate alone fixes.  The rule changes only how soon a node that
+    is not GVD is settled.
     """
     labels = ideal.universe.labels
+    make_split = _interning()
     memo: dict[tuple, Optional[tuple]] = {}
 
     def search(live: int, gens: tuple[int, ...]) -> Optional[tuple]:
@@ -343,11 +345,11 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
         if key in memo:
             return memo[key]
         if gens == (0,):
-            return Base(BASE_UNIT), None
+            return _UNIT, None
         if not gens:
-            return Base(BASE_ZERO), 0
+            return _ZERO, 0
         if gens[-1].bit_count() == 1:  # a largest generator is last
-            return Base(BASE_VARIABLES), len(gens)
+            return _VARS, len(gens)
         found = None
         for y in _bits(live):
             ybit = 1 << y
@@ -360,7 +362,7 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
                 continue
             height = _split_height(c_gens, c_found[1], n_gens, n_found[1])
             if height is not None:
-                found = Split(labels[y], c_found[0], n_found[0]), height
+                found = make_split(labels[y], c_found[0], n_found[0]), height
             break
         memo[key] = found
         return found
@@ -457,80 +459,13 @@ def validate_certificate(ideal: SquareFreeIdeal, cert: GvdCertificate) -> bool:
     return True
 
 
-def _merge_certs(
-    a: tuple[int, ...],
-    ca: GvdCertificate,
-    b: tuple[int, ...],
-    cb: GvdCertificate,
-    u: Universe,
-    make_split: Callable[[str, GvdCertificate, GvdCertificate], Split],
-    memo: dict[tuple, GvdCertificate],
-) -> GvdCertificate:
-    """Certificate for the sum of the ideals generated by the canonical
-    masks `a` and `b` (positions in `u`, disjoint supports), from the
-    summands' ones, built by `make_split` from an `_interning` call.
-
-    Splits of one summand commute with adding the other, so a Split node
-    descends with the untouched summand carried along; a variable base,
-    on either side, peels one generator at a time first (its C is the unit
-    ideal).  Its generators are single variables, in position order, so
-    the first is the lowest and the rest are what N keeps.
-
-    Merges are memoized in `memo`, one dict per certificate built, on
-    (id(ca), a, id(cb), b): the result depends on nothing else.  The keyed
-    nodes are `_BASES` or came from `make_split`, whose table keeps them
-    alive as long as `memo`, so no id in a key is reused."""
-    if ca is _ZERO or cb is _UNIT:
-        return cb
-    if cb is _ZERO or ca is _UNIT:
-        return ca
-    if isinstance(cb, Base):
-        if isinstance(ca, Base):
-            return _VARS
-        return _merge_certs(b, cb, a, ca, u, make_split, memo)
-    key = (id(ca), a, id(cb), b)
-    cert = memo.get(key)
-    if cert is None:
-        if isinstance(ca, Base):
-            rest = a[1:]
-            cert = make_split(
-                u.labels[a[0].bit_length() - 1],
-                _UNIT,
-                _merge_certs(rest, _VARS if rest else _ZERO, b, cb, u, make_split, memo),
-            )
-        else:
-            c_gens, n_gens = _split_masks(a, 1 << u.position(ca.variable))
-            cert = make_split(
-                ca.variable,
-                _merge_certs(c_gens, ca.c_branch, b, cb, u, make_split, memo),
-                _merge_certs(n_gens, ca.n_branch, b, cb, u, make_split, memo),
-            )
-        memo[key] = cert
-    return cert
-
-
-def _chain_certificate(
-    support: tuple[str, ...],
-    make_split: Callable[[str, GvdCertificate, GvdCertificate], Split],
-) -> GvdCertificate:
-    """Certificate for a single nonempty square-free monomial with the
-    given support: peel it one variable at a time, in label order."""
-    cert: GvdCertificate = _VARS
-    for y in reversed(support[:-1]):
-        cert = make_split(y, cert, _ZERO)
-    return cert
-
-
 def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     """Structural certificate for the odd-vertex neighborhood ideal of a
     TD-unmixed balanced forest; no search, recursion mirrors deleting a
     degree-2 branch vertex or its closed neighborhood.  Every node is
     built by one `_interning` constructor or is one of the `_BASES`, so
     the certificate returned is the maximally shared DAG: equal subtrees
-    are one node, as in the decoded copy of its JSON.  Component
-    certificates are memoized per call on the component's even vertices
-    and generators, and merges as `_merge_certs` says, so each distinct
-    component and merge costs one split of generators.
+    are one node, as in the decoded copy of its JSON.
 
     The forest is checked once, here, and no piece is checked again.
     Every piece reached from a checked forest is again a TD-unmixed
@@ -564,10 +499,29 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     a stranded vertex's lone neighbor y is the case where C is the unit
     ideal.  A generator is a neighborhood inside the component of its odd
     vertex and is not empty, so it meets exactly one component of a
-    piece, and the components' generators, and those of the components
-    merged so far, are filters of the piece's.  A subsequence of a
-    canonical antichain is still one, in canonical order, so every
-    generator tuple here is the one `minimal_masks` would return.
+    piece, and the components' generators are filters of the piece's.  A
+    subsequence of a canonical antichain is still one, in canonical
+    order, so every generator tuple here is the one `minimal_masks` would
+    return, and a component's generators depend on its vertices alone.
+
+    A piece's ideal is the sum of its components' ideals, on disjoint
+    supports, and one recursion certifies such sums.  For y in the support
+    of a summand A, with B the sum of the others, C_y(A + B) = C_y(A) + B
+    and N_y(A + B) = N_y(A) + B; heights add over disjoint supports, so
+    `_split_height` accepts the split of A + B when it accepts A's.  So
+    summands in order are certified by the zero or variable base if they
+    are none or all single variables; else by a split at the lowest
+    single variable, C the unit ideal; else by a split of the first with
+    the rest carried along: a chain (one generator) peels its variables
+    in a loop, N the rest each time; a stranded generator y splits at y,
+    C the unit ideal; any other component splits at `_split_vertex`, with
+    its C and N components in front of the rest.  Components come by
+    lowest position, and a single-variable one is only ever one of the two
+    left by deleting a split vertex, the one deletion that shrinks an odd
+    neighborhood that stays; so this is the certificate that merging the
+    components' certificates pairwise, left to right, gives, as the tests'
+    reference does.  Memos per call: certificates on the ordered summands,
+    splits on the component.
     """
     u = forest.universe
     adj = forest.adj
@@ -577,49 +531,66 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
         raise InputError(
             "certificate construction needs a TD-unmixed balanced forest"
         )
-    odd = sum(strata[1::2])
+    labels = u.labels
     make_split = _interning()
-    merges: dict[tuple, GvdCertificate] = {}
-    memo: dict[tuple[int, tuple[int, ...]], GvdCertificate] = {}
+    splits: dict[int, tuple] = {}
+    memo: dict[tuple, GvdCertificate] = {(): _ZERO}
 
-    def piece_cert(piece: int, gens: tuple[int, ...]) -> GvdCertificate:
-        """Merge the certificates of the piece's components, in order;
-        `gens` are the piece's canonical generators."""
-        cert: GvdCertificate = _ZERO
-        merged: tuple[int, ...] = ()
-        seen = 0
+    def summands(piece: int, gens: tuple[int, ...]) -> tuple[list[int], tuple]:
+        """The positions of the components whose ideal is one variable,
+        ascending, and the others with their generators, in order."""
+        ones, others = [], []
         for comp in _component_masks(adj, piece):
             comp_gens = tuple(g for g in gens if g & comp)
-            if comp_gens:  # else its ideal is zero, and so is its certificate
-                comp_cert = component_cert(comp, comp_gens)
-                cert = _merge_certs(merged, cert, comp_gens, comp_cert, u, make_split, merges)
-                seen |= comp
-                merged = tuple(g for g in gens if g & seen)
-        return cert
+            if len(comp_gens) == 1 and comp_gens[0].bit_count() == 1:
+                ones.append(comp_gens[0].bit_length() - 1)
+            elif comp_gens:
+                others.append((comp, comp_gens))
+        return sorted(ones), tuple(others)
 
-    def component_cert(comp: int, gens: tuple[int, ...]) -> GvdCertificate:
-        key = (comp & ~odd, gens)
-        cert = memo.get(key)
-        if cert is None:
-            if len(gens) == 1:
-                cert = _chain_certificate(u.labels_of(gens[0]), make_split)
-            elif gens[0].bit_count() == 1:
-                # A stranded branch vertex kept a lone neighbor: its variable
-                # generates, so C is unit, and N, the other generators (none
-                # holds y), is the ideal left by deleting N[y].
-                y = gens[0].bit_length() - 1
-                cert = make_split(
-                    u.labels[y], _UNIT, piece_cert(comp & ~(adj[y] | 1 << y), gens[1:])
-                )
+    def split_of(comp: int, gens: tuple[int, ...]) -> tuple:
+        """The split variable, C's summands (None if unit) and N's."""
+        found = splits.get(comp)
+        if found is None:
+            if gens[0].bit_count() == 1:  # stranded: C is the unit ideal
+                y, c_part, n_gens = gens[0].bit_length() - 1, None, gens[1:]
             else:
                 y = _split_vertex(adj, comp)
                 c_gens, n_gens = _split_masks(gens, 1 << y)
-                cert = make_split(
-                    u.labels[y],
-                    piece_cert(comp & ~(1 << y), c_gens),
-                    piece_cert(comp & ~(adj[y] | 1 << y), n_gens),
-                )
-            memo[key] = cert
-        return cert
+                c_part = summands(comp & ~(1 << y), c_gens)
+            n_part = summands(comp & ~(adj[y] | 1 << y), n_gens)
+            found = splits[comp] = labels[y], c_part, n_part
+        return found
 
-    return piece_cert(full, minimal_masks(adj[p] for p in _bits(odd)))
+    def sum_cert(part: tuple[list[int], tuple], rest: tuple = ()) -> GvdCertificate:
+        """Certificate of a piece's components, as `summands` gives them,
+        plus the summands `rest`."""
+        ones, summed = part
+        summed += rest
+        if ones and not summed:
+            return _VARS
+        node = cert(summed)
+        for p in reversed(ones):
+            node = make_split(labels[p], _UNIT, node)
+        return node
+
+    def cert(summed: tuple) -> GvdCertificate:
+        """Certificate of the summands' sum; none is a single variable."""
+        node = memo.get(summed)
+        if node is None:
+            (comp, gens), rest = summed[0], summed[1:]
+            if len(gens) == 1:  # a chain: a loop, however long
+                n_node = cert(rest)
+                *chain, last = _bits(gens[0])
+                node = make_split(labels[last], _UNIT, n_node) if rest else _VARS
+                for p in reversed(chain):
+                    node = make_split(labels[p], node, n_node)
+            else:
+                y, c_part, n_part = split_of(comp, gens)
+                c_node = _UNIT if c_part is None else sum_cert(c_part, rest)
+                node = make_split(y, c_node, sum_cert(n_part, rest))
+            memo[summed] = node
+        return node
+
+    odd = sum(strata[1::2])
+    return sum_cert(summands(full, minimal_masks(adj[p] for p in _bits(odd))))

@@ -4,6 +4,7 @@ and the structural construction for balanced forests."""
 import hashlib
 import json
 import random
+import sys
 from itertools import permutations
 from unittest import mock
 
@@ -38,7 +39,7 @@ from oni_kit.fixtures import beg_a, p6, t_a, twin_broom
 from oni_kit import gvd as gvd_module
 from oni_kit import universe as universe_module
 from oni_kit.graphs import _split_vertex
-from oni_kit.gvd import _split_height, _split_masks
+from oni_kit.gvd import _interning, _split_height, _split_masks
 from oni_kit.universe import SpernerFamily, minimal_masks
 
 LABELS = tuple("abcde")
@@ -371,7 +372,7 @@ def assert_matches_reference(ideal):
     assert ok == ref_ok
     if ok:
         assert certificate_to_json_obj(cert) == certificate_to_json_obj(ref_cert)
-        assert dag_shape(cert) == dag_shape(ref_cert)
+        assert dag_shape(cert) == dag_shape(oracles.shared(ref_cert))
     else:
         assert cert is None and ref_cert is None
 
@@ -741,6 +742,57 @@ def test_certify_tree_gvd_pinned_on_large_grown_trees(k, nodes, digest):
     assert len(dag_nodes(cert)) == nodes
     assert len(dag_nodes(certificate_from_json_obj(json.loads(text)))) == nodes
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.fixture
+def interned_splits(monkeypatch):
+    """A dict, by id, of the Split nodes that gvd's `_interning`
+    constructors return: each is built once, when first returned."""
+    nodes = {}
+
+    def counted_interning():
+        make = _interning()
+
+        def counted_make(y, c_node, n_node):
+            node = make(y, c_node, n_node)
+            nodes[id(node)] = node
+            return node
+
+        return counted_make
+
+    monkeypatch.setattr(gvd_module, "_interning", counted_interning)
+    return nodes
+
+
+@pytest.mark.parametrize("k, splits", [(16, 395), (18, 493)])
+def test_certify_tree_gvd_builds_only_the_splits_it_returns(interned_splits, k, splits):
+    # No certificate is built for a component alone and then merged: every
+    # Split built is a node of the result.
+    cert = certify_tree_gvd(oracles.seeded_grown_tree(k))
+    returned = {id(node) for node in dag_nodes(cert) if isinstance(node, Split)}
+    assert len(interned_splits) == len(returned) == splits
+    assert interned_splits.keys() == returned
+
+
+def test_chain_deeper_than_the_stack_before_another_component():
+    # The star's one generator, the product of its leaves, is peeled in a
+    # loop, with the path's certificate as every N branch.
+    leaves = [f"l{i:04d}" for i in range(sys.getrecursionlimit() + 100)]
+    path_vertices = [f"z{i}" for i in range(7)]
+    path_edges = list(zip(path_vertices, path_vertices[1:]))
+    path = Graph.from_vertices(path_vertices, path_edges)
+    forest = Graph.from_vertices(
+        ["c", *leaves, *path_vertices], [("c", v) for v in leaves] + path_edges
+    )
+    path_cert = certify_tree_gvd(path)
+    assert validate_certificate(odd_oni(path), path_cert)
+    node, peeled = certify_tree_gvd(forest), []
+    while isinstance(node.c_branch, Split):
+        assert node.n_branch == path_cert
+        peeled.append(node.variable)
+        node = node.c_branch
+    assert peeled == leaves[:-1]
+    assert node == Split(leaves[-1], Base("unit"), path_cert)
 
 
 def interleaved_forest(trees):
