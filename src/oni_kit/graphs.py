@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .complexes import SimplicialComplex, _complements
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .ideals import SquareFreeIdeal
 from .universe import (
     SpernerFamily,
@@ -142,14 +142,19 @@ class Graph:
 
 def _strata(adj: Sequence[int], present: int) -> list[int]:
     """Leaf-distance height strata of the subgraph on `present` positions
-    with the given (possibly non-induced) adjacency masks, by one frontier
-    sweep: stratum 0 is the vertices of degree at most 1, and each later
-    stratum the unseen neighbours of the one before.  A vertex in no
-    stratum has no leaf in its component."""
+    with the given (possibly non-induced) adjacency masks: the sweep from
+    the vertices of degree at most 1.  A vertex in no stratum has no leaf
+    in its component."""
     layer = 0
     for p in _bits(present):
         if (adj[p] & present).bit_count() <= 1:
             layer |= 1 << p
+    return _sweep(adj, present, layer)
+
+
+def _sweep(adj: Sequence[int], present: int, layer: int) -> list[int]:
+    """Distance layers from `layer` inside `present`, by one frontier
+    sweep: each layer is the unseen neighbours of the one before."""
     strata = []
     seen = layer
     while layer:
@@ -490,13 +495,8 @@ def verify_decomposition(tree: Graph, t1: Graph, t2: Graph) -> bool:
     return _decomposes(tree.adj, ones, (_in_positions(tree, t) for t in (t1, t2)))
 
 
-# After the balanced strata, search_decomposition tries 2^(k-1) even sides
-# for k generator classes; every tree on at most 18 vertices has k <= 17.
-_CLASS_LIMIT = 17
-
-
 def _piece(adj: Sequence[int], a_mask: int) -> tuple[list[int], int]:
-    """Candidate piece on the even side `a_mask`: every other vertex whose
+    """The piece on the even side `a_mask`: every other vertex whose
     whole, non-empty neighborhood lies inside it, joined to that
     neighborhood, as (adjacency masks, present mask) in the tree's
     positions."""
@@ -511,46 +511,6 @@ def _piece(adj: Sequence[int], a_mask: int) -> tuple[list[int], int]:
     return piece, present
 
 
-def _even_sides(
-    adj: Sequence[int], strata: list[int], balanced: bool, w_mask: int
-) -> Iterator[int]:
-    """Even-side choices inside the non-stem vertices `w_mask`, lazily and
-    in search order: the even strata of a balanced tree of height at most
-    3, then every union of generator classes that holds the first non-stem
-    vertex.  The second phase raises CapExceeded past _CLASS_LIMIT classes.
-
-    A generator class is a component of the relation "lie in one minimal
-    generator of two or more elements" on the non-stem vertices.  Every
-    side that passes _decomposes is a union of classes: _piece joins each
-    added vertex, which lies outside the side, only to its neighborhood,
-    which lies inside it, so every piece neighborhood lies inside the side
-    or outside it.  _decomposes needs every minimal generator with two or
-    more elements to be a piece neighborhood, and such a generator holds no
-    stem (a stem's variable is a generator itself), so it lies inside the
-    side or inside the rest of the non-stem vertices.  The classes are
-    sorted as ints; being disjoint, they then order by their highest bit,
-    so counting through their unions yields the sides in increasing integer
-    order, the order of every subset holding the first non-stem vertex."""
-    if balanced and len(strata) <= 4:
-        yield sum(strata[0::2])
-    joined = [0] * len(adj)
-    for g in minimal_masks(adj):
-        if g.bit_count() > 1:
-            for p in _bits(g):
-                joined[p] |= g
-    gen_classes = sorted(_component_masks(joined, w_mask))
-    if len(gen_classes) > _CLASS_LIMIT:
-        raise CapExceeded(
-            f"decomposition search bound is {_CLASS_LIMIT} generator classes; "
-            f"got {len(gen_classes)}"
-        )
-    first = w_mask & -w_mask
-    for vector in range(1 << len(gen_classes)):
-        side = sum(m for i, m in enumerate(gen_classes) if vector >> i & 1)
-        if side & first:
-            yield side
-
-
 def _subgraph(graph: Graph, adj: Sequence[int], present: int) -> Graph:
     """The subgraph on the `present` positions with the given adjacency
     masks, as a Graph on its labels."""
@@ -562,26 +522,32 @@ def _subgraph(graph: Graph, adj: Sequence[int], present: int) -> Graph:
 
 
 def search_decomposition(tree: Graph) -> Optional[TreeDecomposition]:
-    """The first even side from _even_sides whose piece and complementary
-    piece pass _decomposes, as a verified decomposition: the balanced
-    strata if they decompose, else the least union of generator classes,
-    as an integer, that holds the first non-stem vertex.  None means that
-    no even side inside the non-stem vertices gives such pieces: the class
-    phase tries every side that can (proof at _even_sides).  A tree whose
-    strata do not decompose and that has more than _CLASS_LIMIT generator
-    classes raises CapExceeded instead of returning None.  The strata side
-    may come again in the class phase; it is then tried a second time."""
+    """The tree's decomposition at its bipartition, verified by _decomposes:
+    with S the stems (height 1) and W the other vertices, the even sides
+    are A, W's part of the colour class of the first leaf, and B = W - A.
+    On a balanced tree A is the even strata.
+
+    Every tree T on 3 or more vertices decomposes so, and None means at
+    most 2 vertices.  For A inside W, _piece(A) joins to A only the x
+    outside A with N(x) non-empty and inside A.  No such x is a leaf, as a
+    leaf's neighbour is a stem, so every leaf of the piece lies in A; its
+    heights are even on A and odd on the x, and it is a balanced forest
+    with even stratum A.  Balance and partition hold.  The ideal condition
+    reduces to: every minimal generator N(v) of oni(T) with two or more
+    elements lies on one side, and v off it (in a tree, N(x) = N(v) with
+    x != v closes a 4-cycle).  N(v) has the colour opposite to v's, so
+    both colour sides pass."""
     full = tree.universe.full_mask()
-    strata, comps, forest, balanced = _heights_of_adj(tree.adj, full)
+    strata, comps, forest, _ = _heights_of_adj(tree.adj, full)
     if not (forest and comps == 1):
         raise InputError("decomposition search needs a tree")
     ones = sum(strata[1:2])
     w_mask = full & ~ones
-    for a_mask in _even_sides(tree.adj, strata, balanced, w_mask):
-        sides = (a_mask, w_mask & ~a_mask)
-        if _decomposes(tree.adj, ones, (_piece(tree.adj, a) for a in sides)):
-            return TreeDecomposition(*(_subgraph(tree, *_piece(tree.adj, a)) for a in sides))
-    return None
+    colour = sum(_sweep(tree.adj, full, strata[0] & -strata[0])[0::2])
+    pieces = [_piece(tree.adj, a) for a in (w_mask & colour, w_mask & ~colour)]
+    if not _decomposes(tree.adj, ones, pieces):
+        return None
+    return TreeDecomposition(*(_subgraph(tree, *piece) for piece in pieces))
 
 
 def is_chordal(graph: Graph) -> bool:

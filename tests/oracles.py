@@ -439,9 +439,8 @@ def _numbered_tree(n, edges):
 
 def tree_past_search_bound():
     """A 26-vertex tree with 18 non-stem vertices, more than the exhaustive
-    reference enumerates, and no balanced strata.  Its 13 generator classes
-    are within search_decomposition's bound, and their unions hold a
-    decomposition."""
+    reference enumerates, and no balanced strata.  search_decomposition
+    decomposes it at its bipartition."""
     return _numbered_tree(
         26,
         "00-01 00-03 00-15 01-02 01-08 02-04 02-06 02-13 02-22 02-25 03-05 03-09 "
@@ -451,8 +450,9 @@ def tree_past_search_bound():
 
 def tree_past_class_bound():
     """A 31-vertex tree whose minimal generators are all stem variables, so
-    each of its 19 non-stem vertices is a generator class of its own and
-    search_decomposition stops at its class-phase bound."""
+    each of its 19 non-stem vertices is a generator class of its own, past
+    the 17-class bound of the search that the bipartition rule replaced.
+    search_decomposition decomposes it."""
     return _numbered_tree(
         31,
         "00-03 00-09 01-14 01-28 02-16 03-06 03-07 03-23 04-20 05-08 05-09 05-19 "

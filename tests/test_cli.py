@@ -349,16 +349,15 @@ def test_graph_decompose(invoke):
     assert doc["found"] is True
     assert set(doc["t1"]) == {"vertices", "edges"} and set(doc["t2"]) == {"vertices", "edges"}
 
-    # the generator classes answer a tree whose strata are not balanced
-    tree = json.dumps(oracles.tree_past_search_bound().to_json_obj())
-    code, out = invoke(["graph", "decompose", "--assert"], stdin=tree)
-    assert code == 0 and json.loads(out)["found"] is True
+    # trees whose strata are not balanced decompose at their bipartition
+    for tree in (oracles.tree_past_search_bound(), oracles.tree_past_class_bound()):
+        code, out = invoke(["graph", "decompose", "--assert"], stdin=json.dumps(tree.to_json_obj()))
+        assert code == 0 and json.loads(out)["found"] is True
 
-    # past the search's bound a tree exits 2 with an error, never found:false
-    tree = json.dumps(oracles.tree_past_class_bound().to_json_obj())
-    code, out = invoke(["graph", "decompose"], stdin=tree)
-    assert code == 2 and out.count("\n") == 1
-    assert "bound is 17 generator classes; got 19" in json.loads(out)["error"]
+    # only trees on at most 2 vertices have no decomposition
+    k2 = json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]})
+    code, out = invoke(["graph", "decompose", "--assert"], stdin=k2)
+    assert code == 1 and out == '{"found":false,"t1":null,"t2":null}\n'
 
 
 def test_graph_unmixed_reports_both_views(invoke):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import oracles
 from oni_kit import (
     VOID,
-    CapExceeded,
     Graph,
     InputError,
     TreeDecomposition,
@@ -410,15 +409,17 @@ def test_decomposition_search():
     assert found is not None
     assert verify_decomposition(p6(), found.t1, found.t2)
     assert search_decomposition(path_graph(0)) is None
-    # past 18 vertices the balanced strata answer the first two trees and
-    # the generator classes the third
+    # trees past 18 vertices, with and without balanced strata; the last has
+    # 19 generator classes
     for tree in (
-        path_graph(18), oracles.seeded_grown_tree(18), oracles.tree_past_search_bound()
+        path_graph(18),
+        oracles.seeded_grown_tree(18),
+        oracles.tree_past_search_bound(),
+        oracles.tree_past_class_bound(),
     ):
         found = search_decomposition(tree)
         assert found is not None and verify_decomposition(tree, found.t1, found.t2)
-    with pytest.raises(CapExceeded, match="bound is 17 generator classes; got 19$"):
-        search_decomposition(oracles.tree_past_class_bound())
+        assert oracles.reference_verify_decomposition(tree, found.t1, found.t2)
 
 
 @st.composite
@@ -460,24 +461,71 @@ def decided(fn, *args):
     return result
 
 
-def test_decomposition_matches_reference_on_every_small_tree():
-    """Every free tree on 1-11 vertices, under sorted labels and under one
-    shuffle: the class phase finds what the exhaustive reference finds."""
-    rng = random.Random(11)
-    for n in range(1, 12):
+def bipartition_side(tree):
+    """The non-stem vertices at even distance from the first leaf, by
+    networkx distances and the oracle's heights."""
+    height = oracles.heights_oracle(tree.vertices, tree.edges)
+    first_leaf = next(v for v in tree.vertices if height[v] == 0)
+    dist = nx.single_source_shortest_path_length(nx.Graph(tree.edges), first_leaf)
+    return tuple(v for v in tree.vertices if dist[v] % 2 == 0 and height[v] != 1)
+
+
+def check_against_reference(tree):
+    """search_decomposition against the exhaustive reference: the same
+    answer on non-trees and on balanced trees of height at most 3, and
+    elsewhere the same verdict with pieces that the reference accepts.
+    t1's even side is always bipartition_side."""
+    found = decided(search_decomposition, tree)
+    expected = decided(oracles.reference_search_decomposition, tree)
+    profile = heights(tree)
+    if found is None or found[0] == "InputError" or (
+        profile.balanced and profile.graph_height <= 3
+    ):
+        assert found == expected
+    else:
+        assert expected is not None
+    if found is not None and found[0] != "InputError":
+        t1, t2 = (Graph.from_json_obj(doc) for doc in found)
+        assert oracles.reference_verify_decomposition(tree, t1, t2)
+        t1_height = oracles.heights_oracle(t1.vertices, t1.edges)
+        assert tuple(v for v in t1.vertices if t1_height[v] % 2 == 0) == bipartition_side(tree)
+    return found
+
+
+def numbered_trees(n_range, seed):
+    """Every free tree on the given vertex counts, under sorted labels and
+    under one shuffle."""
+    rng = random.Random(seed)
+    for n in n_range:
         shapes = [t.edges for t in nx.nonisomorphic_trees(n)] if n > 1 else [()]
         for edges in shapes:
             for order in (range(n), rng.sample(range(n), n)):
                 names = [f"v{i:02d}" for i in order]
-                tree = graph(names, [(names[a], names[b]) for a, b in edges])
-                assert decided(search_decomposition, tree) == decided(
-                    oracles.reference_search_decomposition, tree
-                )
+                yield graph(names, [(names[a], names[b]) for a, b in edges])
+
+
+def test_decomposition_matches_reference_on_every_small_tree():
+    """Every free tree on 1-11 vertices against the exhaustive reference."""
+    for tree in numbered_trees(range(1, 12), 11):
+        check_against_reference(tree)
+
+
+def test_every_tree_on_three_to_twelve_vertices_decomposes():
+    """The census: all 985 free trees on 3-12 vertices decompose at their
+    bipartition, and K1 and K2, the trees on fewer vertices, do not."""
+    trees = list(numbered_trees(range(3, 13), 12))
+    assert len(trees) == 2 * 985
+    for tree in trees:
+        found = search_decomposition(tree)
+        assert found is not None
+        assert oracles.reference_verify_decomposition(tree, found.t1, found.t2)
+    assert search_decomposition(path_graph(0)) is None
+    assert search_decomposition(path_graph(1)) is None
 
 
 def test_reference_search_raises_past_its_bound():
-    # the library decomposes this tree by its generator classes; the
-    # exhaustive reference must not answer None for it
+    # the library decomposes this tree at its bipartition; the exhaustive
+    # reference must not answer None for it
     tree = oracles.tree_past_search_bound()
     assert search_decomposition(tree) is not None
     with pytest.raises(ValueError, match="at most 17 non-stem vertices; got 18$"):
@@ -488,8 +536,7 @@ def test_reference_search_raises_past_its_bound():
 @settings(max_examples=150, deadline=None)
 def test_decomposition_matches_reference(case):
     tree, seed = case
-    found = decided(search_decomposition, tree)
-    assert found == decided(oracles.reference_search_decomposition, tree)
+    found = check_against_reference(tree)
     rng = random.Random(seed)
     pairs = [(random_piece(rng, tree), random_piece(rng, tree)) for _ in range(3)]
     if found is not None and found[0] != "InputError":
