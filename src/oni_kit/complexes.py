@@ -19,6 +19,7 @@ from .universe import (
     Universe,
     _bits,
     _component_masks,
+    _eliminates,
     _json_sets,
     _masks_into,
     maximal_masks,
@@ -369,62 +370,44 @@ def _ordinary_facets(cx: SimplicialComplex) -> tuple[int, ...]:
     return cx.facets.masks
 
 
-def _is_good_leaf(facets: dict[int, int], i: int) -> bool:
-    """Do the intersections of facet i with the other facets form a chain?
-    Sorted by size, each must lie in the next."""
-    leaf = facets[i]
-    meets = sorted({leaf & g for j, g in facets.items() if j != i}, key=int.bit_count)
-    return all(a & ~b == 0 for a, b in zip(meets, meets[1:]))
+def _meets(facets: tuple[int, ...]) -> list[int]:
+    """Per facet, the mask of the facets that meet it, itself included."""
+    return [sum(1 << j for j, g in enumerate(facets) if f & g) for f in facets]
 
 
-def _is_forest(facets: tuple[int, ...]) -> bool:
-    """Does every nonempty subcollection of the facets have a leaf?
-    Decided by removing good leaves until none are left or none is found.
+def _is_forest(facets: tuple[int, ...], meets: list[int], present: int) -> bool:
+    """Does every nonempty subcollection of the `present` facets have a
+    leaf?  Decided by `_eliminates` on `meets`, `_meets(facets)`, removing
+    good leaves: facets whose intersections with the facets left, their
+    own included, form a chain.  Among two or more facets, a good leaf
+    meets the others inside the other it meets most, a joint, so it is a
+    leaf; and it stays good as other facets go, as part of a chain is a
+    chain.  Herzog, Hibi, Trung and Zheng (Trans. AMS 2008) prove that
+    every forest has a good leaf, and a subcollection of a forest is a
+    forest, so on a forest the removal never gets stuck.  If it removes
+    every facet, each subcollection has a leaf: its member removed first
+    was a good leaf of facets holding the subcollection, so of the
+    subcollection too."""
 
-    A good leaf is a facet whose intersections with the other facets form
-    a chain; among two or more facets, one giving the largest intersection
-    is a joint, so a good leaf is a leaf.  Herzog, Hibi, Trung and Zheng
-    (Trans. AMS 2008) prove that every forest has a good leaf.  The loop is
-    exact:
-    - A good leaf stays good when other facets are removed, because part of
-      a chain is still a chain.  So one scan may remove every good leaf it
-      finds, as if one at a time.
-    - A subcollection of a forest is a forest, so what is left of a forest
-      is one, and it has a good leaf: the loop never gets stuck on a forest.
-      When it gets stuck, what is left is a subcollection with no good leaf,
-      so the facets are not a forest.
-    - If the loop removes every facet, each subcollection has a leaf: the
-      member it removed first was a good leaf of a list holding the whole
-      subcollection, so it is a good leaf, and a leaf, of the subcollection.
-    A facet that meets no removed leaf keeps its nonzero intersections, so
-    if it was not a good leaf it still is not: each scan after the first
-    checks only the facets that met a leaf the scan before removed.  One or
-    two facets always form a forest.
-    """
-    left = dict(enumerate(facets))
-    todo = list(left)
-    while len(left) > 2:
-        leaves = [i for i in todo if _is_good_leaf(left, i)]
-        if not leaves:
-            return False
-        removed = 0
-        for i in leaves:
-            removed |= left.pop(i)
-        todo = [j for j, g in left.items() if g & removed]
-    return True
+    def good_leaf(i: int, left: int) -> bool:
+        leaf = facets[i]
+        cuts = sorted({leaf & facets[j] for j in _bits(meets[i] & left)}, key=int.bit_count)
+        return all(a & ~b == 0 for a, b in zip(cuts, cuts[1:]))
+
+    return _eliminates(meets, present, good_leaf)
 
 
 def is_simplicial_forest(cx: SimplicialComplex) -> bool:
     """Every nonempty facet subcollection has a leaf (good-leaf removal)."""
-    return _is_forest(_ordinary_facets(cx))
+    facets = _ordinary_facets(cx)
+    return _is_forest(facets, _meets(facets), (1 << len(facets)) - 1)
 
 
 def is_connected_complex(cx: SimplicialComplex) -> bool:
     """Facet connectivity through shared vertices; degenerate kinds count
     as connected."""
     facets = cx.facets.masks
-    meets = [sum(1 << j for j, g in enumerate(facets) if f & g) for f in facets]
-    return len(_component_masks(meets, (1 << len(facets)) - 1)) <= 1
+    return len(_component_masks(_meets(facets), (1 << len(facets)) - 1)) <= 1
 
 
 def is_simplicial_tree(cx: SimplicialComplex) -> bool:
@@ -471,7 +454,8 @@ def cycle_order(cx: SimplicialComplex) -> Optional[tuple[tuple[str, ...], ...]]:
     facets = _ordinary_facets(cx)
     if len(facets) < 3 or _leaf_of(facets) is not None:
         return None
-    if not all(_is_forest(facets[:i] + facets[i + 1 :]) for i in range(len(facets))):
+    meets, full = _meets(facets), (1 << len(facets)) - 1
+    if not all(_is_forest(facets, meets, full ^ 1 << i) for i in range(len(facets))):
         return None
     order = _strong_neighbor_order(facets)
     return None if order is None else tuple(cx.universe.labels_of(facets[i]) for i in order)

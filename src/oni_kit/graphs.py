@@ -1,7 +1,7 @@
 """Finite simple graphs: neighborhoods, leaf-distance heights, total
 domination, neighborhood ideals, stable complexes, tree builders, the
-two-piece decomposition machinery, chordality, and the Sperner-family
-realization construction.
+two-piece decomposition machinery, chordality by simplicial-vertex
+removal, and the Sperner-family realization construction.
 
 Vertices are labels in a Universe; adjacency is a bitmask per position.
 All builders return new immutable graphs.
@@ -21,6 +21,7 @@ from .universe import (
     Universe,
     _bits,
     _component_masks,
+    _eliminates,
     _json_sets,
     _masks_into,
     minimal_masks,
@@ -551,38 +552,20 @@ def search_decomposition(tree: Graph) -> Optional[TreeDecomposition]:
 
 
 def is_chordal(graph: Graph) -> bool:
-    """Maximum cardinality search followed by the perfect elimination
-    ordering check."""
-    n = len(graph)
-    if n == 0:
-        return True
-    weight = [0] * n
-    numbered = [False] * n
-    visit: list[int] = []
-    for _ in range(n):
-        best = -1
-        for p in range(n):
-            if not numbered[p] and (best == -1 or weight[p] > weight[best]):
-                best = p
-        numbered[best] = True
-        visit.append(best)
-        for q in _bits(graph.adj[best]):
-            if not numbered[q]:
-                weight[q] += 1
-    peo = visit[::-1]
-    rank = {p: i for i, p in enumerate(peo)}
-    for p in peo:
-        later = [q for q in _bits(graph.adj[p]) if rank[q] > rank[p]]
-        if not later:
-            continue
-        w = min(later, key=lambda q: rank[q])
-        later_mask = 0
-        for q in later:
-            if q != w:
-                later_mask |= 1 << q
-        if later_mask & ~graph.adj[w]:
-            return False
-    return True
+    """Simplicial-vertex removal by `_eliminates`: a vertex goes when the
+    neighbours it has left are pairwise adjacent.  A chordal graph has a
+    simplicial vertex and its induced subgraphs are chordal (Dirac), so the
+    removal never gets stuck on one.  If it removes every vertex, the graph
+    is chordal: of an induced cycle of length 4 or more, the vertex removed
+    first still had its two cycle neighbours, which are not adjacent.  The
+    removal order is a perfect elimination ordering."""
+    adj = graph.adj
+
+    def simplicial(p: int, left: int) -> bool:
+        hood = adj[p] & left
+        return all(hood & ~adj[q] == 1 << q for q in _bits(hood))
+
+    return _eliminates(adj, graph.universe.full_mask(), simplicial)
 
 
 def realize_as_oni(family: SpernerFamily) -> Graph:

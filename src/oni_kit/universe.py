@@ -10,7 +10,7 @@ universe order, built by `Universe.labels_of`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InputError
 
@@ -43,6 +43,28 @@ def _component_masks(adj: Sequence[int], present: int) -> tuple[int, ...]:
         rest ^= comp
         out.append(comp)
     return tuple(out)
+
+
+def _eliminates(
+    adj: Sequence[int], present: int, removable: Callable[[int, int], bool]
+) -> bool:
+    """Remove the `present` items one at a time while `removable(i, left)`
+    allows, `left` being the items not yet removed; True when none is left.
+    The first scan checks every item, each later one only the items left
+    that neighbour, in `adj`, an item the scan before removed.  That is
+    exact because `removable` reads `left` only through `adj[i] & left`, so
+    only a removed neighbour can change whether an item can go: an item not
+    rescanned still cannot, and the loop stops exactly when no item left
+    can."""
+    left = todo = present
+    while todo:
+        near = 0
+        for i in _bits(todo):
+            if removable(i, left):
+                left ^= 1 << i
+                near |= adj[i]
+        todo = near & left
+    return not left
 
 
 class Universe:

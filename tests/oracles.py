@@ -107,6 +107,26 @@ def transversals_oracle(family: Iterable[Iterable[str]]) -> Sets:
     return minimalize(hits)
 
 
+@lru_cache(maxsize=None)
+def antichain_sweep() -> tuple[tuple[int, ...], ...]:
+    """Every antichain of nonempty subsets of a 5-set, as masks, the empty
+    one included: the Dedekind number 7581 minus the lone antichain {{}}."""
+    masks = range(1, 1 << 5)
+    families = []
+
+    def grow(chosen, start):
+        families.append(tuple(chosen))
+        for i in range(start, len(masks)):
+            m = masks[i]
+            if all(m & c != m and m & c != c for c in chosen):
+                chosen.append(m)
+                grow(chosen, i + 1)
+                chosen.pop()
+
+    grow([], 0)
+    return tuple(families)
+
+
 # ---------------------------------------------------------------------------
 # graphs as (vertices, adjacency dict)
 

@@ -1,4 +1,4 @@
-"""Acceptance criteria: eleven pinned end-to-end checks, each reported on a
+"""Acceptance criteria: twelve pinned end-to-end checks, each reported on a
 single PASS/FAIL line with its runtime and held to a time budget.
 
 The frozen golden values are the tables in oni_kit.verify, which the
@@ -7,14 +7,17 @@ them with the naive reference code in tests/oracles.py."""
 
 import random
 import time
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 
 import networkx as nx
+import pytest
 
 import oracles
 from oni_kit import (
     Graph,
+    InputError,
     SimplicialComplex,
     SpernerFamily,
     SquareFreeIdeal,
@@ -149,21 +152,7 @@ def test_double_dualization():
         labels = tuple("abcde")
         universe = Universe(labels)
 
-        # every antichain of nonempty subsets of a 5-element ground set
-        masks = list(range(1, 1 << 5))
-        families = []
-
-        def grow(chosen, start):
-            families.append(tuple(chosen))
-            for i in range(start, len(masks)):
-                m = masks[i]
-                if all(m & c != m and m & c != c for c in chosen):
-                    chosen.append(m)
-                    grow(chosen, i + 1)
-                    chosen.pop()
-
-        grow([], 0)
-        # Dedekind count 7581 for a 5-set, minus the lone antichain {{}}
+        families = oracles.antichain_sweep()
         assert len(families) == 7580
         for family_masks in families:
             family = SpernerFamily(universe, family_masks)
@@ -187,6 +176,28 @@ def test_double_dualization():
             assert minimal_transversals(tau) == family
 
     run_criterion("double-dualization", 30.0, body)
+
+
+def test_realization_sweep():
+    # Paper claim 4: every Sperner family of sets of size at least 2 that
+    # covers its ground set is the minimal TD-set family of a chordal graph.
+    def body():
+        universe = Universe("abcde")
+        accepted = 0
+        for family_masks in oracles.antichain_sweep():
+            family = SpernerFamily(universe, family_masks)
+            covered = reduce(or_, family_masks, 0) == universe.full_mask()
+            if not covered or any(m.bit_count() < 2 for m in family_masks):
+                with pytest.raises(InputError):
+                    realize_as_oni(family)
+                continue
+            graph = realize_as_oni(family)
+            assert is_chordal(graph), family.members
+            assert family_sets(minimal_td_sets(graph)) == family_sets(family)
+            accepted += 1
+        assert accepted == 6398
+
+    run_criterion("realization-sweep", 30.0, body)
 
 
 def test_grown_trees_are_gvd():
@@ -341,17 +352,29 @@ def test_facet_ideal_bridge():
 
 
 def test_generator_complexes_of_trees_are_simplicial_trees():
-    # Paper claim 3: the odd ideal is the facet ideal of a simplicial tree,
-    # and the full ideal that of a forest with one tree per color class.
+    # Paper claim 3: the odd ideal of a balanced tree is the facet ideal of
+    # a simplicial tree, and the full ideal of any tree is that of a forest
+    # with one tree per color class.  Checked on every tree on 2-12
+    # vertices, the fixtures and the seeded grown trees.
     def body():
         trees = [p6(), t_a(), twin_broom()]
         trees += [oracles.seeded_grown_tree(k) for k in range(19)]
+        for n in range(2, 13):
+            for shape in nx.nonisomorphic_trees(n):
+                names = [f"v{i:02d}" for i in range(n)]
+                edges = [(names[a], names[b]) for a, b in shape.edges]
+                trees.append(Graph.from_vertices(names, edges))
+        assert len(trees) == 22 + 986
+        balanced = 0
         for tree in trees:
-            odd = odd_oni(tree)
-            assert is_simplicial_tree(SimplicialComplex(odd.universe, odd.generators.masks))
             full = oni(tree)
             both = SimplicialComplex(full.universe, full.generators.masks)
             assert is_simplicial_forest(both) and not is_connected_complex(both)
+            if heights(tree).balanced:
+                balanced += 1
+                odd = odd_oni(tree)
+                assert is_simplicial_tree(SimplicialComplex(odd.universe, odd.generators.masks))
+        assert balanced == 22 + 161
 
     run_criterion("facet-ideal-trees", 10.0, body)
 

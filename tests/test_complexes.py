@@ -611,6 +611,8 @@ def forest_candidates(draw):
 # leafless, with a circular strong-neighbor order, yet not a cycle:
 # bc, abe and cde have no leaf either
 @example(("abcde", [["b", "c"], ["a", "b", "e"], ["a", "d", "e"], ["c", "d", "e"]]))
+# leafless, and so are the facets after the first, but no other subcollection
+@example(("abcdef", [["a", "c", "f"], ["a", "e", "f"], ["b", "c", "f"], ["b", "d", "e"]]))
 def test_good_leaf_removal_matches_subcollection_oracle(case):
     complex_ = cx(*case)
     facets = complex_.facets.masks

@@ -570,6 +570,61 @@ def test_chordality_exhaustive_small():
         assert is_chordal(g) == oracles.is_chordal_oracle(labels, edges), edges
 
 
+def clique_grown_edges(rng, labels):
+    """Edges of a chordal graph: each vertex after the first is joined to
+    a clique of earlier ones, grown from a random earlier vertex."""
+    edges, adjacent = [], {labels[0]: set()}
+    for v in labels[1:]:
+        clique = [rng.choice(list(adjacent))]
+        for u in rng.sample(list(adjacent), len(adjacent)):
+            if rng.random() < 0.5 and all(u in adjacent[w] for w in clique):
+                clique.append(u)
+        adjacent[v] = set(clique)
+        for u in clique:
+            adjacent[u].add(v)
+            edges.append((u, v))
+    return edges
+
+
+def test_chordality_matches_networkx_past_five_vertices():
+    rng = random.Random(20261019)
+    verdicts = []
+    for _ in range(400):
+        labels = [f"v{i}" for i in rng.sample(range(100), rng.randint(6, 14))]
+        density = rng.choice([0.15, 0.3, 0.5, 0.7, 0.9])
+        edges = [
+            (a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]
+            if rng.random() < density
+        ]
+        verdicts.append(is_chordal(graph(labels, edges)))
+        assert verdicts[-1] == oracles.is_chordal_oracle(labels, edges), edges
+    assert 40 < sum(verdicts) < 360  # both verdicts are exercised
+    extra_broke = 0
+    for _ in range(300):
+        labels = [f"v{i}" for i in rng.sample(range(100), rng.randint(6, 30))]
+        edges = clique_grown_edges(rng, labels)
+        assert is_chordal(graph(labels, edges)), edges
+        if rng.random() < 0.5:
+            a, b = rng.sample(labels, 2)
+            if (a, b) not in edges and (b, a) not in edges:
+                edges.append((a, b))
+                chordal = oracles.is_chordal_oracle(labels, edges)
+                extra_broke += not chordal
+                assert is_chordal(graph(labels, edges)) == chordal, edges
+    assert extra_broke >= 20
+
+
+def test_chordality_of_large_paths_stars_and_cycles():
+    labels = [f"v{i:04d}" for i in range(2000)]
+    shuffled = random.Random(2000).sample(labels, len(labels))
+    for order in (labels, shuffled):
+        path = [(order[i], order[i + 1]) for i in range(1999)]
+        assert is_chordal(graph(labels, path))
+        assert not is_chordal(graph(labels, path + [(order[-1], order[0])]))
+    star = [(labels[0], leaf) for leaf in labels[1:]]
+    assert is_chordal(graph(labels, star))
+
+
 # ---------------------------------------------------------------------------
 # realization
 
