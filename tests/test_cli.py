@@ -3,7 +3,9 @@ format switches, and the self-check's fault sensitivity."""
 
 import io
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +164,49 @@ def test_input_file_and_text_format(invoke, tmp_path):
     assert code == 0 and out == P6_TD_SETS
     code, out = invoke(["graph", "td-sets", "--in", str(tmp_path / "nope.json")])
     assert code == 2 and "cannot read" in json.loads(out)["error"]
+
+
+# ---------------------------------------------------------------------------
+# the verb table and help
+
+
+def test_readme_lists_the_verb_table():
+    """README's "Subcommands:" line names the verb table's groups and verbs
+    in table order.  The fuzz test reads its verbs from the table, so this
+    is the test that catches a verb dropped or renamed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = " ".join(readme.split("\nSubcommands: ", 1)[1].split("\n\n", 1)[0].split())
+    menus: dict[str, list[str]] = {}
+    for verb in cli._VERBS:
+        group, _, name = verb.path.rpartition(" ")
+        menus.setdefault(group or name, []).append(name)
+    expected = "; ".join(
+        f"`{key}`" if names == [key] else f"`{key} {{{'|'.join(names)}}}`"
+        for key, names in menus.items()
+    )
+    assert listed == expected + "."
+
+
+def test_help_is_usage_text_returned_through_main(invoke):
+    """-h/--help, the one output that is not JSON, returns 0 through `main`.
+    A verb's input options follow from its row: one document adds --in, two
+    add --with, and a graph adds --format."""
+    common = {"--help", "--out", "--pretty", "--assert"}
+    for path, options in (
+        ("gvd check", {"--in"}),
+        ("ideal equal", {"--in", "--with"}),
+        ("graph oni", {"--in", "--format"}),
+        ("build edge-join", {"--in", "--format", "--with", "--v1", "--v2"}),
+        ("build path", {"--n"}),
+        ("fixture", set()),
+        ("verify-paper", set()),
+    ):
+        for flag in ("--help", "-h"):
+            code, out = invoke([*path.split(), flag])
+            assert code == 0 and out.startswith(f"usage: oni-kit {path} [-h]")
+            assert set(re.findall(r"--[\w-]+", out)) == common | options
+    code, out = invoke(["--help"])
+    assert code == 0 and out.startswith("usage: oni-kit [-h] COMMAND ...")
 
 
 # ---------------------------------------------------------------------------

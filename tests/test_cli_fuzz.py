@@ -1,7 +1,10 @@
-"""The CLI contract on arbitrary input: every verb that reads JSON, driven
-through `cli.main` with small arbitrary documents, exits 0, 1 or 2, writes
-exactly one newline-terminated JSON document, and on exit 2 that document
-is {"error": <string>}."""
+"""The CLI contract on arbitrary input: every verb of the CLI's verb table,
+driven through `cli.main` with small arbitrary documents and option values,
+exits 0, 1 or 2, writes exactly one newline-terminated JSON document, and on
+exit 2 that document is {"error": <string>}.  Graph verbs also read the
+edge-list text format.  The list of verbs comes from the table, so a new
+verb is fuzzed without editing this file; `verify-paper` reads nothing and
+runs once, outside hypothesis."""
 
 import contextlib
 import io
@@ -13,39 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oni_kit import cli
-
-SECOND = "@second"  # replaced by the path of the second document
-LABEL = "@label"  # replaced by a drawn label
-
-# each verb with the kind of document it reads
-VERBS = (
-    (["dualize"], "family"),
-    (["ideal", "primes"], "ideal"),
-    (["ideal", "unmixed"], "ideal"),
-    (["ideal", "sr-complex"], "ideal"),
-    (["ideal", "equal", "--with", SECOND], "ideal"),
-    (["ideal", "sum", "--with", SECOND], "ideal"),
-    (["ideal", "intersect", "--with", SECOND], "ideal"),
-    *(
-        (["complex", op], "complex")
-        for op in ("vd", "sr-ideal", "facet-ideal", "covers", "tree", "cycle")
-    ),
-    (["complex", "join", "--with", SECOND], "complex"),
-    *(
-        (["graph", op], "graph")
-        for op in (
-            "oni", "odd-oni", "td-sets", "odd-td-sets", "heights", "unmixed", "stable",
-            "even-stable", "chordal", "decompose", "split-vertex",
-        )
-    ),
-    (["build", "o-seq"], "picks"),
-    (["build", "realize"], "family"),
-    (["build", "edge-join", "--with", SECOND, "--v1", LABEL, "--v2", LABEL], "graph"),
-    (["gvd", "check"], "ideal"),
-    (["gvd", "split", "--var", LABEL], "ideal"),
-    (["gvd", "certify-tree"], "graph"),
-    (["gvd", "validate"], "cert"),
-)
+from oni_kit.fixtures import fixture_names
 
 # at most six labels; digits make the 7-vertex path's vertices valid picks
 labels = st.sampled_from(["0", "1", "2", "3", "a", "b"])
@@ -96,6 +67,7 @@ def shaped(draw, kind):
             ideal[flag] = draw(st.booleans())
     if kind == "ideal":
         return ideal
+    assert kind == "certified"
     variable = member if universe else labels
     certificates = st.recursive(
         st.fixed_dictionaries({"base": st.sampled_from(["unit", "zero", "vars"])}),
@@ -129,18 +101,60 @@ def run_cli(argv, stdin_text):
     return code, out.getvalue()
 
 
-@given(data=st.data())
-@settings(max_examples=500, deadline=None)
-def test_every_json_verb_keeps_the_output_contract(second_path, data):
-    verb, kind = data.draw(st.sampled_from(VERBS))
-    second_path.write_text(json.dumps(data.draw(documents(kind))))
-    label = data.draw(labels)
-    argv = [str(second_path) if a == SECOND else label if a == LABEL else a for a in verb]
-    argv += ["--assert"] * data.draw(rarely)
-    code, out = run_cli(argv, json.dumps(data.draw(documents(kind))))
+def option_values(name):
+    """Command-line values for a verb's option: `--n` is an edge count,
+    `name` a fixture name, and every other option a vertex or variable."""
+    if name == "--n":
+        return st.integers(-2, 6).map(str)
+    if name == "name":
+        return st.sampled_from([*fixture_names(), "P6", "nope", ""])
+    return labels
+
+
+def as_text(doc):
+    """The edge-list text form of a drawn graph document, declaring every
+    vertex; any other document as its JSON text."""
+    try:
+        lines = [f"# vertex {v}" for v in doc["vertices"]]
+        lines += [" ".join(edge) for edge in doc["edges"]]
+    except (KeyError, TypeError):
+        return json.dumps(doc)
+    return "\n".join(lines) + "\n"
+
+
+def check_contract(code, out):
     assert code in (0, 1, 2)
     assert out.endswith("\n") and out.count("\n") == 1
     body = json.loads(out)
     if code == 2:
         assert isinstance(body, dict) and list(body) == ["error"]
         assert isinstance(body["error"], str)
+
+
+FUZZED = [verb for verb in cli._VERBS if verb.path != "verify-paper"]
+
+
+@given(data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_every_verb_keeps_the_output_contract(second_path, data):
+    verb = data.draw(st.sampled_from(FUZZED))
+    argv = verb.path.split()
+    encode = json.dumps
+    if "graph" in verb.kinds and data.draw(st.booleans()):
+        argv += ["--format", "text"]
+        encode = as_text
+    if len(verb.kinds) == 2:
+        second_path.write_text(encode(data.draw(documents(verb.kinds[1]))))
+        argv += ["--with", str(second_path)]
+    for name, _ in verb.options:
+        value = data.draw(option_values(name))
+        argv += [name, value] if name.startswith("-") else [value]
+    argv += ["--assert"] * data.draw(rarely)
+    stdin = encode(data.draw(documents(verb.kinds[0]))) if verb.kinds else ""
+    check_contract(*run_cli(argv, stdin))
+
+
+def test_verify_paper_keeps_the_output_contract():
+    code, out = run_cli(["verify-paper"], "")
+    check_contract(code, out)
+    assert code == 0
