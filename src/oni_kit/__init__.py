@@ -6,6 +6,8 @@ domination theory, and geometric vertex decomposition, all over exact
 bitmask arithmetic with canonical JSON encodings.
 """
 
+from types import ModuleType as _Module
+
 from .complexes import (
     EMPTY,
     ORDINARY,
@@ -84,78 +86,5 @@ from .verify import run_verification
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASE_UNIT",
-    "BASE_VARIABLES",
-    "BASE_ZERO",
-    "BRUTE_FORCE_SUPPORT_CAP",
-    "Base",
-    "CapExceeded",
-    "EMPTY",
-    "Graph",
-    "HeightProfile",
-    "InputError",
-    "Leaf",
-    "ORDINARY",
-    "Shed",
-    "SimplicialComplex",
-    "SpernerFamily",
-    "Split",
-    "SquareFreeIdeal",
-    "TreeDecomposition",
-    "Universe",
-    "VOID",
-    "beg_a",
-    "brute_force_transversals",
-    "certificate_from_json_obj",
-    "certificate_to_json_obj",
-    "certify_tree_gvd",
-    "cycle_order",
-    "deletion",
-    "edge_join",
-    "even_stable_complex",
-    "facet_ideal",
-    "find_leaf",
-    "find_split_vertex",
-    "fixture_document",
-    "fixture_names",
-    "heights",
-    "induced_odd_oni",
-    "is_chordal",
-    "is_connected_complex",
-    "is_cycle",
-    "is_gvd",
-    "is_shedding_vertex",
-    "is_simplicial_forest",
-    "is_simplicial_tree",
-    "is_structurally_td_unmixed",
-    "is_td_unmixed",
-    "is_valid_geometric_decomposition",
-    "is_vertex_decomposable",
-    "join",
-    "link",
-    "minimal_odd_td_sets",
-    "minimal_td_sets",
-    "minimal_transversals",
-    "minimal_vertex_covers",
-    "o_extend",
-    "o_sequence",
-    "odd_oni",
-    "oni",
-    "p6",
-    "path_graph",
-    "realize_as_oni",
-    "run_verification",
-    "search_decomposition",
-    "shedding_certificate_from_json",
-    "shedding_certificate_to_json",
-    "split",
-    "stable_complex",
-    "stanley_reisner_complex",
-    "stanley_reisner_ideal",
-    "t_a",
-    "twin_broom",
-    "validate_certificate",
-    "validate_shedding_certificate",
-    "verify_decomposition",
-]
+# the public API is every name bound above that is neither private nor a submodule
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _Module))

@@ -40,7 +40,7 @@ from .complexes import (
     stanley_reisner_complex,
     stanley_reisner_ideal,
 )
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .fixtures import fixture_document
 from .graphs import (
     Graph,
@@ -404,7 +404,7 @@ def _run(argv: Optional[list[str]]) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         return _run(argv)
-    except (InputError, CapExceeded) as exc:
+    except InputError as exc:
         message = str(exc)
     except RecursionError:
         # valid input can still nest deeper than the interpreter's stack

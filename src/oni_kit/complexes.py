@@ -332,11 +332,16 @@ def minimal_vertex_covers(cx: SimplicialComplex) -> SpernerFamily:
     return minimal_transversals(cx.facets)
 
 
-def _leaf_of(facets: tuple[int, ...]) -> Optional[tuple[int, Optional[int]]]:
-    """First (leaf-index, joint-index) of a facet list; joint is None for a
-    lone facet, the whole result None when no leaf exists."""
+def find_leaf(
+    cx: SimplicialComplex,
+) -> Optional[tuple[tuple[str, ...], Optional[tuple[str, ...]]]]:
+    """Canonically first leaf facet with one of its joints, if any; the
+    joint is None for a lone facet."""
+    if cx.kind != ORDINARY:
+        raise InputError("leaf search needs an ordinary complex")
+    facets, labels = cx.facets.masks, cx.universe.labels_of
     if len(facets) == 1:
-        return 0, None
+        return labels(facets[0]), None
     for i, leaf in enumerate(facets):
         outside = 0
         for j, other in enumerate(facets):
@@ -345,23 +350,8 @@ def _leaf_of(facets: tuple[int, ...]) -> Optional[tuple[int, Optional[int]]]:
         touching = leaf & outside
         for j, other in enumerate(facets):
             if j != i and touching & ~other == 0:
-                return i, j
+                return labels(leaf), labels(other)
     return None
-
-
-def find_leaf(
-    cx: SimplicialComplex,
-) -> Optional[tuple[tuple[str, ...], Optional[tuple[str, ...]]]]:
-    """Canonically first leaf facet with one of its joints, if any."""
-    if cx.kind != ORDINARY:
-        raise InputError("leaf search needs an ordinary complex")
-    hit = _leaf_of(cx.facets.masks)
-    if hit is None:
-        return None
-    i, j = hit
-    leaf = cx.universe.labels_of(cx.facets.masks[i])
-    joint = None if j is None else cx.universe.labels_of(cx.facets.masks[j])
-    return leaf, joint
 
 
 def _ordinary_facets(cx: SimplicialComplex) -> tuple[int, ...]:
@@ -450,9 +440,11 @@ def is_cycle(cx: SimplicialComplex) -> bool:
 def cycle_order(cx: SimplicialComplex) -> Optional[tuple[tuple[str, ...], ...]]:
     """The circular facet enumeration of a cycle, None for non-cycles.  The
     proper subcollections are exactly the subcollections of the complexes
-    with one facet F removed, so each of those must be a forest."""
+    with one facet F removed, so each of those must be a forest.  A complex
+    with a leaf is no cycle, and the leaf scan runs first because it stops
+    at the first leaf, where the n deletions would take n forest tests."""
     facets = _ordinary_facets(cx)
-    if len(facets) < 3 or _leaf_of(facets) is not None:
+    if len(facets) < 3 or find_leaf(cx) is not None:
         return None
     meets, full = _meets(facets), (1 << len(facets)) - 1
     if not all(_is_forest(facets, meets, full ^ 1 << i) for i in range(len(facets))):

@@ -275,9 +275,10 @@ def minimal_transversals(family: SpernerFamily) -> SpernerFamily:
 
     Conventions: a family containing the empty set has no transversals at
     all (empty result); the empty family has exactly the empty transversal.
+    Both fall out of the fold: a Sperner family holding the empty set is
+    `(0,)`, and folding in the member 0 extends no transversal, so the
+    prefix's `(0,)` becomes `()` in one step.
     """
-    if any(m == 0 for m in family.masks):
-        return SpernerFamily._canonical(family.universe, ())
     partial: tuple[int, ...] = (0,)
     for a in family.masks:
         staged: list[int] = []
@@ -290,22 +291,20 @@ def minimal_transversals(family: SpernerFamily) -> SpernerFamily:
     return SpernerFamily._canonical(family.universe, partial)
 
 
-def brute_force_transversals(
-    family: SpernerFamily, cap: int = BRUTE_FORCE_SUPPORT_CAP
-) -> SpernerFamily:
+def brute_force_transversals(family: SpernerFamily) -> SpernerFamily:
     """Minimal transversals by subset enumeration over the family's support.
 
     Independent of the incremental path above, deliberately: this is the
-    oracle the fast kernel is checked against.  Limited to `cap` support
-    elements (default 20).
+    oracle the fast kernel is checked against.  Limited to
+    `BRUTE_FORCE_SUPPORT_CAP` (20) support elements.
     """
     support = 0
     for m in family.masks:
         support |= m
     s = support.bit_count()
-    if s > cap:
+    if s > BRUTE_FORCE_SUPPORT_CAP:
         raise CapExceeded(
-            f"brute-force transversal cap is {cap} support elements; got {s}"
+            f"brute-force transversal cap is {BRUTE_FORCE_SUPPORT_CAP} support elements; got {s}"
         )
     if any(m == 0 for m in family.masks):
         return SpernerFamily(family.universe, ())

@@ -12,7 +12,7 @@ which is how the fault-injection tests confirm the suite has teeth.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .complexes import (
     VOID,
@@ -138,7 +138,7 @@ def _isolated(labels: Iterable[str]) -> Graph:
 # checks: each yields its problems, as strings, and None for a step that passed
 
 
-def _check_dualization() -> Iterator[Optional[str]]:
+def _check_dualization_quintet() -> Iterator[Optional[str]]:
     family = beg_a()
     tau = minimal_transversals(family)
     yield _expect_family(tau, FAMILY_TAU, "minimal transversals")
@@ -148,7 +148,7 @@ def _check_dualization() -> Iterator[Optional[str]]:
         yield "brute-force oracle disagrees with the kernel"
 
 
-def _check_realization() -> Iterator[Optional[str]]:
+def _check_family_realization() -> Iterator[Optional[str]]:
     family = beg_a()
     graph = realize_as_oni(family)
     if len(graph.vertices) != 10:
@@ -161,7 +161,7 @@ def _check_realization() -> Iterator[Optional[str]]:
         yield "realized graph is not chordal"
 
 
-def _check_path_values() -> Iterator[Optional[str]]:
+def _check_path_reference_values() -> Iterator[Optional[str]]:
     path = p6()
     for got, want, what in (
         (minimal_td_sets(path), P6_TD_SETS, "minimal TD-sets"),
@@ -173,7 +173,7 @@ def _check_path_values() -> Iterator[Optional[str]]:
         yield _expect_family(got, want, what)
 
 
-def _check_reference_tree() -> Iterator[Optional[str]]:
+def _check_reference_tree_values() -> Iterator[Optional[str]]:
     tree = t_a()
     yield _expect_family(oni(tree).generators, TREE_ONI_GENS, "neighborhood ideal")
     yield _expect_family(odd_oni(tree).generators, TREE_ODD_ONI_GENS, "odd neighborhood ideal")
@@ -183,7 +183,7 @@ def _check_reference_tree() -> Iterator[Optional[str]]:
         yield "reference tree fails the structural test"
 
 
-def _check_splitting() -> Iterator[Optional[str]]:
+def _check_splitting_steps() -> Iterator[Optional[str]]:
     for graph, name in ((p6(), "path"), (t_a(), "tree")):
         ideal = odd_oni(graph)
         u = find_split_vertex(graph)
@@ -204,7 +204,7 @@ def _check_splitting() -> Iterator[Optional[str]]:
         yield "splitting a principal variable ideal should give (unit, zero)"
 
 
-def _check_intersection() -> Iterator[Optional[str]]:
+def _check_intersection_identity() -> Iterator[Optional[str]]:
     labels = ["0", "2", "4", "6"]
     left = _ideal(labels, [["2"], ["6"]])
     right = _ideal(labels, [["0", "2"], ["4"]])
@@ -212,7 +212,7 @@ def _check_intersection() -> Iterator[Optional[str]]:
         yield "C ∩ (N + <y>) does not reassemble the odd neighborhood ideal"
 
 
-def _check_induced_ideals() -> Iterator[Optional[str]]:
+def _check_induced_subtree_ideals() -> Iterator[Optional[str]]:
     tree = t_a()
     sub = tree.delete_vertices(["u1"])
     yield _expect_family(
@@ -233,7 +233,7 @@ def _check_induced_ideals() -> Iterator[Optional[str]]:
         yield "odd stratum after deleting a closed neighborhood drifted"
 
 
-def _check_decompositions() -> Iterator[Optional[str]]:
+def _check_decomposition_laws() -> Iterator[Optional[str]]:
     cases = (
         ("path", p6(), ("3",)),
         ("tree", t_a(), ("r1", "r2")),
@@ -269,14 +269,14 @@ def _check_decompositions() -> Iterator[Optional[str]]:
         yield "empty second piece was accepted for the path"
 
 
-def _check_split_vertices() -> Iterator[Optional[str]]:
+def _check_split_vertex_choice() -> Iterator[Optional[str]]:
     if find_split_vertex(p6()) != "2":
         yield f"path split vertex: {find_split_vertex(p6())!r}"
     if find_split_vertex(t_a()) != "u1":
         yield f"tree split vertex: {find_split_vertex(t_a())!r}"
 
 
-def _check_extensions() -> Iterator[Optional[str]]:
+def _check_height_extensions() -> Iterator[Optional[str]]:
     base = p6()
     base_edges = set(base.edges)
     cases = (
@@ -323,7 +323,7 @@ def _check_gvd_decisions() -> Iterator[Optional[str]]:
         yield "seven-cycle independence complex should not be vertex decomposable"
 
 
-def _check_certificates() -> Iterator[Optional[str]]:
+def _check_tree_certificates() -> Iterator[Optional[str]]:
     double_star = Graph(
         Universe(["a", "b", "c", "d", "e", "f"]),
         [("a", "c"), ("b", "c"), ("d", "f"), ("e", "f")],
@@ -353,7 +353,7 @@ def _check_stable_complexes() -> Iterator[Optional[str]]:
         yield "a dominated-by-nobody vertex should give the void complex"
 
 
-def _check_leaf_order() -> Iterator[Optional[str]]:
+def _check_leaf_and_cycle_order() -> Iterator[Optional[str]]:
     universe = Universe(["a", "b", "c", "d", "e", "f"])
     chain = SimplicialComplex.from_facets(
         universe, [("a", "b", "c"), ("c", "d"), ("d", "e", "f")]
@@ -372,7 +372,7 @@ def _check_leaf_order() -> Iterator[Optional[str]]:
         yield "triangle boundary should be a cycle"
 
 
-def _check_shedding() -> Iterator[Optional[str]]:
+def _check_shedding_examples() -> Iterator[Optional[str]]:
     cx = even_stable_complex(p6())
     if not is_shedding_vertex(cx, "4"):
         yield "vertex 4 should shed in the even-stable path complex"
@@ -389,7 +389,7 @@ def _check_shedding() -> Iterator[Optional[str]]:
         yield "even-stable path complex should be vertex decomposable"
 
 
-def _check_chordality() -> Iterator[Optional[str]]:
+def _check_chordality_controls() -> Iterator[Optional[str]]:
     square = Graph(
         Universe(["0", "1", "2", "3"]),
         [("0", "1"), ("1", "2"), ("2", "3"), ("0", "3")],
@@ -417,24 +417,9 @@ def _check_facet_ideal_trees() -> Iterator[Optional[str]]:
             yield f"{name}: neighborhood generators do not form a disconnected simplicial forest"
 
 
-_CHECKS: tuple[tuple[str, Callable[[], Iterator[Optional[str]]]], ...] = (
-    ("dualization-quintet", _check_dualization),
-    ("family-realization", _check_realization),
-    ("path-reference-values", _check_path_values),
-    ("reference-tree-values", _check_reference_tree),
-    ("splitting-steps", _check_splitting),
-    ("intersection-identity", _check_intersection),
-    ("induced-subtree-ideals", _check_induced_ideals),
-    ("decomposition-laws", _check_decompositions),
-    ("split-vertex-choice", _check_split_vertices),
-    ("height-extensions", _check_extensions),
-    ("gvd-decisions", _check_gvd_decisions),
-    ("tree-certificates", _check_certificates),
-    ("stable-complexes", _check_stable_complexes),
-    ("leaf-and-cycle-order", _check_leaf_order),
-    ("shedding-examples", _check_shedding),
-    ("chordality-controls", _check_chordality),
-    ("facet-ideal-trees", _check_facet_ideal_trees),
+# a check is any _check_<id> function, run in definition order; underscores in <id> become dashes
+_CHECKS = tuple(
+    (n[7:].replace("_", "-"), fn) for n, fn in globals().items() if n.startswith("_check_")
 )
 
 

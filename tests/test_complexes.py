@@ -613,6 +613,8 @@ def forest_candidates(draw):
 @example(("abcde", [["b", "c"], ["a", "b", "e"], ["a", "d", "e"], ["c", "d", "e"]]))
 # leafless, and so are the facets after the first, but no other subcollection
 @example(("abcdef", [["a", "c", "f"], ["a", "e", "f"], ["b", "c", "f"], ["b", "d", "e"]]))
+# a cycle plus a pendant leaf facet: it has a leaf, and one deletion is leafless
+@example(("abcd", [["a", "b"], ["b", "c"], ["a", "c"], ["c", "d"]]))
 def test_good_leaf_removal_matches_subcollection_oracle(case):
     complex_ = cx(*case)
     facets = complex_.facets.masks
