@@ -8,6 +8,13 @@ verb that reads one document takes ``--in`` (default stdin), a second one
 ``--with``, and a graph verb ``--format`` (``json`` or the plain edge-list
 ``text``).
 
+An invocation whose argv starts with a verb's path builds the parsers of
+that verb alone (the top, its group and the verb), not the 41 of the whole
+menu; every other argv (help on the top or a group, an unknown verb) builds
+the whole menu.  The output is the same either way, since one loop builds
+the verb's parser in both (see `build_parser`).  Options must be spelled in
+full: no parser accepts an abbreviated long option.
+
 Every verb writes exactly one JSON document, and exits 0 on success, 1 when
 an asserted boolean came out false, 2 on malformed input or a violated
 precondition.  The one other output is ``-h``/``--help``, which prints usage
@@ -349,7 +356,22 @@ _VERBS = (
 # parser and dispatch
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
+    """The parser for `argv`, or the whole menu when `argv` is None.
+
+    When `argv` starts with one row's path (``["gvd", "check", ...]``), the
+    menus hold that row alone: a top parser, its group's parser and the
+    verb's.  Every other argv (no words, ``-h`` at the top or on a group, an
+    unknown verb or op, an option before the verb) gets every row.  Paths
+    are unique and no group shares a name with a top-level verb, so at most
+    one row matches.  The output cannot differ from the whole menu's: the
+    verb's subparser and its menus are built by the same loop either way,
+    argparse hands every word after the verb to that subparser, and a
+    subparser's prog, help and errors depend on its own row alone."""
+    rows = _VERBS
+    if argv is not None:
+        rows = [verb for verb in _VERBS
+                if argv[:verb.path.count(" ") + 1] == verb.path.split()] or _VERBS
     parser = _Parser(
         prog="oni-kit",
         description="Open-neighborhood-ideal toolkit: dualization, square-free "
@@ -359,12 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     menus = {"": parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
                                        metavar="COMMAND")}
-    for verb in _VERBS:
+    for verb in rows:
         group, _, name = verb.path.rpartition(" ")
         if group not in menus:
-            menus[group] = menus[""].add_parser(group, help=_GROUPS[group]).add_subparsers(
+            menus[group] = menus[""].add_parser(
+                group, help=_GROUPS[group], allow_abbrev=False).add_subparsers(
                 dest="subcommand", required=True, parser_class=_Parser, metavar="OP")
-        sp = menus[group].add_parser(name, help=verb.help)
+        sp = menus[group].add_parser(name, help=verb.help, allow_abbrev=False)
         if verb.kinds:
             sp.add_argument("--in", dest="input", metavar="PATH",
                             help="input document (default: stdin)")
@@ -385,8 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(argv: Optional[list[str]]) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = vars(build_parser().parse_args(argv))
+        args = vars(build_parser(argv).parse_args(argv))
     except SystemExit as exc:  # -h/--help printed its usage text and exits 0
         return exc.code
     verb = args["verb"]

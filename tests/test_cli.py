@@ -1,9 +1,12 @@
-"""End-to-end CLI tests run in process: pinned output bytes, exit codes,
-format switches, and the self-check's fault sensitivity."""
+"""End-to-end CLI tests, run in process except one through `python -m`:
+pinned output bytes, exit codes, format switches, and the self-check's
+fault sensitivity."""
 
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -207,6 +210,62 @@ def test_help_is_usage_text_returned_through_main(invoke):
             assert set(re.findall(r"--[\w-]+", out)) == common | options
     code, out = invoke(["--help"])
     assert code == 0 and out.startswith("usage: oni-kit [-h] COMMAND ...")
+
+
+def test_options_must_be_spelled_in_full(invoke):
+    for argv, flag in ((["graph", "oni", "--pre"], "--pre"), (["verify-paper", "--as"], "--as")):
+        code, out = invoke(argv, stdin=P6_DOC)
+        assert code == 2
+        assert json.loads(out) == {"error": f"bad arguments: unrecognized arguments: {flag}"}
+    code, out = invoke(["graph", "oni", "--pretty"], stdin=P6_DOC)
+    assert code == 0 and out.startswith("{\n  ")
+    assert invoke(["verify-paper", "--assert"]) == invoke(["verify-paper"])
+
+
+def test_a_verb_invocation_builds_only_its_own_parsers(invoke, monkeypatch):
+    """`main` builds the top parser, the verb's group and the verb, not the
+    whole menu: one parser per word of the verb's path, plus the top."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    assert invoke(["gvd", "check"], stdin=ZERO_IDEAL)[0] == 0
+    assert built == ["oni-kit", "oni-kit gvd", "oni-kit gvd check"]
+    built.clear()
+    assert invoke(["fixture", "p6"]) == (0, P6_DOC)
+    assert built == ["oni-kit", "oni-kit fixture"]
+    for verb in cli._VERBS:
+        built.clear()
+        cli.build_parser([*verb.path.split(), "--pretty"])
+        assert len(built) == len(verb.path.split()) + 1
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 1 + len(cli._GROUPS) + len(cli._VERBS)
+
+
+def test_python_m_matches_main_in_process(invoke, monkeypatch):
+    """`python -m oni_kit.cli` parses `sys.argv[1:]`, the path every real
+    invocation takes, and prints what `main(argv)` prints in process."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the same width in both
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    for argv, stdin in (
+        (["graph", "td-sets"], P6_DOC),
+        (["gvd", "check", "-h"], ""),
+        (["gvd", "-h"], ""),
+        (["-h"], ""),
+        (["nope"], ""),
+    ):
+        child = subprocess.run([sys.executable, "-m", "oni_kit.cli", *argv],
+                               input=stdin.encode(), capture_output=True, env=env,
+                               timeout=60, check=False)
+        assert (child.returncode, child.stdout.decode()) == invoke(argv, stdin)
+    assert invoke(["graph", "td-sets"], P6_DOC) == (0, P6_TD_SETS)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ exits 0, 1 or 2, writes exactly one newline-terminated JSON document, and on
 exit 2 that document is {"error": <string>}.  Graph verbs also read the
 edge-list text format.  The list of verbs comes from the table, so a new
 verb is fuzzed without editing this file; `verify-paper` reads nothing and
-runs once, outside hypothesis."""
+runs once, outside hypothesis.
+
+The parser `cli.build_parser(argv)` builds for one invocation must parse
+each drawn argv, and help, bare, unknown and malformed argvs on every verb,
+group and the top level, exactly as the whole menu does."""
 
 import contextlib
 import io
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oni_kit import cli
+from oni_kit import InputError, cli
 from oni_kit.fixtures import fixture_names
 
 # at most six labels; digits make the 7-vertex path's vertices valid picks
@@ -134,23 +138,34 @@ def check_contract(code, out):
 FUZZED = [verb for verb in cli._VERBS if verb.path != "verify-paper"]
 
 
+@st.composite
+def invocations(draw, second_path):
+    """A drawn verb's argv, its stdin, and the text its argv reads from
+    `second_path` (None when the verb reads fewer than two documents)."""
+    verb = draw(st.sampled_from(FUZZED))
+    argv = verb.path.split()
+    encode = json.dumps
+    if "graph" in verb.kinds and draw(st.booleans()):
+        argv += ["--format", "text"]
+        encode = as_text
+    second = None
+    if len(verb.kinds) == 2:
+        second = encode(draw(documents(verb.kinds[1])))
+        argv += ["--with", str(second_path)]
+    for name, _ in verb.options:
+        value = draw(option_values(name))
+        argv += [name, value] if name.startswith("-") else [value]
+    argv += ["--assert"] * draw(rarely)
+    stdin = encode(draw(documents(verb.kinds[0]))) if verb.kinds else ""
+    return argv, stdin, second
+
+
 @given(data=st.data())
 @settings(max_examples=500, deadline=None)
 def test_every_verb_keeps_the_output_contract(second_path, data):
-    verb = data.draw(st.sampled_from(FUZZED))
-    argv = verb.path.split()
-    encode = json.dumps
-    if "graph" in verb.kinds and data.draw(st.booleans()):
-        argv += ["--format", "text"]
-        encode = as_text
-    if len(verb.kinds) == 2:
-        second_path.write_text(encode(data.draw(documents(verb.kinds[1]))))
-        argv += ["--with", str(second_path)]
-    for name, _ in verb.options:
-        value = data.draw(option_values(name))
-        argv += [name, value] if name.startswith("-") else [value]
-    argv += ["--assert"] * data.draw(rarely)
-    stdin = encode(data.draw(documents(verb.kinds[0]))) if verb.kinds else ""
+    argv, stdin, second = data.draw(invocations(second_path))
+    if second is not None:
+        second_path.write_text(second)
     check_contract(*run_cli(argv, stdin))
 
 
@@ -158,3 +173,45 @@ def test_verify_paper_keeps_the_output_contract():
     code, out = run_cli(["verify-paper"], "")
     check_contract(code, out)
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# the invoked verb's parser against the whole menu
+
+
+def parsed(parser, argv):
+    """What `parser` makes of `argv`: its namespace, its error message, or
+    the exit code and text of -h."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(parser.parse_args(argv))
+    except InputError as exc:
+        return str(exc)
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+def menu_argvs():
+    """For each verb, group and the top level: help, a bare call (missing a
+    required argument where it has one), an unknown flag, an extra
+    positional, an option without its value and an unknown choice."""
+    paths = [verb.path.split() for verb in cli._VERBS] + [[group] for group in cli._GROUPS] + [[]]
+    tails = (["-h"], ["--help"], [], ["--bogus"], ["extra"], ["p6", "extra"], ["--out"],
+             ["--format", "xml"], ["--pretty", "-h"], ["nope"])
+    return [path + tail for path in paths for tail in tails] + [["--pretty", "fixture", "p6"]]
+
+
+def test_the_invoked_verbs_parser_matches_the_whole_menu():
+    whole = cli.build_parser()
+    outcomes = [parsed(cli.build_parser(argv), argv) for argv in menu_argvs()]
+    assert outcomes == [parsed(whole, argv) for argv in menu_argvs()]
+    kinds = {type(outcome).__name__ for outcome in outcomes}
+    assert kinds == {"dict", "str", "tuple"}  # namespaces, errors and help all compared
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_invoked_verbs_parser_parses_drawn_argvs_as_the_whole_menu(second_path, data):
+    argv, _, _ = data.draw(invocations(second_path))
+    assert parsed(cli.build_parser(argv), argv) == parsed(cli.build_parser(), argv)
