@@ -86,6 +86,11 @@ from .universe import (
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # help wraps at argparse's width with no terminal, whatever the terminal
+        super().__init__(formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
+                         **kwargs)
+
     def error(self, message: str):
         # argparse would print usage and exit; route through the JSON error path
         raise InputError(f"bad arguments: {message}")

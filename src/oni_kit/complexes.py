@@ -130,6 +130,14 @@ def join(left: SimplicialComplex, right: SimplicialComplex) -> SimplicialComplex
     return SimplicialComplex(combined, (a | b for a in lefts for b in rights))
 
 
+def _ordinary_facets(cx: SimplicialComplex, needs: str) -> tuple[int, ...]:
+    """The facet masks of an ordinary complex; for VOID and EMPTY, an
+    InputError saying that what `needs` names needs an ordinary one."""
+    if cx.kind != ORDINARY:
+        raise InputError(f"{needs} an ordinary complex")
+    return cx.facets.masks
+
+
 def _shed(
     facets: tuple[int, ...], bit: int
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -157,9 +165,8 @@ def _shed(
 
 def is_shedding_vertex(cx: SimplicialComplex, v: str) -> bool:
     """Is every facet of the deletion at v a facet of the complex itself?"""
-    if cx.kind != ORDINARY:
-        raise InputError("shedding test needs an ordinary complex")
-    return _shed(cx.facets.masks, 1 << cx.universe.position(v)) is not None
+    facets = _ordinary_facets(cx, "shedding test needs")
+    return _shed(facets, 1 << cx.universe.position(v)) is not None
 
 
 @dataclass(frozen=True)
@@ -222,10 +229,10 @@ def is_vertex_decomposable(
     among vertices lying in some facet (others make no progress), so the
     returned certificate is the canonically first witness.  Subproblems are
     memoized per call on their facet form.  Purity is checked once, at the
-    root, since `_shed` keeps it.
+    root, since `_shed` keeps it.  A complex with at most one facet is a
+    leaf: the `empty` leaf for VOID, the `simplex` leaf for EMPTY and for
+    every simplex.
     """
-    if cx.kind in (VOID, EMPTY):
-        return True, Leaf("empty" if cx.kind == VOID else "simplex")
     if not cx.is_pure():
         raise InputError("vertex decomposability is defined for pure complexes")
 
@@ -234,8 +241,8 @@ def is_vertex_decomposable(
     def search(facets: tuple[int, ...]) -> Optional[SheddingCertificate]:
         if facets in facet_set_cache:
             return facet_set_cache[facets]
-        if len(facets) == 1:
-            facet_set_cache[facets] = Leaf("simplex")
+        if len(facets) <= 1:
+            facet_set_cache[facets] = Leaf("simplex" if facets else "empty")
             return facet_set_cache[facets]
         support = 0
         for f in facets:
@@ -321,14 +328,12 @@ def stanley_reisner_complex(ideal: SquareFreeIdeal) -> SimplicialComplex:
 
 
 def facet_ideal(cx: SimplicialComplex) -> SquareFreeIdeal:
-    if cx.kind != ORDINARY:
-        raise InputError("facet ideal needs an ordinary complex")
+    _ordinary_facets(cx, "facet ideal needs")
     return SquareFreeIdeal(cx.facets)
 
 
 def minimal_vertex_covers(cx: SimplicialComplex) -> SpernerFamily:
-    if cx.kind != ORDINARY:
-        raise InputError("vertex covers need an ordinary complex")
+    _ordinary_facets(cx, "vertex covers need")
     return minimal_transversals(cx.facets)
 
 
@@ -337,9 +342,7 @@ def find_leaf(
 ) -> Optional[tuple[tuple[str, ...], Optional[tuple[str, ...]]]]:
     """Canonically first leaf facet with one of its joints, if any; the
     joint is None for a lone facet."""
-    if cx.kind != ORDINARY:
-        raise InputError("leaf search needs an ordinary complex")
-    facets, labels = cx.facets.masks, cx.universe.labels_of
+    facets, labels = _ordinary_facets(cx, "leaf search needs"), cx.universe.labels_of
     if len(facets) == 1:
         return labels(facets[0]), None
     for i, leaf in enumerate(facets):
@@ -352,12 +355,6 @@ def find_leaf(
             if j != i and touching & ~other == 0:
                 return labels(leaf), labels(other)
     return None
-
-
-def _ordinary_facets(cx: SimplicialComplex) -> tuple[int, ...]:
-    if cx.kind != ORDINARY:
-        raise InputError("forest/cycle checks need an ordinary complex")
-    return cx.facets.masks
 
 
 def _meets(facets: tuple[int, ...]) -> list[int]:
@@ -389,7 +386,7 @@ def _is_forest(facets: tuple[int, ...], meets: list[int], present: int) -> bool:
 
 def is_simplicial_forest(cx: SimplicialComplex) -> bool:
     """Every nonempty facet subcollection has a leaf (good-leaf removal)."""
-    facets = _ordinary_facets(cx)
+    facets = _ordinary_facets(cx, "forest/cycle checks need")
     return _is_forest(facets, _meets(facets), (1 << len(facets)) - 1)
 
 
@@ -443,7 +440,7 @@ def cycle_order(cx: SimplicialComplex) -> Optional[tuple[tuple[str, ...], ...]]:
     with one facet F removed, so each of those must be a forest.  A complex
     with a leaf is no cycle, and the leaf scan runs first because it stops
     at the first leaf, where the n deletions would take n forest tests."""
-    facets = _ordinary_facets(cx)
+    facets = _ordinary_facets(cx, "forest/cycle checks need")
     if len(facets) < 3 or find_leaf(cx) is not None:
         return None
     meets, full = _meets(facets), (1 << len(facets)) - 1

@@ -24,6 +24,7 @@ from .universe import (
     _eliminates,
     _json_sets,
     _masks_into,
+    _sweep,
     minimal_masks,
     minimal_transversals,
 )
@@ -151,21 +152,6 @@ def _strata(adj: Sequence[int], present: int) -> list[int]:
         if (adj[p] & present).bit_count() <= 1:
             layer |= 1 << p
     return _sweep(adj, present, layer)
-
-
-def _sweep(adj: Sequence[int], present: int, layer: int) -> list[int]:
-    """Distance layers from `layer` inside `present`, by one frontier
-    sweep: each layer is the unseen neighbours of the one before."""
-    strata = []
-    seen = layer
-    while layer:
-        strata.append(layer)
-        reached = 0
-        for p in _bits(layer):
-            reached |= adj[p]
-        layer = reached & present & ~seen
-        seen |= layer
-    return strata
 
 
 def _heights_of_adj(

@@ -7,12 +7,15 @@ forests that never searches.
 
 Splitting at y drops y from the ring rather than passing to a quotient
 ring; for square-free monomial ideals the two views agree.  The search
-and the replay recurse on masks in the root ideal's universe: a node is
-a pair (live, gens), the mask of the variables not yet split away and the
-canonical generator tuple in those same positions.  Position order is
-label order, so (live, gens) is one-to-one with the labels and masks of
-the ideal a shrinking universe would hold, variables are tried in the
-same order, and below the root no Universe, family or ideal is built.
+and the replay recurse on masks in the root ideal's universe.  A search
+node is a pair (live, gens), the mask of the variables not yet split away
+and the canonical generator tuple in those same positions.  Position
+order is label order, so (live, gens) is one-to-one with the labels and
+masks of the ideal a shrinking universe would hold, variables are tried
+in the same order, and below the root no Universe, family or ideal is
+built.  A replay node is a pair (certificate node, gens): once every
+split variable is checked to be live wherever it is met, the live mask
+decides nothing more.  Both take their base cases from `_base`.
 The forest certifier likewise recurses on vertex masks of the forest, a
 piece's ideal being the minimal masks of its odd vertices' neighborhoods
 in it, which splits carry down from the forest's.  It certifies a piece
@@ -189,6 +192,19 @@ def _split_masks(gens: tuple[int, ...], ybit: int) -> tuple[tuple[int, ...], tup
     return tuple(c_gens), n_gens
 
 
+def _base(gens: tuple[int, ...]) -> Optional[tuple[Base, Optional[int]]]:
+    """The base certifying the ideal with canonical generators `gens`, the
+    unit, zero or variable one, with the ideal's height (None for the unit
+    ideal); None when the ideal is no base."""
+    if gens == (0,):
+        return _UNIT, None
+    if not gens:
+        return _ZERO, 0
+    if gens[-1].bit_count() == 1:  # a largest generator is last
+        return _VARS, len(gens)
+    return None
+
+
 def split(ideal: SquareFreeIdeal, y: str) -> tuple[SquareFreeIdeal, SquareFreeIdeal]:
     """One-variable split: N keeps the generators y does not divide, C
     adjoins the y-divided ones; both land in the universe without y.
@@ -265,7 +281,7 @@ def _split_height(
 def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
     """Decide geometric vertex decomposability, with a witness.
 
-    Each node looks up the memo first, then the bases (unit, zero,
+    Each node looks up the memo first, then `_base` (unit, zero,
     generated by variables), then loops over its live variables in
     canonical order: the first variable whose C and N are both GVD yields
     the witness reported, and the first whose C is not GVD ends the loop,
@@ -344,13 +360,9 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
         key = (live, gens)
         if key in memo:
             return memo[key]
-        if gens == (0,):
-            return _UNIT, None
-        if not gens:
-            return _ZERO, 0
-        if gens[-1].bit_count() == 1:  # a largest generator is last
-            return _VARS, len(gens)
-        found = None
+        found = _base(gens)
+        if found:
+            return found
         for y in _bits(live):
             ybit = 1 << y
             c_gens, n_gens = _split_masks(gens, ybit)
@@ -380,70 +392,64 @@ def validate_certificate(ideal: SquareFreeIdeal, cert: GvdCertificate) -> bool:
 
     Each node costs one `_split_masks` and no dualization: heights flow up
     from the bases, and `_split_height` checks that every split ideal is
-    unmixed.  The replay runs on (live, gens) mask pairs in the ideal's
-    universe, as `is_gvd` does, so a split variable must be one of the
-    universe's labels not yet split away: one label-to-bit dict, built per
-    call, reads it, and an unknown or non-string variable gets the bit 0,
-    which is never live.  A node that is neither a Base nor a Split is
-    rejected.
+    unmixed.  A Base must be the one `_base` gives, or `vars` on the zero
+    ideal; a node that is neither a Base nor a Split is rejected.  The
+    replay runs on generator masks in the ideal's universe, as `is_gvd`
+    does, so a split variable must be one of the universe's labels not yet
+    split away on the path that reaches it.
 
-    Replays are memoized per call on (node, live & used(node), gens),
-    where used(node) is the union of the split-variable bits in the node's
-    sub-DAG (0 for an unknown variable), itself memoized per node.  This
-    is sound: a replay reads `live` only through `live & ybit` at the
-    split variables of its sub-DAG, and passes `live ^ ybit` down, equal
-    to `live & ~ybit` once that bit is found live.  So by induction on the
-    sub-DAG, a replay depends on `live` only through `live & used(node)`,
-    and two visits that agree on it and on `gens` do the same work.  The
-    key (node, gens) alone would not be sound: a node replayed once with a
-    variable still live would then pass where that variable is gone.
-    Shared nodes, in the DAG certificates `is_gvd` returns and in decoded
-    ones, are replayed once per distinct key.
+    That rule is checked once per distinct node, by the pass that computes
+    used(node), the union of the split-variable bits in the node's
+    sub-DAG: a split is rejected when its variable is not a universe label
+    (a non-string one included), or is in used() of either child.  This
+    holds exactly when every path from the root meets each split variable
+    live.  If a path met y at a split s and again at a split t below, t
+    would lie in the sub-DAG of a child of s, so y would be in that
+    child's used().  Conversely, if y is in used() of a child of s, some
+    path goes from the root through s to a split at y below it, where y
+    is gone.
+
+    The replay then reads no live mask, so a node's verdict and height
+    depend on (node, gens) alone, and replays are memoized per call on
+    that pair: shared nodes, in the DAG certificates `is_gvd` returns and
+    in decoded ones, are replayed once per distinct generator tuple.
     """
     bit_of = {lab: 1 << p for p, lab in enumerate(ideal.universe.labels)}
     used_of: dict[int, int] = {}
     memo: dict[tuple, Optional[int]] = {}
-
-    def bit(y: object) -> int:
-        return bit_of.get(y, 0) if isinstance(y, str) else 0
 
     def used(node: GvdCertificate) -> int:
         bits = used_of.get(id(node))
         if bits is None:
             bits = 0
             if isinstance(node, Split):
-                bits = bit(node.variable) | used(node.c_branch) | used(node.n_branch)
+                y = node.variable
+                ybit = bit_of.get(y, 0) if isinstance(y, str) else 0
+                bits = used(node.c_branch) | used(node.n_branch)
+                if not ybit or bits & ybit:
+                    raise _Rejected
+                bits |= ybit
             used_of[id(node)] = bits
         return bits
 
-    def replay(live: int, gens: tuple[int, ...], node: GvdCertificate) -> Optional[int]:
-        """Height (None if unit) of the ideal with generators `gens` over
-        the `live` positions when `node` certifies it; raises _Rejected
-        otherwise."""
-        key = (id(node), live & used(node), gens)
+    def replay(gens: tuple[int, ...], node: GvdCertificate) -> Optional[int]:
+        """Height (None if unit) of the ideal with generators `gens` when
+        `node` certifies it; raises _Rejected otherwise."""
+        key = (id(node), gens)
         if key in memo:
             return memo[key]
-        is_unit = gens == (0,)
         if isinstance(node, Base):
-            kind = node.kind
-            if kind == BASE_UNIT:
-                ok = is_unit
-            elif kind == BASE_ZERO:
-                ok = not gens
-            else:
-                ok = kind == BASE_VARIABLES and not is_unit and (
-                    not gens or gens[-1].bit_count() == 1
-                )
-            if not ok:
+            found = _base(gens)
+            if not gens and node.kind == BASE_VARIABLES:  # zero: generated by no variable
+                found = _VARS, 0
+            if found is None or node.kind != found[0].kind:
                 raise _Rejected
-            height = None if is_unit else len(gens)
-        elif isinstance(node, Split):
-            ybit = bit(node.variable)
-            if not live & ybit or is_unit:
-                raise _Rejected
+            height = found[1]
+        elif isinstance(node, Split) and gens != (0,):
+            ybit = bit_of[node.variable]
             c_gens, n_gens = _split_masks(gens, ybit)
-            c_height = replay(live ^ ybit, c_gens, node.c_branch)
-            n_height = replay(live ^ ybit, n_gens, node.n_branch)
+            c_height = replay(c_gens, node.c_branch)
+            n_height = replay(n_gens, node.n_branch)
             height = _split_height(c_gens, c_height, n_gens, n_height)
             if height is None:
                 raise _Rejected
@@ -453,7 +459,8 @@ def validate_certificate(ideal: SquareFreeIdeal, cert: GvdCertificate) -> bool:
         return height
 
     try:
-        replay(ideal.universe.full_mask(), ideal.generators.masks, cert)
+        used(cert)
+        replay(ideal.generators.masks, cert)
     except _Rejected:
         return False
     return True

@@ -25,23 +25,33 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _sweep(adj: Sequence[int], present: int, layer: int) -> list[int]:
+    """Distance layers from `layer` inside `present`, by one frontier
+    sweep: each layer is the unseen neighbours of the one before."""
+    strata = []
+    seen = layer
+    while layer:
+        strata.append(layer)
+        reached, rest = 0, layer
+        while rest:  # popped inline: a `_bits` generator per layer slows component walks
+            low = rest & -rest
+            reached |= adj[low.bit_length() - 1]
+            rest ^= low
+        layer = reached & present & ~seen
+        seen |= layer
+    return strata
+
+
 def _component_masks(adj: Sequence[int], present: int) -> tuple[int, ...]:
     """Connected components of the graph with adjacency masks `adj`,
     restricted to the `present` positions, as masks ordered by their lowest
-    position.  Each component grows from the lowest position left by a
-    frontier mask, whose lowest bit is popped until it empties."""
+    position.  Each component is the union of the layers `_sweep` reaches
+    from the lowest position not yet in a component, swept inside the
+    positions left."""
     out = []
-    rest = present
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            nxt = adj[low.bit_length() - 1] & rest & ~comp
-            comp |= nxt
-            frontier |= nxt
-        rest ^= comp
-        out.append(comp)
+    while present:
+        out.append(sum(_sweep(adj, present, present & -present)))
+        present ^= out[-1]
     return tuple(out)
 
 

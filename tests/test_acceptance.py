@@ -98,13 +98,19 @@ def _to_nx(graph):
     return out
 
 
+def _shape(graph: nx.Graph) -> tuple:
+    """An isomorphism invariant that buckets trees before `nx.is_isomorphic`
+    decides: the vertex count and the sorted degree sequence."""
+    return len(graph), tuple(sorted(d for _, d in graph.degree()))
+
+
 @lru_cache(maxsize=None)
 def corpus(target: int = 110, max_picks: int = 4):
     """Pairwise non-isomorphic trees grown from the 7-vertex path by at
     most max_picks extension steps, breadth-first in canonical pick order."""
     start = p6()
     collected = [start]
-    buckets = {nx.weisfeiler_lehman_graph_hash(_to_nx(start)): [_to_nx(start)]}
+    buckets = {_shape(_to_nx(start)): [_to_nx(start)]}
     queue = [(start, 0)]
     while queue and len(collected) < target:
         tree, depth = queue.pop(0)
@@ -118,9 +124,7 @@ def corpus(target: int = 110, max_picks: int = 4):
                 continue
             child = o_extend(tree, v)
             child_nx = _to_nx(child)
-            bucket = buckets.setdefault(
-                nx.weisfeiler_lehman_graph_hash(child_nx), []
-            )
+            bucket = buckets.setdefault(_shape(child_nx), [])
             if any(nx.is_isomorphic(child_nx, seen) for seen in bucket):
                 continue
             bucket.append(child_nx)

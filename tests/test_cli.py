@@ -212,6 +212,17 @@ def test_help_is_usage_text_returned_through_main(invoke):
     assert code == 0 and out.startswith("usage: oni-kit [-h] COMMAND ...")
 
 
+def test_help_wraps_at_one_width_on_every_terminal(invoke, monkeypatch):
+    """Help text wraps at a fixed width, whatever `COLUMNS` says: the top
+    level, a group and a verb print the same help on every terminal."""
+    for argv in (["-h"], ["gvd", "-h"], ["graph", "-h"], ["gvd", "split", "-h"]):
+        monkeypatch.delenv("COLUMNS", raising=False)
+        unset = invoke(argv)
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert invoke(argv) == unset
+
+
 def test_options_must_be_spelled_in_full(invoke):
     for argv, flag in ((["graph", "oni", "--pre"], "--pre"), (["verify-paper", "--as"], "--as")):
         code, out = invoke(argv, stdin=P6_DOC)
@@ -247,10 +258,9 @@ def test_a_verb_invocation_builds_only_its_own_parsers(invoke, monkeypatch):
     assert len(built) == 1 + len(cli._GROUPS) + len(cli._VERBS)
 
 
-def test_python_m_matches_main_in_process(invoke, monkeypatch):
+def test_python_m_matches_main_in_process(invoke):
     """`python -m oni_kit.cli` parses `sys.argv[1:]`, the path every real
     invocation takes, and prints what `main(argv)` prints in process."""
-    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the same width in both
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

@@ -291,9 +291,10 @@ def test_replay_splits_each_shared_node_once(split_calls):
 
 def test_replay_memo_keeps_the_live_variables_a_node_uses():
     # X splits at v and is reached twice with the same generators: under
-    # C of w with v live, and under a split at v, where v is gone.  A memo
-    # keyed on (node, generators) alone would reuse the first verdict and
-    # accept the forgery.
+    # C of w with v live, and under a split at v, where v is gone.  The
+    # replay memo is keyed on (node, generators), so without the check that
+    # no split variable is split again below it, the first verdict would be
+    # reused and the forgery accepted.
     ideal = build("abvw", [["a", "b"]])
     y_node = Split("a", Base("vars"), Base("zero"))
     x_node = Split("v", y_node, y_node)
@@ -402,13 +403,16 @@ def test_is_gvd_matches_reference_on_beg_a():
 
 def splits_at_variables_not_live(cert):
     """Forgeries of a genuine certificate that split at "z", which is not
-    in the universe, or again at a variable split away above.  Were such a
-    variable taken to divide nothing, C and N would both equal the ideal
-    split and these would replay."""
+    in the universe, or again at a variable split away above, in the C
+    branch and in the N branch.  Were such a variable taken to divide
+    nothing, C and N would both equal the ideal split and these would
+    replay."""
     yield Split("z", cert, cert)
     if isinstance(cert, Split):
-        for y in ("z", cert.variable):
-            yield Split(cert.variable, Split(y, cert.c_branch, cert.c_branch), cert.n_branch)
+        y, c_node, n_node = cert.variable, cert.c_branch, cert.n_branch
+        for again in ("z", y):
+            yield Split(y, Split(again, c_node, c_node), n_node)
+        yield Split(y, c_node, Split(y, n_node, n_node))
 
 
 def forged_certificates(ideal, cert):
@@ -436,9 +440,9 @@ def reused_below_own_variable(ideal):
     """Forgeries that reach one genuine node X, a split at v, twice: as C
     of a split at w, with v live, and below a split at v, where v is gone.
     Neither v nor w divides a generator, so both visits see the ideal's
-    own generators, and a replay memo keyed on (node, generators) alone
-    would accept the forgery.  X's branches certify the ideal over the
-    universe without v and w."""
+    own generators, and a replay memo keyed on (node, generators) with no
+    check of the variables split below a split would accept the forgery.
+    X's branches certify the ideal over the universe without v and w."""
     support = 0
     for mask in ideal.generators.masks:
         support |= mask
@@ -485,7 +489,7 @@ def test_replay_rejects_variables_not_live():
     ideal = p6_odd_ideal()
     _, cert = is_gvd(ideal)
     forgeries = list(splits_at_variables_not_live(cert))
-    assert len(forgeries) == 3
+    assert len(forgeries) == 4
     for forged in forgeries:
         assert not validate_certificate(ideal, forged)
         assert not oracles.reference_validate_certificate(ideal, forged)
