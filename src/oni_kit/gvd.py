@@ -15,7 +15,9 @@ masks of the ideal a shrinking universe would hold, variables are tried
 in the same order, and below the root no Universe, family or ideal is
 built.  A replay node is a pair (certificate node, gens): once every
 split variable is checked to be live wherever it is met, the live mask
-decides nothing more.  Both take their base cases from `_base`.
+decides nothing more.  Both take their base cases from `_base`.  The
+search also settles as not GVD, with no split, a node whose complex has
+an edge and a disconnected 1-skeleton.
 The forest certifier likewise recurses on vertex masks of the forest, a
 piece's ideal being the minimal masks of its odd vertices' neighborhoods
 in it, which splits carry down from the forest's.  It certifies a piece
@@ -37,6 +39,7 @@ from .universe import (
     Universe,
     _bits,
     _component_masks,
+    _sweep,
     minimal_masks,
 )
 
@@ -205,6 +208,51 @@ def _base(gens: tuple[int, ...]) -> Optional[tuple[Base, Optional[int]]]:
     return None
 
 
+def _disconnected(live: int, gens: tuple[int, ...]) -> bool:
+    """Does the complex of the ideal with canonical generators `gens` over
+    the variables `live` have an edge and a disconnected 1-skeleton?
+
+    The complex is the subsets of `live` that hold no generator.  Its
+    vertices are the live variables that are not generators, and two of
+    them are joined unless they form a generator, so only the generators
+    of one or two variables matter; they lead the canonical order.  Both
+    variables of a two-variable generator are vertices, as the generators
+    are an antichain.  A vertex in no two-variable generator is joined to
+    every other vertex, so the 1-skeleton is then connected or a single
+    vertex, and one pass over the small generators finds such a vertex
+    when there is one.  Otherwise one `_sweep` from the lowest vertex,
+    whose adjacency masks hold every position but a vertex and its
+    partners in two-variable generators (the sweep reads them only inside
+    the vertices), reaches its component.  The 1-skeleton is disconnected
+    when that is not every vertex, and has an edge when that component
+    has two vertices or a vertex outside it has a neighbour.
+    """
+    covered = 0
+    for g in gens:
+        if g.bit_count() > 2:
+            break
+        covered |= g
+    if live & ~covered:  # a vertex in no two-variable generator
+        return False
+    singles = 0
+    adj = [-1] * live.bit_length()  # adj[p]: every position but p and its partners
+    for g in gens:
+        low = g & -g
+        if g == low:
+            singles |= g
+        elif g.bit_count() > 2:
+            break
+        else:
+            adj[low.bit_length() - 1] &= ~g
+            adj[(g ^ low).bit_length() - 1] &= ~g
+    vertices = live & ~singles
+    reached = sum(_sweep(adj, vertices, vertices & -vertices))
+    outside = vertices ^ reached
+    if not outside:
+        return False
+    return reached != reached & -reached or any(adj[p] & vertices for p in _bits(outside))
+
+
 def split(ideal: SquareFreeIdeal, y: str) -> tuple[SquareFreeIdeal, SquareFreeIdeal]:
     """One-variable split: N keeps the generators y does not divide, C
     adjoins the y-divided ones; both land in the universe without y.
@@ -282,29 +330,32 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
     """Decide geometric vertex decomposability, with a witness.
 
     Each node looks up the memo first, then `_base` (unit, zero,
-    generated by variables), then loops over its live variables in
-    canonical order: the first variable whose C and N are both GVD yields
-    the witness reported, and the first whose C is not GVD ends the loop,
-    as the node is then not GVD (the lemma below).  A GVD ideal must also
-    be unmixed.  Rather than dualize, the search carries heights up from
-    the bases and settles unmixedness at that first variable with
-    `_split_height`; it does not depend on the variable, so a mixed ideal
-    fails there.  A mixed C is not GVD, so it ends the loop too, which
-    keeps the search out of the rest of a mixed ideal.  Nodes are
-    (live, gens) mask pairs in the ideal's own universe, split by
-    `_split_masks`, and are memoized on that pair.  Every split is built
-    by one `_interning` constructor and every base is one of the
-    `_BASES`, so the certificate is the maximally shared DAG: equal
-    subtrees are one node, as in the decoded copy of its JSON.
+    generated by variables).  A node whose complex has an edge and a
+    disconnected 1-skeleton, which `_disconnected` finds in one pass, is
+    not GVD (the second lemma below) and is settled with no split.  Any
+    other node loops over its live variables in canonical order: the first
+    variable whose C and N are both GVD yields the witness reported, and
+    the first whose C is not GVD ends the loop, as the node is then not
+    GVD (the first lemma).  A GVD ideal must also be unmixed.  Rather than
+    dualize, the search carries heights up from the bases and settles
+    unmixedness at that first variable with `_split_height`; it does not
+    depend on the variable, so a mixed ideal fails there.  A mixed C is
+    not GVD, so it ends the loop too, which keeps the search out of the
+    rest of a mixed ideal.  Nodes are (live, gens) mask pairs in the
+    ideal's own universe, split by `_split_masks`, and are memoized on
+    that pair.  Every split is built by one `_interning` constructor and
+    every base is one of the `_BASES`, so the certificate is the maximally
+    shared DAG: equal subtrees are one node, as in the decoded copy of its
+    JSON.
 
-    The lemma is the ideal form of Provan and Billera's fact that links of
-    vertex decomposable complexes are vertex decomposable (C of a split at
-    y is the ideal of the link of y); the proof below uses nothing but the
-    definition the search decides.  Write C_y and N_y for the parts of a
-    split at y, as ideals over the live variables less y, and read an
-    ideal as its square-free monomials.
+    The first lemma is the ideal form of Provan and Billera's fact that
+    links of vertex decomposable complexes are vertex decomposable (C of a
+    split at y is the ideal of the link of y); the proof below uses
+    nothing but the definition the search decides.  Write C_y and N_y for
+    the parts of a split at y, as ideals over the live variables less y,
+    and read an ideal as its square-free monomials.
 
-    Lemma.  If I is GVD over the live set L and y is in L, then C_y(I) is
+    Lemma 1.  If I is GVD over the live set L and y is in L, then C_y(I) is
     GVD over L less y.
 
     (a) The splits commute: for z ≠ y, C_z C_y I = C_y C_z I and
@@ -350,6 +401,39 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
     certificate is therefore the same, and so is its sharing, which the
     certificate alone fixes.  The rule changes only how soon a node that
     is not GVD is settled.
+
+    The second lemma is the ideal form of Provan and Billera's fact that a
+    vertex decomposable complex of dimension at least 1 is connected, and
+    its proof too uses nothing but the search's definition.  Write Δ(I)
+    for the complex of I over L, the subsets of L that hold no generator.
+    The minimal primes of I are generated by the complements of its
+    facets, so when I is not the unit ideal, a largest face of Δ(I) has
+    |L| - ht I variables.
+
+    Lemma 2.  If I is GVD over L, the 1-skeleton of Δ(I) is edgeless or
+    connected.
+
+    Induction on |L|.  The unit ideal gives the void complex, and the zero
+    ideal and one generated by variables a full simplex.  Otherwise I is
+    GVD by a split at some y in L, with C = C_y(I) and N = N_y(I) GVD over
+    L less y.  Δ(N) is the faces of Δ(I) that miss y, and Δ(C) the sets F
+    with F ∪ {y} in Δ(I).  So the edges of Δ(I) are those of Δ(N) and the
+    {y, v} for the vertices v of Δ(C), each of which is a vertex of Δ(N).
+    If C is the unit ideal (y is a generator), Δ(C) is void and Δ(I) is
+    Δ(N).  If C = N, then Δ(C) = Δ(N) holds the empty face, so y is a
+    vertex joined to every vertex of Δ(N): the 1-skeleton is a cone, and
+    connected.  Otherwise `_split_height` gave I a height only because
+    ht C = ht N + 1 (the heights carried up are the ideals' own, each
+    being unmixed), so a largest face of Δ(N) has one variable more than
+    one of Δ(C), both being over L less y.  If Δ(C) has a vertex v, then
+    Δ(N) has an edge, so its 1-skeleton is connected by the induction
+    hypothesis, and the edge {y, v} joins y to it.  If Δ(C) has no vertex,
+    then Δ(N) has no edge, and neither has Δ(I).
+
+    So a node whose complex has an edge and a disconnected 1-skeleton is
+    not GVD, and settling it as such at once returns None only where the
+    loop would.  Every node's value is the one the loop alone gives, and
+    so is every certificate and its sharing.
     """
     labels = ideal.universe.labels
     make_split = _interning()
@@ -363,11 +447,14 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
         found = _base(gens)
         if found:
             return found
+        if _disconnected(live, gens):  # not GVD (lemma 2)
+            memo[key] = None
+            return None
         for y in _bits(live):
             ybit = 1 << y
             c_gens, n_gens = _split_masks(gens, ybit)
             c_found = search(live ^ ybit, c_gens)
-            if c_found is None:  # then neither is this node (the lemma)
+            if c_found is None:  # then neither is this node (lemma 1)
                 break
             n_found = search(live ^ ybit, n_gens)
             if n_found is None:

@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
@@ -18,6 +18,7 @@ from oni_kit import (
     Graph,
     InputError,
     Split,
+    SimplicialComplex,
     SquareFreeIdeal,
     Universe,
     certificate_from_json_obj,
@@ -32,6 +33,7 @@ from oni_kit import (
     o_sequence,
     odd_oni,
     split,
+    stanley_reisner_complex,
     stanley_reisner_ideal,
     validate_certificate,
 )
@@ -39,7 +41,7 @@ from oni_kit.fixtures import beg_a, p6, t_a, twin_broom
 from oni_kit import gvd as gvd_module
 from oni_kit import universe as universe_module
 from oni_kit.graphs import _split_vertex
-from oni_kit.gvd import _interning, _split_height, _split_masks
+from oni_kit.gvd import _disconnected, _interning, _split_height, _split_masks
 from oni_kit.universe import SpernerFamily, minimal_masks
 
 LABELS = tuple("abcde")
@@ -220,9 +222,11 @@ def test_seven_cycle_edge_ideal_is_not_gvd(split_calls):
     # Every link in the 7-cycle's independence complex is that of a path,
     # so every C the search meets is GVD (at the root, the 4-vertex path's
     # edge ideal plus the two neighbours of the split vertex as variables):
-    # the search never stops early at a C, and splits as often as one that
-    # tries every variable.
-    assert split_calls[0] == 124
+    # the search never stops early at a C.  Below the Ns, 16 nodes are a
+    # 3-vertex path's edge ideal plus variables.  Their complex is an edge
+    # and the path's middle vertex alone, so lemma 2 settles each with no
+    # split (splitting them too would make 124 splits).
+    assert split_calls[0] == 79
 
 
 def test_search_stops_at_the_first_c_that_is_not_gvd(split_calls):
@@ -244,6 +248,64 @@ def test_c_of_a_gvd_ideal_is_gvd(case):
     for y in ideal.universe.labels:
         c_part, _ = split(ideal, y)
         assert oracles.reference_is_gvd(c_part)[0]
+
+
+def skeleton_has_an_edge_and_is_disconnected(complex_):
+    """Read from the facets alone: some facet has two vertices, and the
+    edges inside facets do not join every vertex into one component."""
+    facets = [set(f) for f in complex_.facets.members]
+    edges = {frozenset(pair) for f in facets for pair in combinations(sorted(f), 2)}
+    if not edges:
+        return False
+    vertices = set().union(*facets)
+    reached, grown = {min(vertices)}, True
+    while grown:
+        grown = False
+        for edge in edges:
+            if len(edge & reached) == 1:
+                reached |= edge
+                grown = True
+    return reached != vertices
+
+
+@given(ideals(max_gens=6))
+@example(("abcd", [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]))  # two disjoint edges
+@example(("abc", [["a", "b"], ["a", "c"]]))  # the lowest vertex alone, an edge apart
+@example(("abc", [["a", "b"], ["a", "c"], ["b", "c"]]))  # three vertices, no edge
+@example(("abcd", [["a"], ["b", "c"], ["c", "d"]]))  # a is no vertex; the edge bd, and c alone
+@example(("abc", [[]]))  # the unit ideal: the void complex
+@settings(max_examples=300, deadline=None)
+def test_gvd_complexes_are_edgeless_or_connected(case):
+    # lemma 2, checked with the exhaustive reference and the facets of the
+    # Stanley-Reisner complex; and the search's one-pass test agrees
+    ideal = build(*case)
+    disconnected = skeleton_has_an_edge_and_is_disconnected(stanley_reisner_complex(ideal))
+    if oracles.reference_is_gvd(ideal)[0]:
+        assert not disconnected
+    assert _disconnected(ideal.universe.full_mask(), ideal.generators.masks) is disconnected
+
+
+def heaviest_seed_1_negative():
+    """The ideal of the decide benchmark's seed-1 complex that takes the
+    most splits to refute by splitting alone."""
+    facets = ["ab", "ae", "af", "bc", "be", "ce", "cf", "dg"]
+    return stanley_reisner_ideal(SimplicialComplex.from_facets(Universe("abcdefg"), facets))
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [
+        build("abcd", [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]),  # 10 splits without lemma 2
+        heaviest_seed_1_negative(),  # 351 without it
+    ],
+    ids=["four_cycle", "heaviest_seed_1_negative"],
+)
+def test_disconnected_complex_is_refuted_with_no_split(split_calls, ideal):
+    # the 4-cycle's complex is two disjoint edges; in the other, the facet
+    # dg lies apart from the rest
+    assert skeleton_has_an_edge_and_is_disconnected(stanley_reisner_complex(ideal))
+    assert is_gvd(ideal) == (False, None)
+    assert split_calls[0] == 0
 
 
 def test_search_cuts_off_below_a_mixed_c_branch(monkeypatch):
@@ -513,8 +575,6 @@ def test_replay_rejects_nodes_that_are_not_certificates():
 
 
 def all_pure_complexes(n):
-    from itertools import combinations
-
     labels = LABELS[:n]
     for k in range(1, n + 1):
         subsets = list(combinations(labels, k))
@@ -522,10 +582,8 @@ def all_pure_complexes(n):
             yield labels, [subsets[i] for i in range(len(subsets)) if pick >> i & 1]
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_gvd_matches_vertex_decomposability_small(n):
-    from oni_kit import SimplicialComplex
-
     for labels, facets in all_pure_complexes(n):
         complex_ = SimplicialComplex.from_facets(Universe(labels), facets)
         ok, _ = is_gvd(stanley_reisner_ideal(complex_))
