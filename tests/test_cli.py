@@ -578,6 +578,41 @@ def test_gvd_split(invoke):
     assert code == 2 and "variable 'z'" in json.loads(out)["error"]
 
 
+P6_ODD_SPLIT_AT_2 = (
+    '{"C":{"universe":["0","4","6"],"generators":[["0"],["4"]],"zero":false,"unit":false},'
+    '"N":{"universe":["0","4","6"],"generators":[["4","6"]],"zero":false,"unit":false},'
+    '"valid":true}\n'
+)
+UNIT_B = '{"universe":["b"],"generators":[[]],"zero":false,"unit":true}'
+ZERO_B = '{"universe":["b"],"generators":[],"zero":true,"unit":false}'
+BC = '{"universe":["b","c"],"generators":[["b","c"]],"zero":false,"unit":false}'
+
+
+@pytest.mark.parametrize(
+    "ideal, argv, expected",
+    [
+        (P6_ODD_ONI, ["--var", "2"], P6_ODD_SPLIT_AT_2),
+        (P6_ODD_ONI, ["--var", "2", "--assert"], P6_ODD_SPLIT_AT_2),
+        ('{"universe":["a","b"],"generators":[[]]}', ["--var", "a"],
+         '{"C":%s,"N":%s,"valid":true}\n' % (UNIT_B, UNIT_B)),
+        (ZERO_IDEAL, ["--var", "a"], '{"C":%s,"N":%s,"valid":true}\n' % (ZERO_B, ZERO_B)),
+        ('{"universe":["a","b"],"generators":[["a"],["b"]]}', ["--var", "a"],
+         '{"C":%s,"N":{"universe":["b"],"generators":[["b"]],"zero":false,"unit":false},'
+         '"valid":true}\n' % UNIT_B),
+        ('{"universe":["a","b","c"],"generators":[["b","c"]]}', ["--var", "a"],
+         '{"C":%s,"N":%s,"valid":true}\n' % (BC, BC)),
+    ],
+    ids=["p6-odd-at-2", "assert", "unit", "zero", "C-unit", "C-equals-N"],
+)
+def test_gvd_split_pinned_bytes(invoke, ideal, argv, expected):
+    assert invoke(["gvd", "split", *argv], stdin=ideal) == (0, expected)
+
+
+def test_gvd_split_unknown_variable_pinned_bytes(invoke):
+    out = '{"error":"variable \'z\' not in the ideal\'s universe"}\n'
+    assert invoke(["gvd", "split", "--var", "z"], stdin=P6_ODD_ONI) == (2, out)
+
+
 def test_gvd_certify_tree_then_validate(invoke):
     code, out = invoke(["gvd", "certify-tree"], stdin=P6_DOC)
     assert code == 0
