@@ -9,11 +9,16 @@ chordality and forests, leaf-distance heights as a dict filled by a
 deque BFS, Faridi's leaf test on every facet subcollection
 for simplicial forests and cycles, the GVD split that rebuilds both parts from
 labels, the GVD search and replay that re-check unmixedness and the split
-identity at every node, the shedding test and replay that rebuild deletion
-and link complexes, the tree certifier that rebuilds every piece as a
-graph and an ideal, and the tree decomposition check and search that do
-the same.  The tests trust these against the package's bitmask kernels on
-small instances.
+identity C ∩ (N + (y)) = I over labels at every node, the shedding test
+and replay that rebuild deletion and link complexes, the tree certifier
+that rebuilds every piece as a graph and an ideal, and the tree
+decomposition check and search that do the same.  The tests trust these
+against the package's bitmask kernels on small instances.
+
+Every minimal transversal, prime, vertex cover and (odd) TD-set found
+here comes from a subset search of this module's own: nothing here calls
+the package's dualization, so a fault in that kernel cannot hide behind
+a reference that shares it.
 """
 
 from __future__ import annotations
@@ -42,15 +47,11 @@ from oni_kit import (
     Universe,
     deletion,
     heights,
-    is_valid_geometric_decomposition,
     link,
-    minimal_odd_td_sets,
-    minimal_td_sets,
-    minimal_transversals,
-    minimal_vertex_covers,
     o_extend,
     odd_oni,
     oni,
+    split,
 )
 from oni_kit.fixtures import p6
 from oni_kit.universe import _bits
@@ -102,7 +103,7 @@ def transversals_oracle(family: Iterable[Iterable[str]]) -> Sets:
         frozenset(combo)
         for r in range(len(support) + 1)
         for combo in combinations(support, r)
-        if all(set(combo) & m for m in members)
+        if all(not m.isdisjoint(combo) for m in members)
     ]
     return minimalize(hits)
 
@@ -270,41 +271,49 @@ def random_tree_edges(rng: random.Random, n: int) -> list[tuple[str, str]]:
 # labels, and the pairwise antichain test
 
 
+def complements_complex(universe, sets):
+    """The complex whose facets are the complements of `sets` in the
+    universe."""
+    labels = set(universe.labels)
+    return SimplicialComplex.from_facets(universe, (labels - set(s) for s in sets))
+
+
 def reference_stanley_reisner_complex(ideal):
-    """Complements of the minimal primes, with the unit ideal sent to the
-    void complex and the zero ideal to the full simplex by hand."""
+    """Complements of the minimal primes found by subset search, with the
+    unit ideal sent to the void complex and the zero ideal to the full
+    simplex by hand."""
     if ideal.is_unit:
         return SimplicialComplex(ideal.universe, ())
     if ideal.is_zero:
         return SimplicialComplex(ideal.universe, (ideal.universe.full_mask(),))
-    full = ideal.universe.full_mask()
-    return SimplicialComplex(ideal.universe, (full & ~p for p in ideal.minimal_primes().masks))
+    return complements_complex(ideal.universe, transversals_oracle(ideal.generators.members))
 
 
 def reference_stanley_reisner_ideal(cx):
-    """Minimal transversals of the facet complements, both families built
-    by the validating constructor."""
-    full = cx.universe.full_mask()
-    complements = SpernerFamily(cx.universe, (full & ~f for f in cx.facets.masks))
-    return SquareFreeIdeal(SpernerFamily(cx.universe, minimal_transversals(complements).masks))
+    """Minimal transversals of the facet complements by subset search,
+    built by the validating constructor."""
+    labels = set(cx.universe.labels)
+    complements = [labels - set(f) for f in cx.facets.members]
+    return SquareFreeIdeal(SpernerFamily.from_sets(cx.universe, transversals_oracle(complements)))
 
 
 def covers_unmixed(cx) -> bool:
-    """All minimal vertex covers of the complex's facets have one size."""
-    return len({c.bit_count() for c in minimal_vertex_covers(cx).masks}) <= 1
+    """All minimal vertex covers of the complex's facets, found by subset
+    search, have one size."""
+    return len({len(c) for c in transversals_oracle(cx.facets.members)}) <= 1
 
 
 def reference_stable_complex(graph):
-    """Complements of the minimal TD-sets."""
-    full = graph.universe.full_mask()
-    return SimplicialComplex(graph.universe, (full & ~m for m in minimal_td_sets(graph).masks))
+    """Complements of the minimal TD-sets found by subset search."""
+    return complements_complex(graph.universe, td_sets_oracle(graph.vertices, graph.edges))
 
 
 def reference_even_stable_complex(graph):
-    """Complements, inside the even stratum, of the minimal odd TD-sets."""
-    family = minimal_odd_td_sets(graph)
-    full = family.universe.full_mask()
-    return SimplicialComplex(family.universe, (full & ~m for m in family.masks))
+    """Complements, inside the even stratum, of the minimal odd TD-sets
+    found by subset search; `odd_oni` names the stratum and refuses a graph
+    that is not a balanced forest."""
+    even = odd_oni(graph).universe
+    return complements_complex(even, odd_td_sets_oracle(graph.vertices, graph.edges))
 
 
 def _require_labels(source, target):
@@ -609,9 +618,26 @@ def variable_generated(ideal) -> bool:
     return all(m.bit_count() == 1 for m in ideal.generators.masks)
 
 
+def unmixed_oracle(ideal) -> bool:
+    """All minimal primes, found by subset search, have one size."""
+    return len({len(p) for p in transversals_oracle(ideal.generators.members)}) <= 1
+
+
+def recombines(ideal, y) -> bool:
+    """Does the package's `split` at y give C and N with C ∩ (N + (y)) = I?
+    Read over labels: the generators of an intersection of monomial ideals
+    are the minimal unions of a generator of each."""
+    c_part, n_part = split(ideal, y)
+    n_plus_y = [set(g) for g in n_part.generators.members] + [{y}]
+    recombined = minimalize(
+        frozenset(set(c) | g) for c in c_part.generators.members for g in n_plus_y
+    )
+    return recombined == {frozenset(g) for g in ideal.generators.members}
+
+
 def reference_is_gvd(ideal):
     """GVD search straight from the definition: every non-base node passes
-    an unmixedness test by dualization before its memo lookup, and every
+    an unmixedness test by subset search before its memo lookup, and every
     split is checked to recombine.  Same canonical order, same memo, so it
     returns the same certificate as `is_gvd`.  It stays exhaustive: a node
     tries every variable, where `is_gvd` stops at the first whose C is not
@@ -626,14 +652,14 @@ def reference_is_gvd(ideal):
             return Base("zero")
         if variable_generated(current):
             return Base("vars")
-        if not current.is_unmixed():
+        if not unmixed_oracle(current):
             return None
         key = (current.universe.labels, current.generators.masks)
         if key in memo:
             return memo[key]
         found = None
         for y in current.universe.labels:
-            if not is_valid_geometric_decomposition(current, y):
+            if not recombines(current, y):
                 continue
             c_part, n_part = reference_split(current, y)
             c_cert = search(c_part)
@@ -652,8 +678,8 @@ def reference_is_gvd(ideal):
 
 
 def reference_validate_certificate(ideal, cert) -> bool:
-    """Replay with an unmixedness test and a recombination check at every
-    Split node."""
+    """Replay with an unmixedness test by subset search and a recombination
+    check at every Split node."""
     if isinstance(cert, Base):
         if cert.kind == "unit":
             return ideal.is_unit
@@ -664,9 +690,9 @@ def reference_validate_certificate(ideal, cert) -> bool:
         return False
     if cert.variable not in ideal.universe:
         return False
-    if ideal.is_unit or not ideal.is_unmixed():
+    if ideal.is_unit or not unmixed_oracle(ideal):
         return False
-    if not is_valid_geometric_decomposition(ideal, cert.variable):
+    if not recombines(ideal, cert.variable):
         return False
     c_part, n_part = reference_split(ideal, cert.variable)
     return reference_validate_certificate(

@@ -601,16 +601,13 @@ BC = '{"universe":["b","c"],"generators":[["b","c"]],"zero":false,"unit":false}'
          '"valid":true}\n' % UNIT_B),
         ('{"universe":["a","b","c"],"generators":[["b","c"]]}', ["--var", "a"],
          '{"C":%s,"N":%s,"valid":true}\n' % (BC, BC)),
+        (P6_ODD_ONI, ["--var", "z"], '{"error":"variable \'z\' not in the ideal\'s universe"}\n'),
     ],
-    ids=["p6-odd-at-2", "assert", "unit", "zero", "C-unit", "C-equals-N"],
+    ids=["p6-odd-at-2", "assert", "unit", "zero", "C-unit", "C-equals-N", "unknown-variable"],
 )
 def test_gvd_split_pinned_bytes(invoke, ideal, argv, expected):
-    assert invoke(["gvd", "split", *argv], stdin=ideal) == (0, expected)
-
-
-def test_gvd_split_unknown_variable_pinned_bytes(invoke):
-    out = '{"error":"variable \'z\' not in the ideal\'s universe"}\n'
-    assert invoke(["gvd", "split", "--var", "z"], stdin=P6_ODD_ONI) == (2, out)
+    code = 2 if expected.startswith('{"error"') else 0
+    assert invoke(["gvd", "split", *argv], stdin=ideal) == (code, expected)
 
 
 def test_gvd_certify_tree_then_validate(invoke):

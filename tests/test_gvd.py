@@ -136,19 +136,32 @@ def test_split_masks_match_minimal_masks_on_wide_ideals(case):
 
 
 @given(ideals())
+@example(("ab", [[]]))  # the unit ideal
+@example(("ab", []))  # the zero ideal
 @settings(max_examples=150, deadline=None)
 def test_square_free_splits_always_recombine(case):
+    # the identity is_valid_geometric_decomposition answers from its proof,
+    # checked on split's output
     labels, supports = case
     ideal = build(labels, supports)
     for y in labels:
-        assert is_valid_geometric_decomposition(ideal, y)
+        assert oracles.recombines(ideal, y)
+
+
+def test_split_validity_is_true_at_every_label_and_refuses_others():
+    ideal = p6_odd_ideal()
+    for y in ideal.universe.labels:
+        assert is_valid_geometric_decomposition(ideal, y) is True
+    for y in ("z", "", 2, None, ["2"]):
+        with pytest.raises(InputError) as info:
+            is_valid_geometric_decomposition(ideal, y)
+        assert str(info.value) == f"variable {y!r} not in the ideal's universe"
 
 
 def prime_sizes(ideal):
-    """Sizes of the minimal primes; the zero ideal's one prime is (0)."""
-    if ideal.is_zero:
-        return {0}
-    return {p.bit_count() for p in ideal.minimal_primes().masks}
+    """Sizes of the minimal primes, found by subset search; the zero
+    ideal's one prime is (0), and the unit ideal has none."""
+    return {len(p) for p in oracles.transversals_oracle(ideal.generators.members)}
 
 
 @given(ideals())
@@ -161,17 +174,18 @@ def test_height_rule_matches_dualization(case):
     sizes = prime_sizes(ideal)
     for y in labels:
         c_part, n_part = split(ideal, y)
-        if not (c_part.is_unit or c_part.is_unmixed()):
+        c_sizes, n_sizes = prime_sizes(c_part), prime_sizes(n_part)
+        if len(c_sizes) > 1:
             # every minimal prime of C is one of I
             assert len(sizes) > 1
             continue
-        if not n_part.is_unmixed():
+        if len(n_sizes) > 1:
             continue
-        c_height = None if c_part.is_unit else min(prime_sizes(c_part))
+        c_height = min(c_sizes, default=None)  # None for the unit ideal
         height = _split_height(
-            c_part.generators.masks, c_height, n_part.generators.masks, min(prime_sizes(n_part))
+            c_part.generators.masks, c_height, n_part.generators.masks, min(n_sizes)
         )
-        assert (height is not None) == ideal.is_unmixed() == (len(sizes) == 1)
+        assert (height is not None) == (len(sizes) == 1)
         if height is not None:
             assert {height} == sizes
 
@@ -461,6 +475,60 @@ def test_is_gvd_matches_reference_on_trees(make):
 
 def test_is_gvd_matches_reference_on_beg_a():
     assert_matches_reference(SquareFreeIdeal(beg_a()))
+
+
+def test_references_are_independent_of_the_dualization_kernel(monkeypatch):
+    # A kernel that drops its last minimal transversal whenever it finds
+    # three or more leaves every GVD, Stanley-Reisner and stable reference
+    # unmoved, while the package's own Stanley-Reisner complex goes wrong.
+    labels = [str(i) for i in range(7)]
+    cycle = Graph(Universe(labels), [(labels[i], labels[(i + 1) % 7]) for i in range(7)])
+    graphs = [p6(), t_a(), cycle]
+    ideals = [odd_oni(p6()), odd_oni(t_a()), SquareFreeIdeal(beg_a()), build(labels, cycle.edges)]
+    candidates = [is_gvd(ideal)[1] for ideal in ideals[:2]]
+    candidates += [
+        Split(y, is_gvd(c_part)[1] or Base("zero"), is_gvd(n_part)[1] or Base("zero"))
+        for ideal in ideals
+        for y in ideal.universe.labels
+        for c_part, n_part in [split(ideal, y)]
+    ]
+
+    def answers():
+        out = []
+        for ideal in ideals:
+            sr_complex = oracles.reference_stanley_reisner_complex(ideal)
+            out += [
+                oracles.reference_is_gvd(ideal),
+                [oracles.reference_validate_certificate(ideal, c) for c in candidates],
+                sr_complex,
+                oracles.reference_stanley_reisner_ideal(sr_complex),
+                oracles.covers_unmixed(sr_complex),
+            ]
+        for graph in graphs:
+            out.append(oracles.reference_stable_complex(graph))
+            try:
+                out.append(oracles.reference_even_stable_complex(graph))
+            except InputError as exc:
+                out.append(str(exc))
+        return out
+
+    before = answers()
+    original = universe_module.minimal_transversals
+
+    def crippled(family):
+        tau = original(family)
+        if len(tau.masks) < 3:
+            return tau
+        return SpernerFamily._canonical(tau.universe, tau.masks[:-1])
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "oni_kit" and hasattr(module, "minimal_transversals"):
+            monkeypatch.setattr(module, "minimal_transversals", crippled)
+    assert answers() == before
+    assert any(
+        stanley_reisner_complex(ideal) != oracles.reference_stanley_reisner_complex(ideal)
+        for ideal in ideals
+    )
 
 
 def splits_at_variables_not_live(cert):
