@@ -291,9 +291,10 @@ def skeleton_has_an_edge_and_is_disconnected(complex_):
 @settings(max_examples=300, deadline=None)
 def test_gvd_complexes_are_edgeless_or_connected(case):
     # lemma 2, checked with the exhaustive reference and the facets of the
-    # Stanley-Reisner complex; and the search's one-pass test agrees
+    # reference Stanley-Reisner complex; and the search's one-pass test agrees
     ideal = build(*case)
-    disconnected = skeleton_has_an_edge_and_is_disconnected(stanley_reisner_complex(ideal))
+    complex_ = oracles.reference_stanley_reisner_complex(ideal)
+    disconnected = skeleton_has_an_edge_and_is_disconnected(complex_)
     if oracles.reference_is_gvd(ideal)[0]:
         assert not disconnected
     assert _disconnected(ideal.universe.full_mask(), ideal.generators.masks) is disconnected
