@@ -104,10 +104,14 @@ def _read_source(path: Optional[str]) -> str:
     stdin = path is None or path == "-"
     try:
         if stdin:
+            # strict UTF-8 as for a path, whatever the locale; io.StringIO has no reconfigure
+            reconfigure = getattr(sys.stdin, "reconfigure", None)
+            if reconfigure:
+                reconfigure(encoding="utf-8", errors="strict")
             return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         source = "stdin" if stdin else repr(path)
         raise InputError(f"cannot read {source}: {exc}") from exc
 

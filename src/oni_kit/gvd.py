@@ -14,9 +14,11 @@ and the canonical generator tuple in those same positions.  Position
 order is label order, so (live, gens) is one-to-one with the labels and
 masks of the ideal a shrinking universe would hold, variables are tried
 in the same order, and below the root no Universe, family or ideal is
-built.  A replay node is a pair (certificate node, gens): once every
-split variable is checked to be live wherever it is met, the live mask
-decides nothing more.  Both take their base cases from `_base`.  The
+built.  A replay node is a pair (certificate node, gens), and its replay
+returns the node's split variables with its height: a split whose
+variable is already split below it is rejected, which checks that every
+split variable is live wherever it is met, so the live mask decides
+nothing more.  Both take their base cases from `_base`.  The
 search also settles as not GVD, with no split, a node whose complex has
 an edge and a disconnected 1-skeleton.
 The forest certifier likewise recurses on vertex masks of the forest, a
@@ -484,43 +486,30 @@ def validate_certificate(ideal: SquareFreeIdeal, cert: GvdCertificate) -> bool:
     does, so a split variable must be one of the universe's labels not yet
     split away on the path that reaches it.
 
-    That rule is checked once per distinct node, by the pass that computes
-    used(node), the union of the split-variable bits in the node's
-    sub-DAG: a split is rejected when its variable is not a universe label
-    (a non-string one included), or is in used() of either child.  This
-    holds exactly when every path from the root meets each split variable
-    live.  If a path met y at a split s and again at a split t below, t
-    would lie in the sub-DAG of a child of s, so y would be in that
-    child's used().  Conversely, if y is in used() of a child of s, some
-    path goes from the root through s to a split at y below it, where y
-    is gone.
+    That rule is checked in the same post-order pass, which carries up
+    with each node's height its used(), the union of the split-variable
+    bits in its sub-DAG: a split is rejected when its variable is not a
+    universe label (a non-string one included), or is in used() of either
+    child.  This holds exactly when every path from the root meets each
+    split variable live.  If a path met y at a split s and again at a
+    split t below, t would lie in the sub-DAG of a child of s, so y would
+    be in that child's used().  Conversely, if y is in used() of a child
+    of s, some path goes from the root through s to a split at y below it,
+    where y is gone.
 
-    The replay then reads no live mask, so a node's verdict and height
-    depend on (node, gens) alone, and replays are memoized per call on
-    that pair: shared nodes, in the DAG certificates `is_gvd` returns and
-    in decoded ones, are replayed once per distinct generator tuple.
+    The replay reads no live mask, so a node's verdict and height depend
+    on (node, gens) alone, and replays are memoized per call on that pair:
+    shared nodes, in the DAG certificates `is_gvd` returns and in decoded
+    ones, are split once per distinct generator tuple.  used() is memoized
+    with the height, which is sound because it depends on the node alone.
     """
     bit_of = {lab: 1 << p for p, lab in enumerate(ideal.universe.labels)}
-    used_of: dict[int, int] = {}
-    memo: dict[tuple, Optional[int]] = {}
+    memo: dict[tuple, tuple[Optional[int], int]] = {}
 
-    def used(node: GvdCertificate) -> int:
-        bits = used_of.get(id(node))
-        if bits is None:
-            bits = 0
-            if isinstance(node, Split):
-                y = node.variable
-                ybit = bit_of.get(y, 0) if isinstance(y, str) else 0
-                bits = used(node.c_branch) | used(node.n_branch)
-                if not ybit or bits & ybit:
-                    raise _Rejected
-                bits |= ybit
-            used_of[id(node)] = bits
-        return bits
-
-    def replay(gens: tuple[int, ...], node: GvdCertificate) -> Optional[int]:
+    def replay(gens: tuple[int, ...], node: GvdCertificate) -> tuple[Optional[int], int]:
         """Height (None if unit) of the ideal with generators `gens` when
-        `node` certifies it; raises _Rejected otherwise."""
+        `node` certifies it, and the node's used(); raises _Rejected
+        otherwise."""
         key = (id(node), gens)
         if key in memo:
             return memo[key]
@@ -530,22 +519,25 @@ def validate_certificate(ideal: SquareFreeIdeal, cert: GvdCertificate) -> bool:
                 found = _VARS, 0
             if found is None or node.kind != found[0].kind:
                 raise _Rejected
-            height = found[1]
+            height, used = found[1], 0
         elif isinstance(node, Split) and gens != (0,):
-            ybit = bit_of[node.variable]
-            c_gens, n_gens = _split_masks(gens, ybit)
-            c_height = replay(c_gens, node.c_branch)
-            n_height = replay(n_gens, node.n_branch)
-            height = _split_height(c_gens, c_height, n_gens, n_height)
-            if height is None:
+            ybit = bit_of.get(node.variable, 0) if isinstance(node.variable, str) else 0
+            if not ybit:
                 raise _Rejected
+            c_gens, n_gens = _split_masks(gens, ybit)
+            c_height, c_used = replay(c_gens, node.c_branch)
+            n_height, n_used = replay(n_gens, node.n_branch)
+            height = _split_height(c_gens, c_height, n_gens, n_height)
+            used = c_used | n_used
+            if height is None or used & ybit:
+                raise _Rejected
+            used |= ybit
         else:
             raise _Rejected
-        memo[key] = height
-        return height
+        memo[key] = height, used
+        return height, used
 
     try:
-        used(cert)
         replay(ideal.generators.masks, cert)
     except _Rejected:
         return False

@@ -1,4 +1,4 @@
-"""End-to-end CLI tests, run in process except one through `python -m`:
+"""End-to-end CLI tests, run in process except two through `python -m`:
 pinned output bytes, exit codes, format switches, and the self-check's
 fault sensitivity."""
 
@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import oni_kit.verify
@@ -36,6 +38,7 @@ EVEN_STABLE_P6 = (
     '"facets":[["0","4"],["0","6"],["2","6"]],"kind":"ordinary"}\n'
 )
 ZERO_IDEAL = '{"universe":["a","b"],"generators":[],"zero":true,"unit":false}'
+NOT_UTF8 = b'{"universe":["\xff"],"sets":[]}'
 T_A_CERTIFIED = (
     '{"ideal":{"universe":["l1","l2","l3","l4","u1","u2","u3"],"generators":[["l1","u1"],'
     '["l2","u2"],["u1","u2"],["u2","u3"],["l3","l4","u3"]],"zero":false,"unit":false},'
@@ -80,8 +83,8 @@ O_SEQ_314_CERTIFIED = (
 @pytest.fixture
 def invoke(monkeypatch, capsys):
     def run(argv, stdin=""):
-        if isinstance(stdin, bytes):  # decoded as under PYTHONIOENCODING=utf-8:strict
-            stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", errors="strict")
+        if isinstance(stdin, bytes):  # decoded as a child's stdin under a UTF-8 or POSIX locale
+            stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", errors="surrogateescape")
         else:
             stdin = io.StringIO(stdin)
         monkeypatch.setattr("sys.stdin", stdin)
@@ -258,24 +261,73 @@ def test_a_verb_invocation_builds_only_its_own_parsers(invoke, monkeypatch):
     assert len(built) == 1 + len(cli._GROUPS) + len(cli._VERBS)
 
 
+def run_child(argv, stdin, locale=None):
+    """Exit code and stdout of `python -m oni_kit.cli argv` fed the bytes
+    `stdin`, with `src` on its path; under `locale` if one is given, with
+    stdin decoded as that locale has it."""
+    env = dict(os.environ)
+    if locale:
+        env.update(LC_ALL=locale)
+        env.pop("PYTHONIOENCODING", None)
+        env.pop("PYTHONUTF8", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    child = subprocess.run([sys.executable, "-m", "oni_kit.cli", *argv], input=stdin,
+                           capture_output=True, env=env, timeout=60, check=False)
+    return child.returncode, child.stdout.decode()
+
+
 def test_python_m_matches_main_in_process(invoke):
     """`python -m oni_kit.cli` parses `sys.argv[1:]`, the path every real
     invocation takes, and prints what `main(argv)` prints in process."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     for argv, stdin in (
         (["graph", "td-sets"], P6_DOC),
         (["gvd", "check", "-h"], ""),
         (["gvd", "-h"], ""),
         (["-h"], ""),
         (["nope"], ""),
+        (["dualize"], NOT_UTF8),
     ):
-        child = subprocess.run([sys.executable, "-m", "oni_kit.cli", *argv],
-                               input=stdin.encode(), capture_output=True, env=env,
-                               timeout=60, check=False)
-        assert (child.returncode, child.stdout.decode()) == invoke(argv, stdin)
+        data = stdin if isinstance(stdin, bytes) else stdin.encode()
+        assert run_child(argv, data) == invoke(argv, stdin)
     assert invoke(["graph", "td-sets"], P6_DOC) == (0, P6_TD_SETS)
+    code, out = invoke(["dualize"], NOT_UTF8)
+    assert code == 2 and json.loads(out)["error"].startswith("cannot read stdin: ")
+
+
+words = st.sampled_from(["a", "b", "0", "\u00e9", "\u2603"])
+families = st.fixed_dictionaries(
+    {"universe": st.lists(words, unique=True, max_size=3),
+     "sets": st.lists(st.lists(words, unique=True, max_size=2), max_size=3)}
+).map(lambda doc: json.dumps(doc, ensure_ascii=False))
+edge_lists = st.lists(st.tuples(words, words), max_size=4).map(
+    lambda edges: "".join(f"{u} {v}\n" for u, v in edges)
+)
+
+
+@st.composite
+def stdin_bytes(draw):
+    """A family document, an edge list or any text, as UTF-8, and about
+    half the time with one to three arbitrary bytes spliced in."""
+    data = draw(st.one_of(families, edge_lists, st.text(max_size=12))).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+@given(argv=st.sampled_from([["dualize"], ["graph", "oni", "--format", "text"]]),
+       stdin=stdin_bytes(), locale=st.sampled_from(["C.UTF-8", "POSIX"]))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # invoke patches per call
+def test_child_processes_keep_the_output_contract(invoke, argv, stdin, locale):
+    """Through a real interpreter, which decodes stdin by its locale: exit
+    0, 1 or 2, one JSON line, and what `main(argv)` prints in process."""
+    code, out = run_child(argv, stdin, locale)
+    assert code in (0, 1, 2)
+    assert out.endswith("\n") and out.count("\n") == 1
+    json.loads(out)
+    assert (code, out) == invoke(argv, stdin)
 
 
 # ---------------------------------------------------------------------------
