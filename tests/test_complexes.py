@@ -1,6 +1,10 @@
 """Facet-level simplicial complex tests: kinds, Stanley-Reisner
 bridges, vertex decomposability, and the forest/cycle classifiers."""
 
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -498,6 +502,62 @@ def test_decomposability_random_matches_oracle(case):
     assert ok == oracles.vd_oracle(frozenset(frozenset(f) for f in facets))
     if ok:
         assert validate_shedding_certificate(complex_, cert)
+
+
+def shedding_digest(found):
+    """The first 16 hex digits of the sha256 of the canonical JSON of a
+    search's verdict and its certificate with every repeated node object
+    replaced by the index of its first appearance, which fixes the
+    certificate and its sharing."""
+    seen = {}
+
+    def shape(node):
+        if id(node) in seen:
+            return seen[id(node)]
+        seen[id(node)] = len(seen)
+        if isinstance(node, Leaf):
+            return node.kind
+        return node.vertex, shape(node.deletion), shape(node.link)
+
+    ok, cert = found
+    text = json.dumps([ok, None if cert is None else shape(cert)], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def seeded_pure_complex(seed):
+    """A pure complex of 2-7 facets of one size between 2 and n - 2 on
+    n = 6 or 7 vertices, drawn by random.Random(seed)."""
+    rng = random.Random(seed)
+    labels = LABELS8[: rng.choice((6, 7))]
+    k = rng.randint(2, len(labels) - 2)
+    return cx(labels, [rng.sample(labels, k) for _ in range(rng.randint(2, 7))])
+
+
+SHEDDING_DIGESTS = {
+    "even_stable-0": "faecbacfc89e91c2", "even_stable-1": "0de1701669db9482",
+    "even_stable-2": "27677fc797cadf2c", "even_stable-3": "db01606e3c716de3",
+    "even_stable-4": "052d65325a9ffe63", "even_stable-5": "36f7867149eca375",
+    "even_stable-6": "28d021025da22fb0", "even_stable-7": "855c29a5427de873",
+    "even_stable-8": "d2e8409233eb3ea6", "even_stable-9": "7c5e5e7284f17f6f",
+    "even_stable-10": "86515510aa5370fb", "even_stable-11": "fc8c3fcca53854fc",
+    "even_stable-12": "20a8e074f6d58a20", "even_stable-13": "2441f737260fcaff",
+    "even_stable-14": "e3bfeff54c91cc7b",
+}
+
+
+def test_shedding_certificates_pinned():
+    # The first witness the VD search returns, and its sharing, on the even
+    # stable complexes of grown trees 0-14 and on 200 seeded pure complexes,
+    # 92 of them VD: a faster search must try vertices in the same order.
+    got = {}
+    for k in range(15):
+        complex_ = even_stable_complex(oracles.seeded_grown_tree(k))
+        got[f"even_stable-{k}"] = shedding_digest(is_vertex_decomposable(complex_))
+    assert got == SHEDDING_DIGESTS
+    found = [is_vertex_decomposable(seeded_pure_complex(seed)) for seed in range(200)]
+    assert sum(ok for ok, _ in found) == 92
+    digests = "".join(shedding_digest(one) for one in found)
+    assert hashlib.sha256(digests.encode()).hexdigest()[:16] == "c3e254449e656c6a"
 
 
 def test_certificate_json_round_trip_and_errors():

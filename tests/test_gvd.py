@@ -32,6 +32,7 @@ from oni_kit import (
     o_extend,
     o_sequence,
     odd_oni,
+    oni,
     split,
     stanley_reisner_complex,
     stanley_reisner_ideal,
@@ -476,6 +477,50 @@ def test_is_gvd_matches_reference_on_trees(make):
 
 def test_is_gvd_matches_reference_on_beg_a():
     assert_matches_reference(SquareFreeIdeal(beg_a()))
+
+
+def search_digest(found):
+    """The first 16 hex digits of the sha256 of the canonical JSON of a
+    search's verdict and its certificate's `dag_shape`, which fixes the
+    certificate and its sharing."""
+    ok, cert = found
+    text = json.dumps([ok, None if cert is None else dag_shape(cert)], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+SEARCH_DIGESTS = {
+    "odd_oni-0": "2a02ee403eea4c59", "oni-0": "aca53ddd1cab5fe0",
+    "odd_oni-1": "716606b64c1e4939", "oni-1": "20b906ecdfb7a671",
+    "odd_oni-2": "22aa9f2d5fee6181", "oni-2": "9ce7182d86a58e7e",
+    "odd_oni-3": "47c3e5ce76379fbd", "oni-3": "4a4c84b468c1db3a",
+    "odd_oni-4": "6396d7369abfa63b", "oni-4": "b67f5a4a9175e3d5",
+    "odd_oni-5": "9b9de7801de20455", "oni-5": "a24cff61ed262fad",
+    "odd_oni-6": "c2088d1a616d5a4b", "oni-6": "57c5723bd61817be",
+    "odd_oni-7": "3a6bfff9dcd2654b", "oni-7": "cc5fd99a8e717d95",
+    "odd_oni-8": "b25ac73fbdd55a38", "oni-8": "287944ab1276d6da",
+    "odd_oni-9": "237053d15266722e", "oni-9": "705ba6042b92f37f",
+    "odd_oni-10": "6a3619e4c830981a", "oni-10": "5ac3cfd61e08e0c0",
+    "odd_oni-11": "fa8b078e61e7eae3", "oni-11": "804d815560b14d84",
+    "odd_oni-12": "8db5356c049b0d97", "oni-12": "d23da80c5b1f6d5e",
+    "odd_oni-13": "6a890e91b47f1879", "oni-13": "9f5a759b21b16baa",
+    "odd_oni-14": "e8f29f44e3c9bf13", "oni-14": "70dcf3be86a9150c",
+    "7-cycle": "f50e91a9869ca40c",
+}
+
+
+def test_search_certificates_pinned():
+    # The first witness `is_gvd` returns, and its sharing, on the odd and
+    # full open neighborhood ideals of grown trees 0-14 and on the 7-cycle's
+    # edge ideal: a faster search must try variables in the same order.
+    got = {}
+    for k in range(15):
+        tree = oracles.seeded_grown_tree(k)
+        got[f"odd_oni-{k}"] = search_digest(is_gvd(odd_oni(tree)))
+        got[f"oni-{k}"] = search_digest(is_gvd(oni(tree)))
+    labels = [str(i) for i in range(7)]
+    cycle = build(labels, [[labels[i], labels[(i + 1) % 7]] for i in range(7)])
+    got["7-cycle"] = search_digest(is_gvd(cycle))
+    assert got == SEARCH_DIGESTS
 
 
 def test_references_are_independent_of_the_dualization_kernel(monkeypatch):
