@@ -102,6 +102,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_source(path: Optional[str]) -> str:
     stdin = path is None or path == "-"
+    if stdin and sys.stdin is None:  # the interpreter's stdin when descriptor 0 is closed
+        raise InputError("cannot read stdin: it is closed")
     try:
         if stdin:
             # strict UTF-8 as for a path, whatever the locale; io.StringIO has no reconfigure

@@ -151,16 +151,25 @@ def _shed(
     them an antichain in canonical order.  Both stay pure when the complex
     is, since the deletion keeps a subset of the facets and the link's
     facets all lose the same vertex; so purity is checked once, at the root.
+
+    One loop sorts the facets into the two parts, and each part becomes a
+    tuple once: this runs at every node of the VD search and its replay,
+    where two generator expressions over the facets cost more than the
+    bit tests they wrap.
     """
-    kept = tuple(f for f in facets if not f & bit)
-    link_facets = tuple(f ^ bit for f in facets if f & bit)
+    kept, link_facets = [], []
+    for f in facets:
+        if f & bit:
+            link_facets.append(f ^ bit)
+        else:
+            kept.append(f)
     for h in link_facets:
         for g in kept:
             if h & g == h:
                 break
         else:
             return None
-    return kept, link_facets
+    return tuple(kept), tuple(link_facets)
 
 
 def is_shedding_vertex(cx: SimplicialComplex, v: str) -> bool:
@@ -236,6 +245,7 @@ def is_vertex_decomposable(
     if not cx.is_pure():
         raise InputError("vertex decomposability is defined for pure complexes")
 
+    labels = cx.universe.labels
     facet_set_cache: dict[tuple[int, ...], Optional[SheddingCertificate]] = {}
 
     def search(facets: tuple[int, ...]) -> Optional[SheddingCertificate]:
@@ -248,8 +258,10 @@ def is_vertex_decomposable(
         for f in facets:
             support |= f
         result: Optional[SheddingCertificate] = None
-        for p in _bits(support):
-            parts = _shed(facets, 1 << p)
+        while support:  # popped inline, lowest first: no `_bits` generator per node
+            bit = support & -support
+            support ^= bit
+            parts = _shed(facets, bit)
             if parts is None:
                 continue
             cert_del = search(parts[0])
@@ -258,7 +270,7 @@ def is_vertex_decomposable(
             cert_link = search(parts[1])
             if cert_link is None:
                 continue
-            result = Shed(cx.universe.labels[p], cert_del, cert_link)
+            result = Shed(labels[bit.bit_length() - 1], cert_del, cert_link)
             break
         facet_set_cache[facets] = result
         return result
@@ -274,19 +286,24 @@ def validate_shedding_certificate(
     an ordinary complex, every Leaf must match its base case, and any other
     node is rejected.  Purity is checked once, at the root, because `_shed`
     keeps it."""
-    return cx.is_pure() and _replay(cx.universe, cx.facets.masks, cert)
+    bit_of = {lab: 1 << p for p, lab in enumerate(cx.universe.labels)}
+    return cx.is_pure() and _replay(bit_of, cx.facets.masks, cert)
 
 
-def _replay(universe: Universe, facets: tuple[int, ...], cert: SheddingCertificate) -> bool:
+def _replay(bit_of: dict[str, int], facets: tuple[int, ...], cert: SheddingCertificate) -> bool:
+    """Does `cert` certify the complex with facets `facets`?  `bit_of` maps
+    each universe label to its bit; any other vertex, a non-string one
+    included, is rejected."""
     if isinstance(cert, Leaf):
         if cert.kind == "empty":
             return facets in ((), (0,))
         return cert.kind == "simplex" and len(facets) == 1
-    if not isinstance(cert, Shed) or facets in ((), (0,)) or cert.vertex not in universe:
+    if not isinstance(cert, Shed) or facets in ((), (0,)):
         return False
-    parts = _shed(facets, 1 << universe.position(cert.vertex))
+    bit = bit_of.get(cert.vertex, 0) if isinstance(cert.vertex, str) else 0
+    parts = _shed(facets, bit) if bit else None
     return parts is not None and (
-        _replay(universe, parts[0], cert.deletion) and _replay(universe, parts[1], cert.link)
+        _replay(bit_of, parts[0], cert.deletion) and _replay(bit_of, parts[1], cert.link)
     )
 
 

@@ -171,10 +171,21 @@ def _split_masks(gens: tuple[int, ...], ybit: int) -> tuple[tuple[int, ...], tup
     then n ⊊ g.  So C is the stripped generators together with the
     members of N that contain none of them, and its canonical order is one
     merge of these two canonical sequences: by size, and within a size the
-    mask holding the lowest bit of a ^ b comes first.
+    mask holding the lowest bit of a ^ b comes first.  When y divides no
+    generator, C = N = `gens`, returned at once.
+
+    One loop sorts the generators into the stripped ones and N: this runs
+    at every node of the GVD search and its replay, where two generator
+    expressions over the generators cost more than the bit tests they wrap.
     """
-    stripped = [g ^ ybit for g in gens if g & ybit]
-    n_gens = tuple(g for g in gens if not g & ybit)
+    stripped, n_gens = [], []
+    for g in gens:
+        if g & ybit:
+            stripped.append(g ^ ybit)
+        else:
+            n_gens.append(g)
+    if not stripped:
+        return gens, gens
     kept = []
     for g in n_gens:
         for s in stripped:
@@ -195,7 +206,7 @@ def _split_masks(gens: tuple[int, ...], ybit: int) -> tuple[tuple[int, ...], tup
             i += 1
         c_gens.append(b)
     c_gens += stripped[i:]
-    return tuple(c_gens), n_gens
+    return tuple(c_gens), tuple(n_gens)
 
 
 def _base(gens: tuple[int, ...]) -> Optional[tuple[Base, Optional[int]]]:
@@ -253,7 +264,14 @@ def _disconnected(live: int, gens: tuple[int, ...]) -> bool:
     outside = vertices ^ reached
     if not outside:
         return False
-    return reached != reached & -reached or any(adj[p] & vertices for p in _bits(outside))
+    if reached != reached & -reached:
+        return True
+    while outside:
+        low = outside & -outside
+        if adj[low.bit_length() - 1] & vertices:
+            return True
+        outside ^= low
+    return False
 
 
 def split(ideal: SquareFreeIdeal, y: str) -> tuple[SquareFreeIdeal, SquareFreeIdeal]:
@@ -451,8 +469,10 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
         if _disconnected(live, gens):  # not GVD (lemma 2)
             memo[key] = None
             return None
-        for y in _bits(live):
-            ybit = 1 << y
+        rest = live
+        while rest:  # popped inline, lowest first: no `_bits` generator per node
+            ybit = rest & -rest
+            rest ^= ybit
             c_gens, n_gens = _split_masks(gens, ybit)
             c_found = search(live ^ ybit, c_gens)
             if c_found is None:  # then neither is this node (lemma 1)
@@ -462,7 +482,7 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
                 continue
             height = _split_height(c_gens, c_found[1], n_gens, n_found[1])
             if height is not None:
-                found = make_split(labels[y], c_found[0], n_found[0]), height
+                found = make_split(labels[ybit.bit_length() - 1], c_found[0], n_found[0]), height
             break
         memo[key] = found
         return found
@@ -624,13 +644,19 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     def summands(piece: int, gens: tuple[int, ...]) -> tuple[list[int], tuple]:
         """The positions of the components whose ideal is one variable,
         ascending, and the others with their generators, in order."""
+        comps = _component_masks(adj, piece)
+        parts = [[] for _ in comps]
+        for g in gens:  # one pass: each generator meets exactly one component
+            i = 0
+            while not g & comps[i]:
+                i += 1
+            parts[i].append(g)
         ones, others = [], []
-        for comp in _component_masks(adj, piece):
-            comp_gens = tuple(g for g in gens if g & comp)
+        for comp, comp_gens in zip(comps, parts):
             if len(comp_gens) == 1 and comp_gens[0].bit_count() == 1:
                 ones.append(comp_gens[0].bit_length() - 1)
             elif comp_gens:
-                others.append((comp, comp_gens))
+                others.append((comp, tuple(comp_gens)))
         return sorted(ones), tuple(others)
 
     def split_of(comp: int, gens: tuple[int, ...]) -> tuple:

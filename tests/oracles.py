@@ -4,7 +4,8 @@ Everything here is deliberately naive: plain set arithmetic over explicit
 subset enumeration, the Stanley-Reisner complex with its unit and zero
 cases by hand, the Stanley-Reisner ideal through the validating family
 constructor, universe extension and join through labels, the pairwise
-antichain test, the canonical order as position tuples, networkx for
+antichain test, the two-pass forms of the per-node split kernels, the
+canonical order as position tuples, networkx for
 chordality and forests, leaf-distance heights as a dict filled by a
 deque BFS, Faridi's leaf test on every facet subcollection
 for simplicial forests and cycles, the GVD split that rebuilds both parts from
@@ -357,6 +358,54 @@ def reference_is_sperner(universe, sets) -> bool:
     return len(set(masks)) == len(masks) and all(
         a & b != a and a & b != b for i, a in enumerate(masks) for b in masks[i + 1 :]
     )
+
+
+# ---------------------------------------------------------------------------
+# the older forms of the per-node split kernels, which build each part with
+# its own generator expression: `complexes._shed` and `gvd._split_masks`
+
+
+def two_pass_shed(facets, bit):
+    """(deletion facets, link facets) at the vertex `bit` if it sheds, else
+    None, for facets in canonical order."""
+    kept = tuple(f for f in facets if not f & bit)
+    link_facets = tuple(f ^ bit for f in facets if f & bit)
+    for h in link_facets:
+        for g in kept:
+            if h & g == h:
+                break
+        else:
+            return None
+    return kept, link_facets
+
+
+def two_pass_split_masks(gens, ybit):
+    """C and N of the canonical generators `gens` split at `ybit`: N the
+    generators y does not divide, C one merge of the stripped generators
+    with the members of N that hold none of them."""
+    stripped = [g ^ ybit for g in gens if g & ybit]
+    n_gens = tuple(g for g in gens if not g & ybit)
+    kept = []
+    for g in n_gens:
+        for s in stripped:
+            if s & g == s:
+                break
+        else:
+            kept.append(g)
+    c_gens = []
+    i = 0
+    for b in kept:
+        size_b = b.bit_count()
+        while i < len(stripped):
+            a = stripped[i]
+            size_a, d = a.bit_count(), a ^ b
+            if size_a > size_b or (size_a == size_b and not a & d & -d):
+                break
+            c_gens.append(a)
+            i += 1
+        c_gens.append(b)
+    c_gens += stripped[i:]
+    return tuple(c_gens), n_gens
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,8 @@ def test_a_verb_invocation_builds_only_its_own_parsers(invoke, monkeypatch):
 def run_child(argv, stdin, locale=None):
     """Exit code and stdout of `python -m oni_kit.cli argv` fed the bytes
     `stdin`, with `src` on its path; under `locale` if one is given, with
-    stdin decoded as that locale has it."""
+    stdin decoded as that locale has it.  `stdin=None` closes the child's
+    file descriptor 0."""
     env = dict(os.environ)
     if locale:
         env.update(LC_ALL=locale)
@@ -272,7 +273,8 @@ def run_child(argv, stdin, locale=None):
         env.pop("PYTHONUTF8", None)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    child = subprocess.run([sys.executable, "-m", "oni_kit.cli", *argv], input=stdin,
+    closing = {"preexec_fn": lambda: os.close(0)} if stdin is None else {"input": stdin}
+    child = subprocess.run([sys.executable, "-m", "oni_kit.cli", *argv], **closing,
                            capture_output=True, env=env, timeout=60, check=False)
     return child.returncode, child.stdout.decode()
 
@@ -293,6 +295,20 @@ def test_python_m_matches_main_in_process(invoke):
     assert invoke(["graph", "td-sets"], P6_DOC) == (0, P6_TD_SETS)
     code, out = invoke(["dualize"], NOT_UTF8)
     assert code == 2 and json.loads(out)["error"].startswith("cannot read stdin: ")
+
+
+CLOSED_STDIN = '{"error":"cannot read stdin: it is closed"}\n'
+
+
+def test_no_stdin_is_unreadable(monkeypatch, capsys):
+    # the interpreter sets sys.stdin to None when file descriptor 0 is closed
+    monkeypatch.setattr("sys.stdin", None)
+    assert cli.main(["dualize"]) == 2
+    assert capsys.readouterr().out == CLOSED_STDIN
+
+
+def test_closed_stdin_exits_2_with_one_json_line():
+    assert run_child(["dualize"], None) == (2, CLOSED_STDIN)
 
 
 words = st.sampled_from(["a", "b", "0", "\u00e9", "\u2603"])

@@ -397,13 +397,16 @@ def test_decomposability_with_certificate():
     # tampering with the shed vertex fails
     forged = Shed("0", cert.deletion, cert.link)
     assert not validate_shedding_certificate(stable, forged)
-    # nodes that are not certificates are rejected, not raised on
+    # nodes that are not certificates, or shed no vertex of the complex,
+    # are rejected, not raised on
     malformed = [
         None,
         "simplex",
         Shed(cert.vertex, None, cert.link),
         Shed(cert.vertex, cert.deletion, "empty"),
         Shed([cert.vertex], cert.deletion, cert.link),
+        Shed("z", cert.deletion, cert.link),
+        Shed(2, cert.deletion, cert.link),
     ]
     for node in malformed:
         assert validate_shedding_certificate(stable, node) is False

@@ -41,6 +41,7 @@ from oni_kit import (
 from oni_kit.fixtures import beg_a, p6, t_a, twin_broom
 from oni_kit import gvd as gvd_module
 from oni_kit import universe as universe_module
+from oni_kit.complexes import _shed
 from oni_kit.graphs import _split_vertex
 from oni_kit.gvd import _disconnected, _interning, _split_height, _split_masks
 from oni_kit.universe import SpernerFamily, minimal_masks
@@ -134,6 +135,35 @@ def test_split_masks_match_minimal_masks_on_wide_ideals(case):
     assert c_gens == minimal_masks(m & ~ybit for m in gens)
     assert n_gens == tuple(m for m in gens if not m & ybit)
     assert is_canonical_antichain(c_gens)
+
+
+@st.composite
+def kernel_antichains(draw):
+    """A position count n <= 9 and a canonical antichain over n positions,
+    the minimal masks of drawn sets; sometimes one position is added to
+    every set, so it lies in every member, or taken from every set, so it
+    lies in none."""
+    n = draw(st.integers(0, 9))
+    member = st.sets(st.integers(0, n - 1)) if n else st.just(set())
+    masks = [sum(1 << p for p in s) for s in draw(st.lists(member, max_size=8))]
+    if n and draw(st.booleans()):
+        bit = 1 << draw(st.integers(0, n - 1))
+        masks = [m | bit for m in masks] if draw(st.booleans()) else [m & ~bit for m in masks]
+    return n, tuple(oracles.reference_minimal_masks(masks))
+
+
+@given(kernel_antichains())
+@example((3, ()))  # the zero ideal, the void complex
+@example((3, (0,)))  # the unit ideal, the empty complex
+@example((3, (0b011, 0b101)))  # position 0 in every member, no position in none
+@example((4, (0b011, 0b110)))  # position 3 in no member: divides no generator
+@settings(max_examples=300, deadline=None)
+def test_one_pass_kernels_match_their_two_pass_forms(case):
+    n, masks = case
+    for p in range(n):
+        bit = 1 << p
+        assert _split_masks(masks, bit) == oracles.two_pass_split_masks(masks, bit)
+        assert _shed(masks, bit) == oracles.two_pass_shed(masks, bit)
 
 
 @given(ideals())
