@@ -140,11 +140,16 @@ def test_split_masks_match_minimal_masks_on_wide_ideals(case):
 @st.composite
 def kernel_antichains(draw):
     """A position count n <= 9 and a canonical antichain over n positions,
-    the minimal masks of drawn sets; sometimes one position is added to
-    every set, so it lies in every member, or taken from every set, so it
-    lies in none."""
+    the minimal masks of drawn sets, half the time all of one size, so
+    that every distinct set is a member; sometimes one position is added
+    to every set, so it lies in every member, or taken from every set, so
+    it lies in none."""
     n = draw(st.integers(0, 9))
-    member = st.sets(st.integers(0, n - 1)) if n else st.just(set())
+    if n and draw(st.booleans()):
+        k = draw(st.integers(1, n))
+        member = st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
+    else:
+        member = st.sets(st.integers(0, n - 1)) if n else st.just(set())
     masks = [sum(1 << p for p in s) for s in draw(st.lists(member, max_size=8))]
     if n and draw(st.booleans()):
         bit = 1 << draw(st.integers(0, n - 1))
