@@ -1054,6 +1054,61 @@ def test_interleaved_forest_certificate_matches_reference():
     assert validate_certificate(odd_oni(forest), certify_tree_gvd(forest))
 
 
+def dag_digest(certs):
+    """The first 16 hex digits of a sha256 over the certificates, each
+    numbering its distinct nodes in post-order (C branch first) and
+    hashing one line per node: its base kind, or its variable and the
+    numbers of its branches.  That fixes each DAG and its sharing.  The
+    walk keeps its own stack, and nothing expands a shared node."""
+    digest = hashlib.sha256()
+    for cert in certs:
+        number, stack = {}, [cert]
+        while stack:
+            node = stack[-1]
+            if id(node) in number:
+                stack.pop()
+                continue
+            if isinstance(node, Base):
+                line = node.kind
+            else:
+                missing = [b for b in (node.n_branch, node.c_branch) if id(b) not in number]
+                if missing:
+                    stack += missing
+                    continue
+                line = f"{node.variable} {number[id(node.c_branch)]} {number[id(node.n_branch)]}"
+            stack.pop()
+            number[id(node)] = len(number)
+            digest.update(f"{line}\n".encode())
+        digest.update(f"root {number[id(cert)]}\n".encode())
+    return digest.hexdigest()[:16]
+
+
+def interleaved_forest_corpus(count, seed):
+    """`count` interleaved forests of 1-3 trees, each the 7-vertex path
+    after 0-6 o-extensions at vertices of height 1-3, drawn from one
+    seeded generator.  A forest has at most 93 vertices, so the labels
+    `interleaved_forest` deals out sort in the order they were dealt."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        trees = []
+        for _ in range(rng.randint(1, 3)):
+            tree = p6()
+            for _ in range(rng.randrange(7)):
+                profile = heights(tree)
+                tree = o_extend(tree, rng.choice(
+                    [v for v in tree.vertices if profile.height_of(v) in (1, 2, 3)]
+                ))
+            trees.append(tree)
+        yield interleaved_forest(trees)
+
+
+def test_certify_tree_gvd_pinned_on_interleaved_forests():
+    # 300 forests whose components' positions interleave: the certificates
+    # and their sharing are pinned, whatever order the certifier builds in.
+    corpus = interleaved_forest_corpus(300, 29)
+    assert dag_digest(certify_tree_gvd(forest) for forest in corpus) == "54347872580cac54"
+
+
 @pytest.mark.parametrize(
     "picks", [["4", "p1_3", "p1_2", "4", "p1_2"], ["3", "1", "2", "p1_2", "2", "p1_2"]]
 )
