@@ -17,8 +17,9 @@ full: no parser accepts an abbreviated long option.
 
 Every verb writes exactly one JSON document, and exits 0 on success, 1 when
 an asserted boolean came out false, 2 on malformed input or a violated
-precondition.  The one other output is ``-h``/``--help``, which prints usage
-text and exits 0.  Identical invocations produce byte-identical output.
+precondition; with stdout closed it writes nothing there and exits 2.  The
+one other output is ``-h``/``--help``, which prints usage text and exits 0.
+Identical invocations produce byte-identical output.
 
 Computations call library functions and methods through this module's
 globals at call time, as `verify` does, never through references captured
@@ -161,6 +162,15 @@ def _read(kind: str, path: Optional[str], encoding: Optional[str]):
     return _DECODERS[kind](_parse_json(_read_source(path)))
 
 
+def _write_stdout(text: str) -> bool:
+    """Write `text` to stdout and say whether it could: the interpreter
+    sets sys.stdout to None when file descriptor 1 is closed."""
+    if sys.stdout is None:
+        return False
+    sys.stdout.write(text)
+    return True
+
+
 def _emit(doc, args: dict) -> None:
     if args["pretty"]:
         text = json.dumps(doc, indent=2) + "\n"
@@ -168,7 +178,8 @@ def _emit(doc, args: dict) -> None:
         text = json.dumps(doc, separators=(",", ":")) + "\n"
     out = args["out"]
     if out is None or out == "-":
-        sys.stdout.write(text)
+        if not _write_stdout(text):
+            raise InputError("cannot write stdout: it is closed")
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -445,7 +456,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         # valid input can still nest deeper than the interpreter's stack
         message = "input too deep to process"
-    sys.stdout.write(json.dumps({"error": message}, separators=(",", ":")) + "\n")
+    _write_stdout(json.dumps({"error": message}, separators=(",", ":")) + "\n")
     return 2
 
 

@@ -65,14 +65,10 @@ class SimplicialComplex:
         return len(sizes) <= 1
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.universe == other.universe
-            and self.facets.masks == other.facets.masks
-        )
+        return isinstance(other, SimplicialComplex) and self.facets == other.facets
 
     def __hash__(self) -> int:
-        return hash((self.universe.labels, self.facets.masks))
+        return hash(self.facets)
 
     def __repr__(self) -> str:
         if self.kind == VOID:

@@ -433,29 +433,6 @@ class TreeDecomposition:
     t2: Graph
 
 
-def _decomposes(
-    adj: Sequence[int], ones: int, pieces: Iterable[tuple[Sequence[int], int]]
-) -> bool:
-    """The three decomposition conditions for the tree with adjacency masks
-    `adj` and height-1 stratum `ones`, each piece given as (adjacency masks,
-    present mask) in the tree's positions: both pieces are balanced forests,
-    their even strata partition the vertices together with `ones`, and the
-    odd vertices' piece neighborhoods plus the stem variables generate the
-    tree's neighborhood ideal."""
-    covered = ones
-    gens = [1 << p for p in _bits(ones)]
-    for piece, present in pieces:
-        strata, _, _, balanced = _heights_of_adj(piece, present)
-        if not balanced:
-            return False
-        even = sum(strata[0::2])
-        if even & covered:
-            return False
-        covered |= even
-        gens.extend(piece[p] for p in _bits(present & ~even))
-    return covered == (1 << len(adj)) - 1 and minimal_masks(gens) == minimal_masks(adj)
-
-
 def _in_positions(tree: Graph, piece: Graph) -> tuple[list[int], int]:
     """A subgraph's adjacency masks and vertex mask in the tree's positions.
     Both universes are sorted, so the piece's positions keep their order."""
@@ -471,15 +448,28 @@ def _in_positions(tree: Graph, piece: Graph) -> tuple[list[int], int]:
 def verify_decomposition(tree: Graph, t1: Graph, t2: Graph) -> bool:
     """Check the three decomposition conditions exactly: both pieces are
     balanced forests, their even strata partition the vertices together
-    with the ambient height-1 stratum, and the neighborhood ideal is the
-    three-term sum."""
-    strata, comps, forest, _ = _heights_of_adj(tree.adj, tree.universe.full_mask())
+    with the ambient height-1 stratum, and the odd vertices' piece
+    neighborhoods plus the stem variables generate the tree's neighborhood
+    ideal.  The pieces are read as adjacency masks in the tree's
+    positions."""
+    adj = tree.adj
+    strata, comps, forest, _ = _heights_of_adj(adj, tree.universe.full_mask())
     if not (forest and comps == 1):
         raise InputError("decomposition target must be a tree")
     if not t1.is_subgraph_of(tree) or not t2.is_subgraph_of(tree):
         raise InputError("decomposition pieces must be subgraphs")
-    ones = sum(strata[1:2])
-    return _decomposes(tree.adj, ones, (_in_positions(tree, t) for t in (t1, t2)))
+    covered = sum(strata[1:2])
+    gens = [1 << p for p in _bits(covered)]
+    for piece, present in (_in_positions(tree, t) for t in (t1, t2)):
+        piece_strata, _, _, balanced = _heights_of_adj(piece, present)
+        if not balanced:
+            return False
+        even = sum(piece_strata[0::2])
+        if even & covered:
+            return False
+        covered |= even
+        gens.extend(piece[p] for p in _bits(present & ~even))
+    return covered == (1 << len(adj)) - 1 and minimal_masks(gens) == minimal_masks(adj)
 
 
 def _piece(adj: Sequence[int], a_mask: int) -> tuple[list[int], int]:
@@ -509,13 +499,13 @@ def _subgraph(graph: Graph, adj: Sequence[int], present: int) -> Graph:
 
 
 def search_decomposition(tree: Graph) -> Optional[TreeDecomposition]:
-    """The tree's decomposition at its bipartition, verified by _decomposes:
-    with S the stems (height 1) and W the other vertices, the even sides
-    are A, W's part of the colour class of the first leaf, and B = W - A.
-    On a balanced tree A is the even strata.
+    """The tree's decomposition at its bipartition, or None when the tree
+    has fewer than 3 vertices: with S the stems (height 1) and W the other
+    vertices, the even sides are A, W's part of the colour class of the
+    first leaf, and B = W - A.  On a balanced tree A is the even strata.
 
-    Every tree T on 3 or more vertices decomposes so, and None means at
-    most 2 vertices.  For A inside W, _piece(A) joins to A only the x
+    The pieces are not checked: every tree T on 3 or more vertices
+    decomposes so.  For A inside W, _piece(A) joins to A only the x
     outside A with N(x) non-empty and inside A.  No such x is a leaf, as a
     leaf's neighbour is a stem, so every leaf of the piece lies in A; its
     heights are even on A and odd on the x, and it is a balanced forest
@@ -523,17 +513,20 @@ def search_decomposition(tree: Graph) -> Optional[TreeDecomposition]:
     reduces to: every minimal generator N(v) of oni(T) with two or more
     elements lies on one side, and v off it (in a tree, N(x) = N(v) with
     x != v closes a 4-cycle).  N(v) has the colour opposite to v's, so
-    both colour sides pass."""
+    both colour sides pass.  K1 and K2 do not decompose: every vertex of
+    a subgraph has degree at most 1, hence height 0, so neither piece has
+    an odd vertex and the tree has no stem, and the three-term sum is the
+    zero ideal, which oni(K1) = (1) and oni(K2) = (a, b) are not."""
     full = tree.universe.full_mask()
     strata, comps, forest, _ = _heights_of_adj(tree.adj, full)
     if not (forest and comps == 1):
         raise InputError("decomposition search needs a tree")
+    if len(tree.universe) < 3:
+        return None
     ones = sum(strata[1:2])
     w_mask = full & ~ones
     colour = sum(_sweep(tree.adj, full, strata[0] & -strata[0])[0::2])
     pieces = [_piece(tree.adj, a) for a in (w_mask & colour, w_mask & ~colour)]
-    if not _decomposes(tree.adj, ones, pieces):
-        return None
     return TreeDecomposition(*(_subgraph(tree, *piece) for piece in pieces))
 
 

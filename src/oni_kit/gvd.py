@@ -610,23 +610,44 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     return, and a component's generators depend on its vertices alone.
 
     A piece's ideal is the sum of its components' ideals, on disjoint
-    supports, and one recursion certifies such sums.  For y in the support
-    of a summand A, with B the sum of the others, C_y(A + B) = C_y(A) + B
-    and N_y(A + B) = N_y(A) + B; heights add over disjoint supports, so
-    `_split_height` accepts the split of A + B when it accepts A's.  So
-    summands in order are certified by the zero or variable base if they
-    are none or all single variables; else by a split at the lowest
-    single variable, C the unit ideal; else by a split of the first with
-    the rest carried along: a chain (one generator) peels its variables
-    in a loop, N the rest each time; a stranded generator y splits at y,
-    C the unit ideal; any other component splits at `_split_vertex`, with
-    its C and N components in front of the rest.  Components come by
-    lowest position, and a single-variable one is only ever one of the two
-    left by deleting a split vertex, the one deletion that shrinks an odd
-    neighborhood that stays; so this is the certificate that merging the
-    components' certificates pairwise, left to right, gives, as the tests'
-    reference does.  Memos per call: certificates on the ordered summands,
-    splits on the component.
+    supports, and one recursion over ordered summands certifies such sums.
+    For y in the support of a summand A, with B the sum of the others,
+    C_y(A + B) = C_y(A) + B and N_y(A + B) = N_y(A) + B; heights add over
+    disjoint supports, so `_split_height` accepts the split of A + B when
+    it accepts A's.  `summands` orders a piece's components: those whose
+    ideal is one variable first, by that variable, then the others by
+    lowest position.  Summands are certified by the zero base if there
+    are none, and by the variable base if the last is one variable: only
+    one-variable summands come first, and the rest carried along behind a
+    piece's summands follows a summand that is not one variable, so never
+    holds one; so then every summand is one variable.  Otherwise the first
+    is split with the rest carried along.  A chain (one generator) peels
+    its variables in a loop, N the rest each time; a one-variable summand
+    y is the shortest chain, a split at y with C the unit ideal.  Any
+    other component splits at y, its first generator when that is one
+    variable (a stranded vertex's lone neighbor) and `_split_vertex`
+    otherwise, with the summands of its C and N in front of the rest.
+    When (y) is a generator, no other generator holds y, as they are an
+    antichain, so `_split_masks` gives C = (0,), the unit ideal, and N the
+    other generators.  A component whose first generator has two or more
+    variables has no one-variable generator, since those lead canonical
+    order, so its C is never the unit ideal.  A one-variable component is
+    only ever one of the two left by deleting a split vertex, the one
+    deletion that shrinks an odd neighborhood that stays; so this is the
+    certificate that merging the components' certificates pairwise, left
+    to right, gives, as the tests' reference does.
+
+    The forest's summands are certified suffix by suffix, from the last
+    suffix to the whole.  A call on the summands X followed by rest
+    reaches the call on rest, as every branch carries rest along until X
+    is used up, so each component's recursion finds its rest in the memo:
+    the stack is one component deep, not as deep as all the components
+    together, and a forest of many small trees does not exhaust it.  The
+    certificate of the whole thus reaches every suffix's, so no split is
+    built that is not returned, and since one `_interning` constructor
+    builds every split, the DAG does not depend on the order in which its
+    nodes were built.  Memos per call: certificates on the ordered
+    summands, splits on the component.
     """
     u = forest.universe
     adj = forest.adj
@@ -641,9 +662,9 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     splits: dict[int, tuple] = {}
     memo: dict[tuple, GvdCertificate] = {(): _ZERO}
 
-    def summands(piece: int, gens: tuple[int, ...]) -> tuple[list[int], tuple]:
-        """The positions of the components whose ideal is one variable,
-        ascending, and the others with their generators, in order."""
+    def summands(piece: int, gens: tuple[int, ...]) -> tuple:
+        """The piece's components with their generators: those whose ideal
+        is one variable by that variable, then the others in order."""
         comps = _component_masks(adj, piece)
         parts = [[] for _ in comps]
         for g in gens:  # one pass: each generator meets exactly one component
@@ -654,43 +675,31 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
         ones, others = [], []
         for comp, comp_gens in zip(comps, parts):
             if len(comp_gens) == 1 and comp_gens[0].bit_count() == 1:
-                ones.append(comp_gens[0].bit_length() - 1)
+                ones.append((comp, tuple(comp_gens)))
             elif comp_gens:
                 others.append((comp, tuple(comp_gens)))
-        return sorted(ones), tuple(others)
+        return tuple(sorted(ones, key=lambda part: part[1]) + others)
 
     def split_of(comp: int, gens: tuple[int, ...]) -> tuple:
         """The split variable, C's summands (None if unit) and N's."""
         found = splits.get(comp)
         if found is None:
-            if gens[0].bit_count() == 1:  # stranded: C is the unit ideal
-                y, c_part, n_gens = gens[0].bit_length() - 1, None, gens[1:]
-            else:
-                y = _split_vertex(adj, comp)
-                c_gens, n_gens = _split_masks(gens, 1 << y)
-                c_part = summands(comp & ~(1 << y), c_gens)
+            y = gens[0].bit_length() - 1 if gens[0].bit_count() == 1 else _split_vertex(adj, comp)
+            c_gens, n_gens = _split_masks(gens, 1 << y)
+            c_part = None if c_gens == (0,) else summands(comp & ~(1 << y), c_gens)
             n_part = summands(comp & ~(adj[y] | 1 << y), n_gens)
             found = splits[comp] = labels[y], c_part, n_part
         return found
 
-    def sum_cert(part: tuple[list[int], tuple], rest: tuple = ()) -> GvdCertificate:
-        """Certificate of a piece's components, as `summands` gives them,
-        plus the summands `rest`."""
-        ones, summed = part
-        summed += rest
-        if ones and not summed:
-            return _VARS
-        node = cert(summed)
-        for p in reversed(ones):
-            node = make_split(labels[p], _UNIT, node)
-        return node
-
     def cert(summed: tuple) -> GvdCertificate:
-        """Certificate of the summands' sum; none is a single variable."""
+        """Certificate of the summands' sum."""
         node = memo.get(summed)
         if node is None:
             (comp, gens), rest = summed[0], summed[1:]
-            if len(gens) == 1:  # a chain: a loop, however long
+            tail = summed[-1][1]
+            if len(tail) == 1 and tail[0].bit_count() == 1:  # one variable, so is every summand
+                node = _VARS
+            elif len(gens) == 1:  # a chain: a loop, however long
                 n_node = cert(rest)
                 *chain, last = _bits(gens[0])
                 node = make_split(labels[last], _UNIT, n_node) if rest else _VARS
@@ -698,10 +707,13 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
                     node = make_split(labels[p], node, n_node)
             else:
                 y, c_part, n_part = split_of(comp, gens)
-                c_node = _UNIT if c_part is None else sum_cert(c_part, rest)
-                node = make_split(y, c_node, sum_cert(n_part, rest))
+                c_node = _UNIT if c_part is None else cert(c_part + rest)
+                node = make_split(y, c_node, cert(n_part + rest))
             memo[summed] = node
         return node
 
     odd = sum(strata[1::2])
-    return sum_cert(summands(full, minimal_masks(adj[p] for p in _bits(odd))))
+    summed = summands(full, minimal_masks(adj[p] for p in _bits(odd)))
+    for i in reversed(range(1, len(summed))):  # suffixes first: one component deep
+        cert(summed[i:])
+    return cert(summed)

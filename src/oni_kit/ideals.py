@@ -88,14 +88,10 @@ class SquareFreeIdeal:
             raise InputError("ideals live over different universes")
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SquareFreeIdeal)
-            and self.universe == other.universe
-            and self.generators.masks == other.generators.masks
-        )
+        return isinstance(other, SquareFreeIdeal) and self.generators == other.generators
 
     def __hash__(self) -> int:
-        return hash((self.universe.labels, self.generators.masks))
+        return hash(self.generators)
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -261,11 +261,10 @@ def test_a_verb_invocation_builds_only_its_own_parsers(invoke, monkeypatch):
     assert len(built) == 1 + len(cli._GROUPS) + len(cli._VERBS)
 
 
-def run_child(argv, stdin, locale=None):
-    """Exit code and stdout of `python -m oni_kit.cli argv` fed the bytes
-    `stdin`, with `src` on its path; under `locale` if one is given, with
-    stdin decoded as that locale has it.  `stdin=None` closes the child's
-    file descriptor 0."""
+def child(argv, locale=None, **options):
+    """`python -m oni_kit.cli argv` run to completion with `src` on its
+    path, under `locale` if one is given, with stdin decoded as that locale
+    has it; `options` go to `subprocess.run`."""
     env = dict(os.environ)
     if locale:
         env.update(LC_ALL=locale)
@@ -273,10 +272,16 @@ def run_child(argv, stdin, locale=None):
         env.pop("PYTHONUTF8", None)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "oni_kit.cli", *argv], **options,
+                          env=env, timeout=60, check=False)
+
+
+def run_child(argv, stdin, locale=None):
+    """Exit code and stdout of the CLI child fed the bytes `stdin`.
+    `stdin=None` closes the child's file descriptor 0."""
     closing = {"preexec_fn": lambda: os.close(0)} if stdin is None else {"input": stdin}
-    child = subprocess.run([sys.executable, "-m", "oni_kit.cli", *argv], **closing,
-                           capture_output=True, env=env, timeout=60, check=False)
-    return child.returncode, child.stdout.decode()
+    done = child(argv, locale, **closing, capture_output=True)
+    return done.returncode, done.stdout.decode()
 
 
 def test_python_m_matches_main_in_process(invoke):
@@ -309,6 +314,33 @@ def test_no_stdin_is_unreadable(monkeypatch, capsys):
 
 def test_closed_stdin_exits_2_with_one_json_line():
     assert run_child(["dualize"], None) == (2, CLOSED_STDIN)
+
+
+def test_no_stdout_is_unwritable(invoke, monkeypatch, capsys, tmp_path):
+    # the interpreter sets sys.stdout to None when file descriptor 1 is
+    # closed: a result and an error both exit 2, and --out still writes
+    code, expected = invoke(["fixture", "p6"])
+    assert code == 0
+    monkeypatch.setattr("sys.stdout", None)
+    assert cli.main(["fixture", "p6"]) == 2
+    assert cli.main(["nope"]) == 2
+    target = tmp_path / "p6.json"
+    assert cli.main(["fixture", "p6", "--out", str(target)]) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+    assert target.read_text() == expected
+
+
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    closing = {"preexec_fn": lambda: os.close(1), "stdin": subprocess.DEVNULL,
+               "stderr": subprocess.PIPE}
+    for argv in (["fixture", "p6"], ["nope"]):
+        done = child(argv, **closing)
+        assert (done.returncode, done.stderr) == (2, b"")
+    target = tmp_path / "p6.json"
+    done = child(["fixture", "p6", "--out", str(target)], **closing)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert target.read_text() == run_child(["fixture", "p6"], b"")[1]
 
 
 words = st.sampled_from(["a", "b", "0", "\u00e9", "\u2603"])

@@ -523,6 +523,21 @@ def test_every_tree_on_three_to_twelve_vertices_decomposes():
     assert search_decomposition(path_graph(1)) is None
 
 
+@given(st.integers(13, 80), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_search_decomposition_pieces_decompose_larger_trees(n, seed):
+    """Past the census: search_decomposition checks nothing, so the
+    reference checker must accept its pieces on random trees of 13-80
+    vertices."""
+    rng = random.Random(seed)
+    edges = oracles.random_tree_edges(rng, n)
+    names = [f"v{i:02d}" for i in rng.sample(range(n), n)]
+    tree = graph(names, [(names[int(a)], names[int(b)]) for a, b in edges])
+    found = search_decomposition(tree)
+    assert found is not None
+    assert oracles.reference_verify_decomposition(tree, found.t1, found.t2)
+
+
 def test_reference_search_raises_past_its_bound():
     # the library decomposes this tree at its bipartition; the exhaustive
     # reference must not answer None for it

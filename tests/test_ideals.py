@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oni_kit import InputError, SquareFreeIdeal, Universe
+from oni_kit import InputError, SimplicialComplex, SpernerFamily, SquareFreeIdeal, Universe
 
 LABELS = tuple("abcdef")
 
@@ -85,6 +85,23 @@ def test_unmixedness():
     assert build("ab", []).is_unmixed()
     with pytest.raises(InputError, match="unit ideal has no primes"):
         build("ab", [[]]).is_unmixed()
+
+
+def test_ideals_and_complexes_compare_and_hash_as_their_families():
+    # equal exactly when the families are, with the family's hash, and
+    # never equal across the three types, whatever their masks
+    u = Universe("abc")
+    family = SpernerFamily(u, [0b011, 0b100])
+    ideal = SquareFreeIdeal(SpernerFamily(u, [0b100, 0b011]))
+    complex_ = SimplicialComplex(u, [0b011, 0b100])
+    assert ideal == SquareFreeIdeal(family) and hash(ideal) == hash(family)
+    assert complex_ == SimplicialComplex._of(family) and hash(complex_) == hash(family)
+    assert hash(family) == hash((u.labels, family.masks))
+    for a, b in ((ideal, complex_), (ideal, family), (complex_, family)):
+        assert a != b and b != a
+    wider = Universe("abcd")
+    assert ideal != SquareFreeIdeal(SpernerFamily(wider, family.masks))
+    assert complex_ != SimplicialComplex(wider, family.masks)
 
 
 def test_extension():
