@@ -23,10 +23,10 @@ search also settles as not GVD, with no split, a node whose complex has
 an edge and a disconnected 1-skeleton.
 The forest certifier likewise recurses on vertex masks of the forest, a
 piece's ideal being the minimal masks of its odd vertices' neighborhoods
-in it, which splits carry down from the forest's.  It certifies a piece
-as the sum of its components' ideals, by one recursion over the ordered
-components, with no merging of separate certificates.  Every certificate
-built here is the maximally shared DAG: equal subtrees are one node.
+in it, which splits carry down from the forest's.  A piece's ideal is
+its components' sum, certified by folding each, last to first, onto the
+certificate of those after it, with no merge.  Every certificate built
+here is the maximally shared DAG: equal subtrees are one node.
 """
 
 from __future__ import annotations
@@ -592,8 +592,8 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     is the empty mask.
 
     A piece's generators are the minimal masks of its odd vertices'
-    neighborhoods in it; `minimal_masks` computes them once, for the
-    forest, and splits carry them down.  Deleting y from a component
+    neighborhoods in it; `minimal_masks` computes them for each component
+    of the forest, and splits carry them down.  Deleting y from a component
     removes y from every odd neighborhood, and the minimal masks of
     those are the minimal masks of the old generators with y removed (each
     neighborhood holds a generator), which is C of the split at y.
@@ -610,44 +610,38 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     return, and a component's generators depend on its vertices alone.
 
     A piece's ideal is the sum of its components' ideals, on disjoint
-    supports, and one recursion over ordered summands certifies such sums.
-    For y in the support of a summand A, with B the sum of the others,
-    C_y(A + B) = C_y(A) + B and N_y(A + B) = N_y(A) + B; heights add over
-    disjoint supports, so `_split_height` accepts the split of A + B when
-    it accepts A's.  `summands` orders a piece's components: those whose
-    ideal is one variable first, by that variable, then the others by
-    lowest position.  Summands are certified by the zero base if there
-    are none, and by the variable base if the last is one variable: only
-    one-variable summands come first, and the rest carried along behind a
-    piece's summands follows a summand that is not one variable, so never
-    holds one; so then every summand is one variable.  Otherwise the first
-    is split with the rest carried along.  A chain (one generator) peels
-    its variables in a loop, N the rest each time; a one-variable summand
-    y is the shortest chain, a split at y with C the unit ideal.  Any
-    other component splits at y, its first generator when that is one
-    variable (a stranded vertex's lone neighbor) and `_split_vertex`
-    otherwise, with the summands of its C and N in front of the rest.
-    When (y) is a generator, no other generator holds y, as they are an
-    antichain, so `_split_masks` gives C = (0,), the unit ideal, and N the
-    other generators.  A component whose first generator has two or more
+    supports.  For y in the support of a summand A, with B the sum of the
+    others, C_y(A + B) = C_y(A) + B and N_y(A + B) = N_y(A) + B; heights
+    add over disjoint supports, so `_split_height` accepts the split of
+    A + B when it accepts A's.  A chain A (one generator) peels its
+    variables in a loop, N being B each time, down to a split at its last
+    variable with C the unit ideal, or to the variable base when B is zero
+    or variables.  Any other A splits at y, its first generator when that
+    is one variable (a stranded vertex's lone neighbor) and `_split_vertex`
+    otherwise, with C's and N's components each followed by B.  By
+    induction on A, these rules read B through its node alone, so `cert`
+    folds a piece's components, last to first, each onto `after`, the node
+    of the sum of those behind it, memoized on the component and `after`'s
+    id (the `_interning` table and `_BASES` hold every node, so no id is
+    reused).  The stack is one frame pair per split inside one component.
+    `summands` puts the components whose ideal is one variable first, by
+    that variable, then the others by lowest position.  A node is the
+    variable base only if every summand of its sum is one variable, and
+    `after` is that base only behind one-variable summands: a component
+    that is not one variable is followed by its piece's later components,
+    none one variable, then by what followed the component split into
+    that piece, and at the top by the forest's, never one variable, which
+    needs an odd vertex with one neighbor, a leaf, of height 0.  When (y)
+    is a generator, no other generator holds y, as they are an antichain,
+    so `_split_masks` gives C = (0,), the unit ideal, and N the other
+    generators.  A component whose first generator has two or more
     variables has no one-variable generator, since those lead canonical
     order, so its C is never the unit ideal.  A one-variable component is
     only ever one of the two left by deleting a split vertex, the one
     deletion that shrinks an odd neighborhood that stays; so this is the
     certificate that merging the components' certificates pairwise, left
-    to right, gives, as the tests' reference does.
-
-    The forest's summands are certified suffix by suffix, from the last
-    suffix to the whole.  A call on the summands X followed by rest
-    reaches the call on rest, as every branch carries rest along until X
-    is used up, so each component's recursion finds its rest in the memo:
-    the stack is one component deep, not as deep as all the components
-    together, and a forest of many small trees does not exhaust it.  The
-    certificate of the whole thus reaches every suffix's, so no split is
-    built that is not returned, and since one `_interning` constructor
-    builds every split, the DAG does not depend on the order in which its
-    nodes were built.  Memos per call: certificates on the ordered
-    summands, splits on the component.
+    to right, gives, as the tests' reference does.  Memos per call:
+    certificates on the component and `after`, splits on the component.
     """
     u = forest.universe
     adj = forest.adj
@@ -660,7 +654,7 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     labels = u.labels
     make_split = _interning()
     splits: dict[int, tuple] = {}
-    memo: dict[tuple, GvdCertificate] = {(): _ZERO}
+    memo: dict[tuple[int, int], GvdCertificate] = {}
 
     def summands(piece: int, gens: tuple[int, ...]) -> tuple:
         """The piece's components with their generators: those whose ideal
@@ -691,29 +685,26 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
             found = splits[comp] = labels[y], c_part, n_part
         return found
 
-    def cert(summed: tuple) -> GvdCertificate:
-        """Certificate of the summands' sum."""
-        node = memo.get(summed)
-        if node is None:
-            (comp, gens), rest = summed[0], summed[1:]
-            tail = summed[-1][1]
-            if len(tail) == 1 and tail[0].bit_count() == 1:  # one variable, so is every summand
-                node = _VARS
-            elif len(gens) == 1:  # a chain: a loop, however long
-                n_node = cert(rest)
-                *chain, last = _bits(gens[0])
-                node = make_split(labels[last], _UNIT, n_node) if rest else _VARS
-                for p in reversed(chain):
-                    node = make_split(labels[p], node, n_node)
-            else:
-                y, c_part, n_part = split_of(comp, gens)
-                c_node = _UNIT if c_part is None else cert(c_part + rest)
-                node = make_split(y, c_node, cert(n_part + rest))
-            memo[summed] = node
-        return node
+    def cert(parts: tuple, after: GvdCertificate) -> GvdCertificate:
+        """Certificate of the parts' sum plus the sum `after` certifies."""
+        for comp, gens in reversed(parts):
+            key = comp, id(after)
+            node = memo.get(key)
+            if node is None:
+                if len(gens) == 1:  # a chain: a loop, however long
+                    *chain, last = _bits(gens[0])
+                    bare = after is _ZERO or after is _VARS  # (last) plus these is variables
+                    node = _VARS if bare else make_split(labels[last], _UNIT, after)
+                    for p in reversed(chain):
+                        node = make_split(labels[p], node, after)
+                else:
+                    y, c_part, n_part = split_of(comp, gens)
+                    c_node = _UNIT if c_part is None else cert(c_part, after)
+                    node = make_split(y, c_node, cert(n_part, after))
+                memo[key] = node
+            after = node
+        return after
 
     odd = sum(strata[1::2])
-    summed = summands(full, minimal_masks(adj[p] for p in _bits(odd)))
-    for i in reversed(range(1, len(summed))):  # suffixes first: one component deep
-        cert(summed[i:])
-    return cert(summed)
+    comps = [comp for comp in _component_masks(adj, full) if comp & odd]
+    return cert(tuple((c, minimal_masks(adj[p] for p in _bits(c & odd))) for c in comps), _ZERO)

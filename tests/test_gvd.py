@@ -1031,20 +1031,22 @@ def test_chain_deeper_than_the_stack_before_another_component():
     assert node == Split(leaves[-1], Base("unit"), path_cert)
 
 
-def test_many_components_certify_under_the_default_recursion_limit():
-    # Each component's recursion finds the certificate of the components
-    # after it in the memo, so the stack is one component deep.  The
-    # digest is the certificate built with a deeper stack before the
-    # suffixes were certified first: 5 splits a path, less 3.
+@pytest.mark.parametrize("paths, digest", [(800, "45750ec0c632b10a"), (1600, "b74f58e22c7a8bab")])
+def test_many_components_certify_under_the_default_recursion_limit(paths, digest):
+    # The forest's components are folded in a loop, each onto the node of
+    # those after it, so the stack is one component deep, and the memo
+    # keys on a component and a node, not on the components left.  5
+    # splits a path, less 3; the digests are of the certificates built
+    # when the memo keyed on the tuple of remaining components.
     vertices, edges = [], []
-    for j in range(800):
+    for j in range(paths):
         path = [f"t{j}_{i}" for i in range(7)]
         vertices += path
         edges += zip(path, path[1:])
     assert sys.getrecursionlimit() == 1000
     cert = certify_tree_gvd(Graph.from_vertices(vertices, edges))
-    assert sum(isinstance(node, Split) for node in dag_nodes(cert)) == 5 * 800 - 3
-    assert dag_digest([cert]) == "45750ec0c632b10a"
+    assert sum(isinstance(node, Split) for node in dag_nodes(cert)) == 5 * paths - 3
+    assert dag_digest([cert]) == digest
 
 
 def interleaved_forest(trees):
