@@ -58,6 +58,33 @@ def test_family_canonical_order_and_rejection():
         SpernerFamily.from_sets(u, [("a",), ("a", "b")])
 
 
+# The error names the first comparable pair (a, b) of the pairwise scan over
+# canonical order: the earliest a that lies in a later member, and the
+# earliest such b.
+@pytest.mark.parametrize(
+    "sets, pair",
+    [
+        # the empty set lies in every other member
+        ([("c",), (), ("a", "b")], "{} is contained in {c}"),
+        # a chain of three sets
+        ([("a", "b", "c"), ("a",), ("a", "b")], "{a} is contained in {a, b}"),
+        # {b, c} is the first member with a subset, but {a} comes first
+        ([("a", "d", "e"), ("b", "c"), ("b",), ("a",)], "{a} is contained in {a, d, e}"),
+        # {a, b, c} holds {a, c} and {b}; the scan names {b}
+        ([("a", "b", "c"), ("a", "c"), ("b",)], "{b} is contained in {a, b, c}"),
+        # two pairs of equal size; the first in canonical order is named
+        ([("d", "e"), ("c", "d", "e"), ("a", "b"), ("a", "b", "c")], "{a, b} is contained in {a, b, c}"),
+        # labels sort as strings, so x10 comes before x9
+        ([("x9", "x10", "y"), ("x9",), ("x10",)], "{x10} is contained in {x10, x9, y}"),
+    ],
+)
+def test_family_rejection_names_the_first_pair_of_the_scan(sets, pair):
+    u = Universe(["a", "b", "c", "d", "e", "x9", "x10", "y"])
+    with pytest.raises(InputError) as caught:
+        SpernerFamily.from_sets(u, sets)
+    assert str(caught.value) == f"family is not an antichain: {pair}"
+
+
 # Masks of 0-80 bits.  Sparse ones give many equal-size pairs whose keys
 # have different byte lengths; dense ones give long keys.
 wide_masks = st.one_of(
