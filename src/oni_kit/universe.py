@@ -183,21 +183,66 @@ def sort_key(mask: int) -> tuple[int, bytes]:
     )
 
 
+def _minimal_in_order(canon: Sequence[int]) -> list[int]:
+    """The members of `canon`, distinct masks in canonical order, that hold
+    no earlier member.  Canonical order puts every proper subset before its
+    supersets, so these are the inclusion-minimal ones, in that order.
+
+    Each kept mask is filed under the position of its lowest bit, and m is
+    tested only against the masks filed under its own bits: a non-empty r
+    lies in m only if r's lowest bit is in m.  The empty mask, first in
+    canonical order when present, lies in every mask, so it alone is kept.
+    Buckets are keyed by position, a small int, since hashing a mask as
+    wide as a forest costs as much as the subset tests it saves."""
+    if canon and not canon[0]:
+        return [0]
+    out: list[int] = []
+    by_low: dict[int, list[int]] = {}
+    for m in canon:
+        rest = m
+        while rest:
+            low = rest & -rest
+            bucket = by_low.get(low.bit_length() - 1)
+            if bucket and any(r & m == r for r in bucket):
+                break
+            rest ^= low
+        else:
+            out.append(m)
+            low = m & -m
+            by_low.setdefault(low.bit_length() - 1, []).append(m)
+    return out
+
+
 def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Inclusion-minimal members, deduplicated, in canonical order."""
-    out: list[int] = []
-    for m in sorted(set(masks), key=sort_key):
-        if not any(r & m == r for r in out):
-            out.append(m)
-    return tuple(out)
+    return tuple(_minimal_in_order(sorted(set(masks), key=sort_key)))
 
 
 def maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    """Inclusion-maximal members, deduplicated, in canonical order."""
+    """Inclusion-maximal members, deduplicated, in canonical order.
+
+    The scan runs in reverse canonical order, which puts every proper
+    superset before its subsets, and keeps each mask that no kept mask
+    contains.  Each kept mask is filed under every one of its bits, and m
+    is tested only against the masks filed under its lowest bit: a kept r
+    contains m only if r holds that bit.  The empty mask, last in the scan,
+    lies in every kept mask, so it is kept only when nothing else is."""
     out: list[int] = []
+    by_bit: dict[int, list[int]] = {}
     for m in sorted(set(masks), key=sort_key, reverse=True):
-        if not any(r & m == m for r in out):
-            out.append(m)
+        if not m:
+            if not out:
+                out.append(m)
+            continue
+        bucket = by_bit.get((m & -m).bit_length() - 1)
+        if bucket and any(r & m == m for r in bucket):
+            continue
+        out.append(m)
+        rest = m
+        while rest:
+            low = rest & -rest
+            by_bit.setdefault(low.bit_length() - 1, []).append(m)
+            rest ^= low
     # distinct masks have distinct keys, so the reversed scan is canonical
     return tuple(reversed(out))
 
@@ -216,15 +261,17 @@ class SpernerFamily:
 
     def __init__(self, universe: Universe, masks: Iterable[int]):
         canon = tuple(sorted(set(masks), key=sort_key))
-        # canonical order puts every proper subset before its supersets
-        for i, a in enumerate(canon):
-            for b in canon[i + 1 :]:
-                if a & b == a:
-                    raise InputError(
-                        "family is not an antichain: "
-                        f"{{{', '.join(universe.labels_of(a))}}} is contained in "
-                        f"{{{', '.join(universe.labels_of(b))}}}"
-                    )
+        if len(_minimal_in_order(canon)) < len(canon):
+            # canonical order puts every proper subset before its supersets;
+            # the pairwise scan names the pair the message has always named
+            for i, a in enumerate(canon):
+                for b in canon[i + 1 :]:
+                    if a & b == a:
+                        raise InputError(
+                            "family is not an antichain: "
+                            f"{{{', '.join(universe.labels_of(a))}}} is contained in "
+                            f"{{{', '.join(universe.labels_of(b))}}}"
+                        )
         self.universe = universe
         self.masks = canon
 

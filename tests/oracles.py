@@ -269,7 +269,7 @@ def random_tree_edges(rng: random.Random, n: int) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # the older forms of consolidated steps: the Stanley-Reisner complement step
 # with its degenerate cases spelled out, universe extension and join through
-# labels, and the pairwise antichain test
+# labels, and the pairwise antichain test with the error text it words
 
 
 def complements_complex(universe, sets):
@@ -358,6 +358,19 @@ def reference_is_sperner(universe, sets) -> bool:
     return len(set(masks)) == len(masks) and all(
         a & b != a and a & b != b for i, a in enumerate(masks) for b in masks[i + 1 :]
     )
+
+
+def reference_antichain_error(universe, masks) -> Optional[str]:
+    """The message of the validating family constructor's pairwise scan:
+    the first (a, b), a before b in canonical order, with a inside b, or
+    None when the distinct masks form an antichain."""
+    canon = sorted(set(masks), key=reference_sort_key)
+    for i, a in enumerate(canon):
+        for b in canon[i + 1 :]:
+            if a & b == a:
+                inner, outer = (", ".join(universe.labels_of(m)) for m in (a, b))
+                return f"family is not an antichain: {{{inner}}} is contained in {{{outer}}}"
+    return None
 
 
 # ---------------------------------------------------------------------------

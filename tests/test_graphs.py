@@ -231,6 +231,23 @@ def test_odd_ideal_of_path():
         odd_oni(path_graph(1))  # adjacent leaves share height 0
 
 
+def test_odd_ideal_of_many_components_matches_reference():
+    # 800 disjoint 7-vertex paths: three odd vertices each, whose
+    # neighbourhoods are the generators, on masks 3,200 even vertices wide.
+    vertices, edges = [], []
+    for j in range(800):
+        path = [f"t{j}_{i}" for i in range(7)]
+        vertices += path
+        edges += zip(path, path[1:])
+    forest = Graph.from_vertices(vertices, edges)
+    ideal = odd_oni(forest)
+    even = ideal.universe
+    assert len(even) == 3200
+    neighbourhoods = [even.mask_of(forest.neighbors(v)) for v in heights(forest).v_odd]
+    assert len(ideal.generators) == 2400
+    assert list(ideal.generators.masks) == oracles.reference_minimal_masks(neighbourhoods)
+
+
 def test_induced_odd_ideal():
     ambient = p6()
     sub = ambient.delete_vertices(["3"])

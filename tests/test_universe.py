@@ -102,6 +102,55 @@ def test_canonical_order_matches_oracle(masks):
     assert list(maximal_masks(masks)) == oracles.reference_maximal_masks(masks)
 
 
+WIDE = Universe(f"v{i:03d}" for i in range(300))
+wide_300 = st.one_of(
+    st.sets(st.integers(0, 299), min_size=1, max_size=5).map(lambda ps: sum(1 << p for p in ps)),
+    st.integers(1, (1 << 300) - 1),
+)
+
+
+@st.composite
+def masks_with_repeats_and_chains(draw):
+    """Masks on up to 300 positions, with repeats and with non-empty
+    subsets and supersets of drawn masks, so comparable pairs are common,
+    and the empty mask in about one list in ten."""
+    masks = draw(st.lists(wide_300, max_size=20))
+    for m in list(masks):
+        kind = draw(st.sampled_from(("none", "repeat", "subset", "superset")))
+        if kind == "repeat":
+            masks.append(m)
+        elif kind == "subset":
+            # keep one bit of m, so that the subset is not empty
+            keep = draw(st.sampled_from([p for p in range(300) if m >> p & 1]))
+            masks.append(m & draw(wide_300) | 1 << keep)
+        elif kind == "superset":
+            masks.append(m | draw(wide_300))
+    if draw(st.sampled_from(range(10))) == 9:
+        masks.append(0)
+    return draw(st.permutations(masks))
+
+
+@given(masks_with_repeats_and_chains())
+@example([])
+@example([0])
+@example([0, 0, 1 << 299, 1 << 299])
+@example([1 << 299 | 1, 1 << 299, 1, 3, 3 << 298])
+@settings(max_examples=300, deadline=None)
+def test_subset_index_matches_oracles(masks):
+    assert list(minimal_masks(masks)) == oracles.reference_minimal_masks(masks)
+    assert list(maximal_masks(masks)) == oracles.reference_maximal_masks(masks)
+    distinct = set(masks)
+    sets = [WIDE.labels_of(m) for m in distinct]
+    expected = oracles.reference_antichain_error(WIDE, distinct)
+    assert (expected is None) == oracles.reference_is_sperner(WIDE, sets)
+    if expected is None:
+        assert SpernerFamily(WIDE, masks).masks == minimal_masks(masks)
+    else:
+        with pytest.raises(InputError) as caught:
+            SpernerFamily(WIDE, masks)
+        assert str(caught.value) == expected
+
+
 def test_family_json_round_trip():
     u = Universe(["p", "q"])
     fam = SpernerFamily.from_sets(u, [("p",), ("q",)])
