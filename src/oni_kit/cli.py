@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import verify
 from .complexes import (
+    Shed,
     SimplicialComplex,
     cycle_order,
     facet_ideal,
@@ -70,6 +71,7 @@ from .graphs import (
     stable_complex,
 )
 from .gvd import (
+    Split,
     certificate_from_json_obj,
     certificate_to_json_obj,
     certify_tree_gvd,
@@ -206,8 +208,48 @@ def _flag(key: str, flag: bool) -> Result:
     return {key: flag}, flag
 
 
-def _verdict(key: str, decided: tuple, encode: Callable) -> Result:
+# The JSON text of a certificate spells out the tree expansion of its DAG,
+# which can be exponentially larger (3^(k+1) - 4 nodes for the tree
+# certificate of k disjoint 7-vertex paths); past this many nodes the CLI
+# refuses to write it.
+_TREE_NODE_BOUND = 1 << 20
+
+
+def _gvd_branches(node) -> tuple:
+    return (node.c_branch, node.n_branch) if isinstance(node, Split) else ()
+
+
+def _shedding_branches(node) -> tuple:
+    return (node.deletion, node.link) if isinstance(node, Shed) else ()
+
+
+def _require_tree_size(cert, branches: Callable) -> None:
+    """Raise unless the tree expansion of the certificate DAG rooted at
+    `cert` has at most `_TREE_NODE_BOUND` nodes.  The count is a memoized
+    post-order walk over an explicit stack, keyed by node identity, so it
+    takes one step per distinct node at any depth."""
+    sizes: dict[int, int] = {}
+    stack = [cert]
+    while stack:
+        node = stack[-1]
+        kids = branches(node)
+        todo = [kid for kid in kids if id(kid) not in sizes]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        sizes[id(node)] = 1 + sum(sizes[id(kid)] for kid in kids)
+    count = sizes[id(cert)]
+    if count > _TREE_NODE_BOUND:
+        raise InputError(
+            f"certificate expands to {count} nodes in JSON, past the bound of {_TREE_NODE_BOUND}"
+        )
+
+
+def _verdict(key: str, decided: tuple, encode: Callable, branches: Callable) -> Result:
     ok, cert = decided
+    if cert is not None:
+        _require_tree_size(cert, branches)
     return {key: ok, "certificate": None if cert is None else encode(cert)}, ok
 
 
@@ -257,6 +299,7 @@ def _gvd_split(ideal: SquareFreeIdeal, var: str) -> Result:
 
 def _gvd_certify_tree(graph: Graph) -> Result:
     cert = certify_tree_gvd(graph)
+    _require_tree_size(cert, _gvd_branches)
     ideal = odd_oni(graph)
     ok = validate_certificate(ideal, cert)
     return {"ideal": ideal.to_json_obj(), "certificate": certificate_to_json_obj(cert),
@@ -313,7 +356,7 @@ _VERBS = (
           lambda i, j: _combined(i, j, "intersect")),
     _Verb("complex vd", _COMPLEX, "vertex decomposability plus certificate",
           lambda c: _verdict("vertex_decomposable", is_vertex_decomposable(c),
-                             shedding_certificate_to_json)),
+                             shedding_certificate_to_json, _shedding_branches)),
     _Verb("complex sr-ideal", _COMPLEX, "Stanley-Reisner ideal",
           lambda c: _encoded(stanley_reisner_ideal(c))),
     _Verb("complex facet-ideal", _COMPLEX, "facet ideal",
@@ -360,7 +403,7 @@ _VERBS = (
            ("--v2", dict(required=True, metavar="V",
                          help="bridge endpoint in the second graph")))),
     _Verb("gvd check", _IDEAL, "decide GVD and emit a certificate",
-          lambda i: _verdict("gvd", is_gvd(i), certificate_to_json_obj)),
+          lambda i: _verdict("gvd", is_gvd(i), certificate_to_json_obj, _gvd_branches)),
     _Verb("gvd split", _IDEAL, "one geometric splitting step", _gvd_split,
           (("--var", dict(required=True, metavar="Y", help="variable to split at")),)),
     _Verb("gvd certify-tree", _GRAPH,

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,16 @@ from hypothesis import strategies as st
 
 import oracles
 import oni_kit.verify
-from oni_kit import CapExceeded, Graph, SpernerFamily, Split, certify_tree_gvd, cli
+from oni_kit import (
+    CapExceeded,
+    Graph,
+    SpernerFamily,
+    Split,
+    certify_tree_gvd,
+    cli,
+    even_stable_complex,
+    odd_oni,
+)
 
 P6_DOC = (
     '{"vertices":["0","1","2","3","4","5","6"],'
@@ -464,6 +474,50 @@ def test_input_deeper_than_the_stack_exits_2(invoke):
     assert isinstance(cert, Split) and cert.variable == sorted(leaves)[0]
     code, out = invoke(["gvd", "certify-tree"], stdin=json.dumps(star.to_json_obj()))
     assert code == 2 and out == '{"error":"input too deep to process"}\n'
+
+
+def disjoint_paths(k):
+    """k disjoint 7-vertex paths: the tree certificate's DAG has 5k - 3
+    splits, and its tree expansion 3^(k+1) - 4 nodes."""
+    vertices, edges = [], []
+    for j in range(k):
+        path = [f"t{j}_{i}" for i in range(7)]
+        vertices += path
+        edges += zip(path, path[1:])
+    return Graph.from_vertices(vertices, edges)
+
+
+def bound_error(count):
+    return f'{{"error":"certificate expands to {count} nodes in JSON, past the bound of 1048576"}}\n'
+
+
+def test_certificates_past_the_tree_bound_exit_2_at_once(invoke):
+    forest = json.dumps(disjoint_paths(20).to_json_obj())
+    start = time.process_time()
+    code, out = invoke(["gvd", "certify-tree"], stdin=forest)
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (2, bound_error(3**21 - 4))
+    ideal = json.dumps(odd_oni(disjoint_paths(12)).to_json_obj())
+    assert invoke(["gvd", "check"], stdin=ideal) == (2, bound_error(95716414023))
+
+
+@pytest.mark.parametrize(
+    "argv, document, nodes",
+    [
+        (["gvd", "certify-tree"], lambda: disjoint_paths(3), 3**4 - 4),
+        (["complex", "vd"], lambda: even_stable_complex(disjoint_paths(3)), 53),
+    ],
+    ids=["certify-tree", "complex-vd"],
+)
+def test_tree_bound_counts_every_node(invoke, monkeypatch, argv, document, nodes):
+    # a certificate of exactly the bound's size is written in full
+    stdin = json.dumps(document().to_json_obj())
+    monkeypatch.setattr(cli, "_TREE_NODE_BOUND", nodes)
+    code, out = invoke(argv, stdin=stdin)
+    assert code == 0 and out.count('"C":') + out.count('"del":') == (nodes - 1) // 2
+    monkeypatch.setattr(cli, "_TREE_NODE_BOUND", nodes - 1)
+    error = f"certificate expands to {nodes} nodes in JSON, past the bound of {nodes - 1}"
+    assert invoke(argv, stdin=stdin) == (2, json.dumps({"error": error}, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
