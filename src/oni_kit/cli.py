@@ -17,9 +17,10 @@ full: no parser accepts an abbreviated long option.
 
 Every verb writes exactly one JSON document, and exits 0 on success, 1 when
 an asserted boolean came out false, 2 on malformed input or a violated
-precondition; with stdout closed it writes nothing there and exits 2.  The
-one other output is ``-h``/``--help``, which prints usage text and exits 0.
-Identical invocations produce byte-identical output.
+precondition, such as a certificate whose JSON tree expansion passes
+`_TREE_NODE_BOUND` nodes; with stdout closed it writes nothing there and
+exits 2.  The one other output is ``-h``/``--help``, which prints usage
+text and exits 0.  Identical invocations produce byte-identical output.
 
 Computations call library functions and methods through this module's
 globals at call time, as `verify` does, never through references captured
@@ -250,7 +251,8 @@ def _verdict(key: str, decided: tuple, encode: Callable, branches: Callable) -> 
     ok, cert = decided
     if cert is not None:
         _require_tree_size(cert, branches)
-    return {key: ok, "certificate": None if cert is None else encode(cert)}, ok
+        cert = encode(cert)
+    return {key: ok, "certificate": cert}, ok
 
 
 def _combined(left: SquareFreeIdeal, right: SquareFreeIdeal, operation: str) -> Result:

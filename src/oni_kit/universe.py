@@ -200,16 +200,18 @@ def _minimal_in_order(canon: Sequence[int]) -> list[int]:
     by_low: dict[int, list[int]] = {}
     for m in canon:
         rest = m
-        while rest:
+        while rest:  # the buckets are searched inline: an any() per bucket slows small inputs
             low = rest & -rest
-            bucket = by_low.get(low.bit_length() - 1)
-            if bucket and any(r & m == r for r in bucket):
-                break
             rest ^= low
+            for r in by_low.get(low.bit_length() - 1, ()):
+                if r & m == r:
+                    break
+            else:
+                continue
+            break
         else:
             out.append(m)
-            low = m & -m
-            by_low.setdefault(low.bit_length() - 1, []).append(m)
+            by_low.setdefault((m & -m).bit_length() - 1, []).append(m)
     return out
 
 
@@ -221,28 +223,28 @@ def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
 def maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Inclusion-maximal members, deduplicated, in canonical order.
 
-    The scan runs in reverse canonical order, which puts every proper
-    superset before its subsets, and keeps each mask that no kept mask
-    contains.  Each kept mask is filed under every one of its bits, and m
-    is tested only against the masks filed under its lowest bit: a kept r
-    contains m only if r holds that bit.  The empty mask, last in the scan,
-    lies in every kept mask, so it is kept only when nothing else is."""
+    The empty mask lies in every other mask, so it is kept only alone.  The
+    rest are scanned in reverse canonical order, which puts every proper
+    superset before its subsets, and each mask that no kept mask contains
+    is kept.  Each kept mask is filed under every one of its bits, and a
+    non-empty m is tested only against the masks filed under its lowest
+    bit: a kept r contains m only if r holds that bit."""
+    pool = set(masks)
+    if len(pool) > 1:
+        pool.discard(0)
     out: list[int] = []
     by_bit: dict[int, list[int]] = {}
-    for m in sorted(set(masks), key=sort_key, reverse=True):
-        if not m:
-            if not out:
-                out.append(m)
-            continue
-        bucket = by_bit.get((m & -m).bit_length() - 1)
-        if bucket and any(r & m == m for r in bucket):
-            continue
-        out.append(m)
-        rest = m
-        while rest:
-            low = rest & -rest
-            by_bit.setdefault(low.bit_length() - 1, []).append(m)
-            rest ^= low
+    for m in sorted(pool, key=sort_key, reverse=True):
+        for r in by_bit.get((m & -m).bit_length() - 1, ()):
+            if r & m == m:
+                break
+        else:
+            out.append(m)
+            rest = m
+            while rest:
+                low = rest & -rest
+                by_bit.setdefault(low.bit_length() - 1, []).append(m)
+                rest ^= low
     # distinct masks have distinct keys, so the reversed scan is canonical
     return tuple(reversed(out))
 
@@ -262,8 +264,8 @@ class SpernerFamily:
     def __init__(self, universe: Universe, masks: Iterable[int]):
         canon = tuple(sorted(set(masks), key=sort_key))
         if len(_minimal_in_order(canon)) < len(canon):
-            # canonical order puts every proper subset before its supersets;
-            # the pairwise scan names the pair the message has always named
+            # word the error by the first comparable pair of the pairwise
+            # scan; canonical order puts every proper subset before its supersets
             for i, a in enumerate(canon):
                 for b in canon[i + 1 :]:
                     if a & b == a:
