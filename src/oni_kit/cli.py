@@ -214,6 +214,9 @@ def _flag(key: str, flag: bool) -> Result:
 # certificate of k disjoint 7-vertex paths); past this many nodes the CLI
 # refuses to write it.
 _TREE_NODE_BOUND = 1 << 20
+# The count stops here: it only sizes the error, and the decimal text of a
+# count past 4,300 digits raises ValueError.
+_COUNT_CAP = 10**18
 
 
 def _gvd_branches(node) -> tuple:
@@ -228,7 +231,8 @@ def _require_tree_size(cert, branches: Callable) -> None:
     """Raise unless the tree expansion of the certificate DAG rooted at
     `cert` has at most `_TREE_NODE_BOUND` nodes.  The count is a memoized
     post-order walk over an explicit stack, keyed by node identity, so it
-    takes one step per distinct node at any depth."""
+    takes one step per distinct node at any depth.  Counts saturate just
+    past `_COUNT_CAP`."""
     sizes: dict[int, int] = {}
     stack = [cert]
     while stack:
@@ -239,11 +243,12 @@ def _require_tree_size(cert, branches: Callable) -> None:
             stack += todo
             continue
         stack.pop()
-        sizes[id(node)] = 1 + sum(sizes[id(kid)] for kid in kids)
+        sizes[id(node)] = min(1 + sum(sizes[id(kid)] for kid in kids), _COUNT_CAP + 1)
     count = sizes[id(cert)]
     if count > _TREE_NODE_BOUND:
+        told = "more than 10^18" if count > _COUNT_CAP else count
         raise InputError(
-            f"certificate expands to {count} nodes in JSON, past the bound of {_TREE_NODE_BOUND}"
+            f"certificate expands to {told} nodes in JSON, past the bound of {_TREE_NODE_BOUND}"
         )
 
 

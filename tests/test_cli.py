@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 import oracles
 import oni_kit.verify
 from oni_kit import (
+    Base,
     CapExceeded,
     Graph,
+    InputError,
     SpernerFamily,
     Split,
     certify_tree_gvd,
@@ -499,6 +501,20 @@ def test_certificates_past_the_tree_bound_exit_2_at_once(invoke):
     assert (code, out) == (2, bound_error(3**21 - 4))
     ideal = json.dumps(odd_oni(disjoint_paths(12)).to_json_obj())
     assert invoke(["gvd", "check"], stdin=ideal) == (2, bound_error(95716414023))
+    ideal = json.dumps(odd_oni(disjoint_paths(20)).to_json_obj())
+    assert invoke(["gvd", "check"], stdin=ideal) == (2, bound_error("more than 10^18"))
+
+
+def test_tree_bound_stops_counting_past_10_to_the_18():
+    # both branches of each split are the split below: 2^15001 - 1 nodes,
+    # a count whose decimal text passes the interpreter's 4,300-digit limit
+    node = Base("vars")
+    for i in range(15000):
+        node = Split(f"y{i}", node, node)
+    error = "certificate expands to more than 10^18 nodes in JSON, past the bound of 1048576"
+    with pytest.raises(InputError) as caught:
+        cli._require_tree_size(node, cli._gvd_branches)
+    assert str(caught.value) == error
 
 
 @pytest.mark.parametrize(
