@@ -221,30 +221,11 @@ def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    """Inclusion-maximal members, deduplicated, in canonical order.
-
-    The empty mask lies in every other mask, so it is kept only alone.  The
-    rest are scanned in reverse canonical order, which puts every proper
-    superset before its subsets, and each mask that no kept mask contains
-    is kept.  Each kept mask is filed under every one of its bits, and a
-    non-empty m is tested only against the masks filed under its lowest
-    bit: a kept r contains m only if r holds that bit."""
-    pool = set(masks)
-    if len(pool) > 1:
-        pool.discard(0)
+    """Inclusion-maximal members, deduplicated, in canonical order."""
     out: list[int] = []
-    by_bit: dict[int, list[int]] = {}
-    for m in sorted(pool, key=sort_key, reverse=True):
-        for r in by_bit.get((m & -m).bit_length() - 1, ()):
-            if r & m == m:
-                break
-        else:
+    for m in sorted(set(masks), key=sort_key, reverse=True):
+        if not any(r & m == m for r in out):
             out.append(m)
-            rest = m
-            while rest:
-                low = rest & -rest
-                by_bit.setdefault(low.bit_length() - 1, []).append(m)
-                rest ^= low
     # distinct masks have distinct keys, so the reversed scan is canonical
     return tuple(reversed(out))
 

@@ -520,6 +520,18 @@ def seeded_grown_tree(steps):
     return tree
 
 
+def disjoint_paths(k):
+    """k disjoint 7-vertex paths, the j-th on "tj_0".."tj_6": the tree
+    certificate's DAG has 5k - 3 splits, and its tree expansion
+    3^(k+1) - 4 nodes."""
+    vertices, edges = [], []
+    for j in range(k):
+        path = [f"t{j}_{i}" for i in range(7)]
+        vertices += path
+        edges += zip(path, path[1:])
+    return Graph.from_vertices(vertices, edges)
+
+
 def _numbered_tree(n, edges):
     """The tree on "v00".."v<n-1>" with the given "a-b" edges."""
     return Graph.from_vertices(

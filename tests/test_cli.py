@@ -478,30 +478,19 @@ def test_input_deeper_than_the_stack_exits_2(invoke):
     assert code == 2 and out == '{"error":"input too deep to process"}\n'
 
 
-def disjoint_paths(k):
-    """k disjoint 7-vertex paths: the tree certificate's DAG has 5k - 3
-    splits, and its tree expansion 3^(k+1) - 4 nodes."""
-    vertices, edges = [], []
-    for j in range(k):
-        path = [f"t{j}_{i}" for i in range(7)]
-        vertices += path
-        edges += zip(path, path[1:])
-    return Graph.from_vertices(vertices, edges)
-
-
 def bound_error(count):
     return f'{{"error":"certificate expands to {count} nodes in JSON, past the bound of 1048576"}}\n'
 
 
 def test_certificates_past_the_tree_bound_exit_2_at_once(invoke):
-    forest = json.dumps(disjoint_paths(20).to_json_obj())
+    forest = json.dumps(oracles.disjoint_paths(20).to_json_obj())
     start = time.process_time()
     code, out = invoke(["gvd", "certify-tree"], stdin=forest)
     assert time.process_time() - start < 1.0
     assert (code, out) == (2, bound_error(3**21 - 4))
-    ideal = json.dumps(odd_oni(disjoint_paths(12)).to_json_obj())
+    ideal = json.dumps(odd_oni(oracles.disjoint_paths(12)).to_json_obj())
     assert invoke(["gvd", "check"], stdin=ideal) == (2, bound_error(95716414023))
-    ideal = json.dumps(odd_oni(disjoint_paths(20)).to_json_obj())
+    ideal = json.dumps(odd_oni(oracles.disjoint_paths(20)).to_json_obj())
     assert invoke(["gvd", "check"], stdin=ideal) == (2, bound_error("more than 10^18"))
 
 
@@ -520,8 +509,8 @@ def test_tree_bound_stops_counting_past_10_to_the_18():
 @pytest.mark.parametrize(
     "argv, document, nodes",
     [
-        (["gvd", "certify-tree"], lambda: disjoint_paths(3), 3**4 - 4),
-        (["complex", "vd"], lambda: even_stable_complex(disjoint_paths(3)), 53),
+        (["gvd", "certify-tree"], lambda: oracles.disjoint_paths(3), 3**4 - 4),
+        (["complex", "vd"], lambda: even_stable_complex(oracles.disjoint_paths(3)), 53),
     ],
     ids=["certify-tree", "complex-vd"],
 )

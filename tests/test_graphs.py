@@ -234,12 +234,7 @@ def test_odd_ideal_of_path():
 def test_odd_ideal_of_many_components_matches_reference():
     # 800 disjoint 7-vertex paths: three odd vertices each, whose
     # neighbourhoods are the generators, on masks 3,200 even vertices wide.
-    vertices, edges = [], []
-    for j in range(800):
-        path = [f"t{j}_{i}" for i in range(7)]
-        vertices += path
-        edges += zip(path, path[1:])
-    forest = Graph.from_vertices(vertices, edges)
+    forest = oracles.disjoint_paths(800)
     ideal = odd_oni(forest)
     even = ideal.universe
     assert len(even) == 3200

@@ -1038,13 +1038,8 @@ def test_many_components_certify_under_the_default_recursion_limit(paths, digest
     # keys on a component and a node, not on the components left.  5
     # splits a path, less 3; the digests are of the certificates built
     # when the memo keyed on the tuple of remaining components.
-    vertices, edges = [], []
-    for j in range(paths):
-        path = [f"t{j}_{i}" for i in range(7)]
-        vertices += path
-        edges += zip(path, path[1:])
     assert sys.getrecursionlimit() == 1000
-    cert = certify_tree_gvd(Graph.from_vertices(vertices, edges))
+    cert = certify_tree_gvd(oracles.disjoint_paths(paths))
     assert sum(isinstance(node, Split) for node in dag_nodes(cert)) == 5 * paths - 3
     assert dag_digest([cert]) == digest
 
