@@ -563,6 +563,41 @@ def test_shedding_certificates_pinned():
     assert hashlib.sha256(digests.encode()).hexdigest()[:16] == "c3e254449e656c6a"
 
 
+def shedding_json_digest(found):
+    """The first 16 hex digits of the sha256 of the compact JSON text of a
+    search's certificate, `null` when there is none."""
+    _, cert = found
+    doc = None if cert is None else shedding_certificate_to_json(cert)
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()[:16]
+
+
+SHEDDING_JSON_DIGESTS = {
+    "even_stable-0": "62d0f7135cea77d4", "even_stable-1": "96cb20a7c111f279",
+    "even_stable-2": "0b6bdd8fe6070270", "even_stable-3": "b368f5191d963e21",
+    "even_stable-4": "f19023ca53dd09d2", "even_stable-5": "726c6f3cea5bf91f",
+    "even_stable-6": "6882ac4cabfd2bba", "even_stable-7": "7b614ab183c2e1dd",
+    "even_stable-8": "0f629a0ca0c7656b", "even_stable-9": "f42fe5ddcbbc97e4",
+    "even_stable-10": "5b0a568c9b0f59e1", "even_stable-11": "e7c6863591473d93",
+    "even_stable-12": "20d7909200fed356", "even_stable-13": "c73588b3de7e4056",
+    "even_stable-14": "6e4407548fbfd260",
+}
+
+
+def test_shedding_certificate_json_pinned():
+    # The JSON text of the certificates of test_shedding_certificates_pinned,
+    # byte for byte: the encoder may change how it walks, not what it writes.
+    got = {}
+    for k in range(15):
+        complex_ = even_stable_complex(oracles.seeded_grown_tree(k))
+        got[f"even_stable-{k}"] = shedding_json_digest(is_vertex_decomposable(complex_))
+    assert got == SHEDDING_JSON_DIGESTS
+    digests = "".join(
+        shedding_json_digest(is_vertex_decomposable(seeded_pure_complex(seed)))
+        for seed in range(200)
+    )
+    assert hashlib.sha256(digests.encode()).hexdigest()[:16] == "e54120af4f88a5c7"
+
+
 def test_certificate_json_round_trip_and_errors():
     _, cert = is_vertex_decomposable(even_stable_p6())
     doc = shedding_certificate_to_json(cert)
