@@ -37,7 +37,6 @@ from typing import Callable, NamedTuple, Optional
 
 from . import verify
 from .complexes import (
-    Shed,
     SimplicialComplex,
     cycle_order,
     facet_ideal,
@@ -72,7 +71,6 @@ from .graphs import (
     stable_complex,
 )
 from .gvd import (
-    Split,
     certificate_from_json_obj,
     certificate_to_json_obj,
     certify_tree_gvd,
@@ -85,6 +83,7 @@ from .ideals import SquareFreeIdeal
 from .universe import (
     SpernerFamily,
     Universe,
+    _fold,
     minimal_transversals,
 )
 
@@ -219,32 +218,14 @@ _TREE_NODE_BOUND = 1 << 20
 _COUNT_CAP = 10**18
 
 
-def _gvd_branches(node) -> tuple:
-    return (node.c_branch, node.n_branch) if isinstance(node, Split) else ()
-
-
-def _shedding_branches(node) -> tuple:
-    return (node.deletion, node.link) if isinstance(node, Shed) else ()
-
-
-def _require_tree_size(cert, branches: Callable) -> None:
+def _require_tree_size(cert, first: str, second: str) -> None:
     """Raise unless the tree expansion of the certificate DAG rooted at
-    `cert` has at most `_TREE_NODE_BOUND` nodes.  The count is a memoized
-    post-order walk over an explicit stack, keyed by node identity, so it
+    `cert`, whose inner nodes have the branches `first` and `second`, has
+    at most `_TREE_NODE_BOUND` nodes.  The count is one `_fold`, so it
     takes one step per distinct node at any depth.  Counts saturate just
     past `_COUNT_CAP`."""
-    sizes: dict[int, int] = {}
-    stack = [cert]
-    while stack:
-        node = stack[-1]
-        kids = branches(node)
-        todo = [kid for kid in kids if id(kid) not in sizes]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        sizes[id(node)] = min(1 + sum(sizes[id(kid)] for kid in kids), _COUNT_CAP + 1)
-    count = sizes[id(cert)]
+    count = _fold(cert, first, second, lambda node: 1,
+                  lambda node, a, b: min(1 + a + b, _COUNT_CAP + 1))
     if count > _TREE_NODE_BOUND:
         told = "more than 10^18" if count > _COUNT_CAP else count
         raise InputError(
@@ -252,10 +233,10 @@ def _require_tree_size(cert, branches: Callable) -> None:
         )
 
 
-def _verdict(key: str, decided: tuple, encode: Callable, branches: Callable) -> Result:
+def _verdict(key: str, decided: tuple, encode: Callable, *branches: str) -> Result:
     ok, cert = decided
     if cert is not None:
-        _require_tree_size(cert, branches)
+        _require_tree_size(cert, *branches)
         cert = encode(cert)
     return {key: ok, "certificate": cert}, ok
 
@@ -306,7 +287,7 @@ def _gvd_split(ideal: SquareFreeIdeal, var: str) -> Result:
 
 def _gvd_certify_tree(graph: Graph) -> Result:
     cert = certify_tree_gvd(graph)
-    _require_tree_size(cert, _gvd_branches)
+    _require_tree_size(cert, "c_branch", "n_branch")
     ideal = odd_oni(graph)
     ok = validate_certificate(ideal, cert)
     return {"ideal": ideal.to_json_obj(), "certificate": certificate_to_json_obj(cert),
@@ -363,7 +344,7 @@ _VERBS = (
           lambda i, j: _combined(i, j, "intersect")),
     _Verb("complex vd", _COMPLEX, "vertex decomposability plus certificate",
           lambda c: _verdict("vertex_decomposable", is_vertex_decomposable(c),
-                             shedding_certificate_to_json, _shedding_branches)),
+                             shedding_certificate_to_json, "deletion", "link")),
     _Verb("complex sr-ideal", _COMPLEX, "Stanley-Reisner ideal",
           lambda c: _encoded(stanley_reisner_ideal(c))),
     _Verb("complex facet-ideal", _COMPLEX, "facet ideal",
@@ -410,7 +391,7 @@ _VERBS = (
            ("--v2", dict(required=True, metavar="V",
                          help="bridge endpoint in the second graph")))),
     _Verb("gvd check", _IDEAL, "decide GVD and emit a certificate",
-          lambda i: _verdict("gvd", is_gvd(i), certificate_to_json_obj, _gvd_branches)),
+          lambda i: _verdict("gvd", is_gvd(i), certificate_to_json_obj, "c_branch", "n_branch")),
     _Verb("gvd split", _IDEAL, "one geometric splitting step", _gvd_split,
           (("--var", dict(required=True, metavar="Y", help="variable to split at")),)),
     _Verb("gvd certify-tree", _GRAPH,

@@ -20,6 +20,7 @@ from .universe import (
     _bits,
     _component_masks,
     _eliminates,
+    _fold,
     _json_sets,
     _masks_into,
     maximal_masks,
@@ -190,13 +191,12 @@ SheddingCertificate = Union[Leaf, Shed]
 
 
 def shedding_certificate_to_json(cert: SheddingCertificate) -> dict:
-    if isinstance(cert, Leaf):
-        return {"leaf": cert.kind}
-    return {
-        "shed": cert.vertex,
-        "del": shedding_certificate_to_json(cert.deletion),
-        "lk": shedding_certificate_to_json(cert.link),
-    }
+    """The certificate as nested JSON objects, built by one `_fold`, so
+    once per distinct node and with no recursion: the sub-dicts are shared
+    wherever the certificate shares nodes, and `json.dumps` writes the
+    tree expansion."""
+    return _fold(cert, "deletion", "link", lambda node: {"leaf": node.kind},
+                 lambda node, d, k: {"shed": node.vertex, "del": d, "lk": k})
 
 
 _LEAF_KEYS = frozenset({"leaf"})

@@ -42,6 +42,7 @@ from .universe import (
     Universe,
     _bits,
     _component_masks,
+    _fold,
     _sweep,
     minimal_masks,
 )
@@ -69,30 +70,13 @@ GvdCertificate = Union[Base, Split]
 
 
 def certificate_to_json_obj(cert: GvdCertificate) -> dict:
-    """The certificate as nested JSON objects, built once per distinct
-    node: the sub-dicts are shared wherever the certificate shares nodes.
-    `json.dumps` writes a shared dict out in full at each place it occurs,
-    so the text is the certificate's tree expansion, as it would be with
-    no sharing."""
-    encoded: dict[int, dict] = {}
-
-    def encode(node: GvdCertificate) -> dict:
-        obj = encoded.get(id(node))
-        if obj is None:
-            if isinstance(node, Base):
-                obj = {"base": node.kind}
-            else:
-                obj = {
-                    "split": {
-                        "y": node.variable,
-                        "C": encode(node.c_branch),
-                        "N": encode(node.n_branch),
-                    }
-                }
-            encoded[id(node)] = obj
-        return obj
-
-    return encode(cert)
+    """The certificate as nested JSON objects, built by one `_fold`, so
+    once per distinct node and with no recursion: the sub-dicts are shared
+    wherever the certificate shares nodes.  `json.dumps` writes a shared
+    dict out in full at each place it occurs, so the text is the
+    certificate's tree expansion, as it would be with no sharing."""
+    return _fold(cert, "c_branch", "n_branch", lambda node: {"base": node.kind},
+                 lambda node, c, n: {"split": {"y": node.variable, "C": c, "N": n}})
 
 
 _BASE_KEYS = frozenset({"base"})

@@ -77,6 +77,36 @@ def _eliminates(
     return not left
 
 
+def _fold(root, first: str, second: str, leaf: Callable, inner: Callable):
+    """Fold the binary DAG below `root` from its leaves up.  A node with
+    the attribute `first` has the two branches `first` and `second`, and
+    its value is `inner(node, first's value, second's value)`; any other
+    node is a leaf, of value `leaf(node)`.  Values are kept by node
+    identity, which the root keeps from being reused, so each distinct
+    node takes one step however often it is shared.  The walk runs over an
+    explicit stack, so it holds at any depth.  An inner node not yet done
+    goes back on the stack with a None marker and its two branches above
+    it; when the marker comes up, both branches are done, and so is the
+    node.  Until then every node above it on the stack lies below it in
+    the DAG, so a second copy of it, pushed by another parent, is taken up
+    only once it is done."""
+    values: dict[int, object] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            node = stack.pop()
+            a, b = values[id(getattr(node, first))], values[id(getattr(node, second))]
+            values[id(node)] = inner(node, a, b)
+        elif id(node) not in values:
+            a = getattr(node, first, None)
+            if a is None:
+                values[id(node)] = leaf(node)
+            else:
+                stack += (node, None, getattr(node, second), a)
+    return values[id(root)]
+
+
 class Universe:
     """An ordered ground set of distinct string labels (lexicographic)."""
 

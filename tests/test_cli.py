@@ -24,6 +24,7 @@ from oni_kit import (
     InputError,
     SpernerFamily,
     Split,
+    certificate_to_json_obj,
     certify_tree_gvd,
     cli,
     even_stable_complex,
@@ -502,8 +503,26 @@ def test_tree_bound_stops_counting_past_10_to_the_18():
         node = Split(f"y{i}", node, node)
     error = "certificate expands to more than 10^18 nodes in JSON, past the bound of 1048576"
     with pytest.raises(InputError) as caught:
-        cli._require_tree_size(node, cli._gvd_branches)
+        cli._require_tree_size(node, "c_branch", "n_branch")
     assert str(caught.value) == error
+
+
+def test_deep_chain_certificate_encodes_and_counts(monkeypatch):
+    # the 1,500-leaf star's certificate is a chain of 1,499 splits, each
+    # with the zero base as N, ending in the variable base: 2,999 nodes,
+    # deeper than the default recursion limit
+    leaves = sorted(f"l{i}" for i in range(1500))
+    star = Graph.from_vertices(["c", *leaves], [("c", v) for v in leaves])
+    cert = certify_tree_gvd(star)
+    node = certificate_to_json_obj(cert)
+    for y in leaves[:-1]:
+        assert node["split"]["y"] == y and node["split"]["N"] == {"base": "zero"}
+        node = node["split"]["C"]
+    assert node == {"base": "vars"}
+    cli._require_tree_size(cert, "c_branch", "n_branch")
+    monkeypatch.setattr(cli, "_TREE_NODE_BOUND", 2998)
+    with pytest.raises(InputError, match="expands to 2999 nodes in JSON"):
+        cli._require_tree_size(cert, "c_branch", "n_branch")
 
 
 @pytest.mark.parametrize(

@@ -598,6 +598,14 @@ def test_shedding_certificate_json_pinned():
     assert hashlib.sha256(digests.encode()).hexdigest()[:16] == "e54120af4f88a5c7"
 
 
+def test_shedding_json_encodes_a_shared_node_once():
+    shared = Shed("b", Leaf("empty"), Leaf("simplex"))
+    doc = shedding_certificate_to_json(Shed("a", shared, shared))
+    assert doc["del"] is doc["lk"]
+    assert doc == {"shed": "a", "del": doc["del"], "lk": doc["del"]}
+    assert doc["del"] == {"shed": "b", "del": {"leaf": "empty"}, "lk": {"leaf": "simplex"}}
+
+
 def test_certificate_json_round_trip_and_errors():
     _, cert = is_vertex_decomposable(even_stable_p6())
     doc = shedding_certificate_to_json(cert)
