@@ -156,17 +156,17 @@ def _strata(adj: Sequence[int], present: int) -> list[int]:
 
 def _heights_of_adj(
     adj: Sequence[int], present: int
-) -> tuple[list[int], int, bool, bool]:
-    """Height strata, component count, forest flag and balance flag for the
-    subgraph on `present` positions with the given adjacency masks.
-    Balanced means a forest in which no stratum holds an edge; every vertex
-    of a forest lies in a stratum, since each of its components has a
-    vertex of degree <= 1.  The strata are disjoint, so the sum of any of
-    them is their union."""
+) -> tuple[list[int], tuple[int, ...], bool, bool]:
+    """Height strata, component masks (by `_component_masks`), forest flag
+    and balance flag for the subgraph on `present` positions with the
+    given adjacency masks.  Balanced means a forest in which no stratum
+    holds an edge; every vertex of a forest lies in a stratum, since each
+    of its components has a vertex of degree <= 1.  The strata are
+    disjoint, so the sum of any of them is their union."""
     strata = _strata(adj, present)
-    comps = len(_component_masks(adj, present))
+    comps = _component_masks(adj, present)
     edge_twice = sum((adj[p] & present).bit_count() for p in _bits(present))
-    forest = edge_twice // 2 == present.bit_count() - comps
+    forest = edge_twice // 2 == present.bit_count() - len(comps)
     balanced = forest and not any(adj[p] & s for s in strata for p in _bits(s))
     return strata, comps, forest, balanced
 
@@ -187,7 +187,7 @@ class HeightProfile:
         self.universe = graph.universe
         self.heights = tuple(by_pos)
         self.is_forest = forest
-        self.is_tree = forest and comps == 1
+        self.is_tree = forest and len(comps) == 1
         self.balanced = balanced
         self._strata = strata
 
@@ -230,21 +230,26 @@ def heights(graph: Graph) -> HeightProfile:
 
 
 def oni(graph: Graph) -> SquareFreeIdeal:
-    """Open neighborhood ideal over the full vertex set.  An isolated
-    vertex contributes the empty support, collapsing the ideal to UNIT."""
-    supports = (graph.universe.labels_of(m) for m in graph.adj)
-    return SquareFreeIdeal.from_supports(graph.universe, supports)
+    """Open neighborhood ideal over the full vertex set: the minimal
+    neighborhood masks.  An isolated vertex contributes the empty mask,
+    collapsing the ideal to UNIT."""
+    return SquareFreeIdeal(SpernerFamily._canonical(graph.universe, minimal_masks(graph.adj)))
 
 
 def odd_oni(graph: Graph) -> SquareFreeIdeal:
     """Odd-vertex neighborhood ideal of a balanced forest, read over the
-    even vertices."""
-    profile = heights(graph)
-    if not profile.balanced:
+    even vertices.  Balance puts every odd vertex's neighborhood in the
+    even strata, so the minimal ones, read over the even vertices, whose
+    positions keep their order (see `universe._masks_into`), are the
+    ideal's canonical generators."""
+    u = graph.universe
+    strata, _, _, balanced = _heights_of_adj(graph.adj, u.full_mask())
+    if not balanced:
         raise InputError("graph is not a balanced forest")
-    even = Universe(profile.v_even)
-    supports = [graph.neighbors(v) for v in profile.v_odd]
-    return SquareFreeIdeal.from_supports(even, supports)
+    even = Universe(u.labels_of(sum(strata[0::2])))
+    gens = minimal_masks(graph.adj[p] for p in _bits(sum(strata[1::2])))
+    return SquareFreeIdeal(SpernerFamily._canonical(even, tuple(
+        even.mask_of(u.labels_of(m)) for m in gens)))
 
 
 def induced_odd_oni(sub: Graph, graph: Graph) -> SquareFreeIdeal:
@@ -288,16 +293,19 @@ def is_td_unmixed(graph: Graph) -> bool:
     return len(sizes) <= 1
 
 
-def _structurally_unmixed(adj: Sequence[int], present: int, strata: list[int]) -> bool:
+def _structurally_unmixed(
+    adj: Sequence[int], comps: Sequence[int], strata: list[int]
+) -> bool:
     """Height and stem/branch counting conditions, per component of the
-    balanced forest on `present` with the strata `_heights_of_adj` gave:
+    balanced forest with the components `comps` and the strata that
+    `_heights_of_adj` gave:
     height at most 3, every height-2 vertex next to exactly one height-1
     vertex, and every height-1 vertex next to at most one height-2 vertex,
     exactly one when its component has height 3."""
     if len(strata) > 4:
         return False
     one, two, three = (strata[1:] + [0, 0, 0])[:3]
-    for comp in _component_masks(adj, present):
+    for comp in comps:
         for p in _bits(comp & two):
             if (adj[p] & one).bit_count() != 1:
                 return False
@@ -311,11 +319,10 @@ def _structurally_unmixed(adj: Sequence[int], present: int, strata: list[int]) -
 def is_structurally_td_unmixed(tree: Graph) -> bool:
     """Height and stem/branch counting conditions on a balanced tree,
     equivalent to unmixedness without enumerating a single TD-set."""
-    full = tree.universe.full_mask()
-    strata, comps, _, balanced = _heights_of_adj(tree.adj, full)
-    if comps != 1 or not balanced:
+    strata, comps, _, balanced = _heights_of_adj(tree.adj, tree.universe.full_mask())
+    if len(comps) != 1 or not balanced:
         raise InputError("structural unmixedness test needs a balanced tree")
-    return _structurally_unmixed(tree.adj, full, strata)
+    return _structurally_unmixed(tree.adj, comps, strata)
 
 
 def stable_complex(graph: Graph) -> SimplicialComplex:
@@ -416,10 +423,10 @@ def find_split_vertex(tree: Graph) -> str:
     full = tree.universe.full_mask()
     strata, comps, _, balanced = _heights_of_adj(tree.adj, full)
     if (
-        comps != 1
+        len(comps) != 1
         or not balanced
         or len(strata) != 4
-        or not _structurally_unmixed(tree.adj, full, strata)
+        or not _structurally_unmixed(tree.adj, comps, strata)
     ):
         raise InputError(
             "split vertex requires a TD-unmixed balanced tree of height 3"
@@ -454,7 +461,7 @@ def verify_decomposition(tree: Graph, t1: Graph, t2: Graph) -> bool:
     positions."""
     adj = tree.adj
     strata, comps, forest, _ = _heights_of_adj(adj, tree.universe.full_mask())
-    if not (forest and comps == 1):
+    if not (forest and len(comps) == 1):
         raise InputError("decomposition target must be a tree")
     if not t1.is_subgraph_of(tree) or not t2.is_subgraph_of(tree):
         raise InputError("decomposition pieces must be subgraphs")
@@ -519,7 +526,7 @@ def search_decomposition(tree: Graph) -> Optional[TreeDecomposition]:
     zero ideal, which oni(K1) = (1) and oni(K2) = (a, b) are not."""
     full = tree.universe.full_mask()
     strata, comps, forest, _ = _heights_of_adj(tree.adj, full)
-    if not (forest and comps == 1):
+    if not (forest and len(comps) == 1):
         raise InputError("decomposition search needs a tree")
     if len(tree.universe) < 3:
         return None

@@ -629,9 +629,8 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
     """
     u = forest.universe
     adj = forest.adj
-    full = u.full_mask()
-    strata, _, _, balanced = _heights_of_adj(adj, full)
-    if not balanced or not _structurally_unmixed(adj, full, strata):
+    strata, comps, _, balanced = _heights_of_adj(adj, u.full_mask())
+    if not balanced or not _structurally_unmixed(adj, comps, strata):
         raise InputError(
             "certificate construction needs a TD-unmixed balanced forest"
         )
@@ -690,5 +689,5 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
         return after
 
     odd = sum(strata[1::2])
-    comps = [comp for comp in _component_masks(adj, full) if comp & odd]
-    return cert(tuple((c, minimal_masks(adj[p] for p in _bits(c & odd))) for c in comps), _ZERO)
+    return cert(tuple((c, minimal_masks(adj[p] for p in _bits(c & odd))) for c in comps if c & odd),
+                _ZERO)

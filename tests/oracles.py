@@ -180,14 +180,16 @@ def heights_oracle(
 def reference_heights_of_adj(adj, present):
     """The dict form of the heights pass on `present` positions with the
     given adjacency masks: heights_oracle on the positions, the component
-    count by networkx, the forest flag by the edge count, and the balance
+    masks by networkx, ordered by lowest position, the forest flag by the
+    edge count, and the balance
     flag by comparing the heights at both ends of every edge."""
     graph = nx.Graph()
     graph.add_nodes_from(_bits(present))
     graph.add_edges_from((p, q) for p in _bits(present) for q in _bits(adj[p] & present))
     height = heights_oracle(graph.nodes, graph.edges)
-    comps = nx.number_connected_components(graph)
-    forest = graph.number_of_edges() == len(height) - comps
+    comps = tuple(sorted((sum(1 << p for p in c) for c in nx.connected_components(graph)),
+                         key=lambda m: m & -m))
+    forest = graph.number_of_edges() == len(height) - len(comps)
     balanced = forest and all(height[p] != height[q] for p, q in graph.edges)
     return height, comps, forest, balanced
 
@@ -833,7 +835,7 @@ def reference_split_vertex(adj, present) -> int:
     tests, then the first height-2 vertex of degree 2."""
     height, comps, _, balanced = reference_heights_of_adj(adj, present)
     if (
-        comps != 1
+        len(comps) != 1
         or not balanced
         or max(height.values()) != 3
         or not reference_structurally_unmixed(adj, [present], height)

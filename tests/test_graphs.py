@@ -171,7 +171,8 @@ def test_heights_match_oracle(case, drawn):
         assert profile.stratum(k) == tuple(v for v in order if expected[v] == k)
     assert profile.stratum(-1) == profile.stratum(len(labels) + 1) == ()
     # the strata kernel against the dict form, on the whole graph, on a
-    # drawn vertex subset, and on the non-induced piece adjacency of _piece
+    # drawn vertex subset, and on the non-induced piece adjacency of _piece;
+    # the flags are the component masks, the forest flag and the balance flag
     present = drawn & g.universe.full_mask()
     for adj, within in ((g.adj, g.universe.full_mask()), (g.adj, present), _piece(g.adj, present)):
         strata, *flags = _heights_of_adj(adj, within)
