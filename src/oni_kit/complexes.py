@@ -5,6 +5,10 @@ trees and cycles, decided by good-leaf removal.
 Three kinds of complex are distinguished: VOID (no faces at all), EMPTY
 (only the empty face), and ORDINARY.  VOID corresponds to the unit ideal
 under the Stanley-Reisner map, EMPTY to the ideal of all variables.
+
+The shedding certificate encoder is one `universe._fold`, which builds
+one dict per distinct node and does not recurse; the decoder, the VD
+search and its replay recurse.
 """
 
 from __future__ import annotations

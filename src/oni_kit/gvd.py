@@ -26,7 +26,9 @@ piece's ideal being the minimal masks of its odd vertices' neighborhoods
 in it, which splits carry down from the forest's.  A piece's ideal is
 its components' sum, certified by folding each, last to first, onto the
 certificate of those after it, with no merge.  Every certificate built
-here is the maximally shared DAG: equal subtrees are one node.
+here is the maximally shared DAG: equal subtrees are one node.  The
+encoder is one `universe._fold`, which builds one dict per distinct node
+and does not recurse; the decoder, the search and the replay recurse.
 """
 
 from __future__ import annotations
