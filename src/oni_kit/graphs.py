@@ -248,8 +248,8 @@ def odd_oni(graph: Graph) -> SquareFreeIdeal:
         raise InputError("graph is not a balanced forest")
     even = Universe(u.labels_of(sum(strata[0::2])))
     gens = minimal_masks(graph.adj[p] for p in _bits(sum(strata[1::2])))
-    return SquareFreeIdeal(SpernerFamily._canonical(even, tuple(
-        even.mask_of(u.labels_of(m)) for m in gens)))
+    masks = tuple(even.mask_of(u.labels_of(m)) for m in gens)
+    return SquareFreeIdeal(SpernerFamily._canonical(even, masks))
 
 
 def induced_odd_oni(sub: Graph, graph: Graph) -> SquareFreeIdeal:
@@ -293,9 +293,7 @@ def is_td_unmixed(graph: Graph) -> bool:
     return len(sizes) <= 1
 
 
-def _structurally_unmixed(
-    adj: Sequence[int], comps: Sequence[int], strata: list[int]
-) -> bool:
+def _structurally_unmixed(adj: Sequence[int], comps: Sequence[int], strata: list[int]) -> bool:
     """Height and stem/branch counting conditions, per component of the
     balanced forest with the components `comps` and the strata that
     `_heights_of_adj` gave:

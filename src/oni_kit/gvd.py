@@ -691,5 +691,5 @@ def certify_tree_gvd(forest: Graph) -> GvdCertificate:
         return after
 
     odd = sum(strata[1::2])
-    return cert(tuple((c, minimal_masks(adj[p] for p in _bits(c & odd))) for c in comps if c & odd),
-                _ZERO)
+    parts = tuple((c, minimal_masks(adj[p] for p in _bits(c & odd))) for c in comps if c & odd)
+    return cert(parts, _ZERO)

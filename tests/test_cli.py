@@ -470,7 +470,7 @@ def test_malformed_inputs_exit_2(invoke, tmp_path):
 
 def test_input_deeper_than_the_stack_exits_2(invoke):
     # a star is a balanced TD-unmixed tree; its certificate is a chain with
-    # one split per leaf, too deep to encode as JSON
+    # one split per leaf, too deep to replay or to write as JSON text
     leaves = [f"l{i}" for i in range(sys.getrecursionlimit() + 100)]
     star = Graph.from_vertices(["c", *leaves], [("c", v) for v in leaves])
     cert = certify_tree_gvd(star)
