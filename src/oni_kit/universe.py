@@ -213,22 +213,35 @@ def sort_key(mask: int) -> tuple[int, bytes]:
     )
 
 
-def _minimal_in_order(canon: Sequence[int]) -> list[int]:
-    """The members of `canon`, distinct masks in canonical order, that hold
-    no earlier member.  Canonical order puts every proper subset before its
-    supersets, so these are the inclusion-minimal ones, in that order.
+def _minimal_in_order(masks: Iterable[int]) -> list[int]:
+    """The members of `masks`, distinct masks in non-decreasing size, that
+    hold no other member: the inclusion-minimal ones, in input order.
 
-    Each kept mask is filed under the position of its lowest bit, and m is
-    tested only against the masks filed under its own bits: a non-empty r
-    lies in m only if r's lowest bit is in m.  The empty mask, first in
-    canonical order when present, lies in every mask, so it alone is kept.
-    Buckets are keyed by position, a small int, since hashing a mask as
-    wide as a forest costs as much as the subset tests it saves."""
-    if canon and not canon[0]:
-        return [0]
+    A member r that lies in another member m is strictly smaller, so it
+    comes before m and in an earlier size class, and two distinct members
+    of one size never hold each other.  So m is tested only against the
+    kept members of smaller sizes: a kept member is filed only once the
+    scan has moved past its size, and no test is made inside a size class.
+    That is enough: a member r in m that was not kept holds a smaller kept
+    member, which m then holds too.
+
+    Each filed mask goes into the bucket of its lowest bit, and m is tested
+    only against the buckets of its own bits: a non-empty r lies in m only
+    if r's lowest bit is in m.  The empty mask, first when present, lies in
+    every mask, so it alone is kept.  Buckets are keyed by position, a
+    small int, since hashing a mask as wide as a forest costs as much as
+    the subset tests it saves."""
     out: list[int] = []
     by_low: dict[int, list[int]] = {}
-    for m in canon:
+    filed, size = 0, -1
+    for m in masks:
+        if m.bit_count() != size:
+            if not m:
+                return [0]
+            size = m.bit_count()
+            for r in out[filed:]:
+                by_low.setdefault((r & -r).bit_length() - 1, []).append(r)
+            filed = len(out)
         rest = m
         while rest:  # the buckets are searched inline: an any() per bucket slows small inputs
             low = rest & -rest
@@ -241,12 +254,13 @@ def _minimal_in_order(canon: Sequence[int]) -> list[int]:
             break
         else:
             out.append(m)
-            by_low.setdefault((m & -m).bit_length() - 1, []).append(m)
     return out
 
 
 def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    """Inclusion-minimal members, deduplicated, in canonical order."""
+    """Inclusion-minimal members, deduplicated, in canonical order.
+    Canonical order sorts by size first, as `_minimal_in_order` needs, and
+    the members it keeps stay in that order."""
     return tuple(_minimal_in_order(sorted(set(masks), key=sort_key)))
 
 
@@ -273,10 +287,15 @@ class SpernerFamily:
     __slots__ = ("universe", "masks")
 
     def __init__(self, universe: Universe, masks: Iterable[int]):
+        """Sort the distinct masks canonically and reject a comparable
+        pair.  `_minimal_in_order` finds one with no test between members
+        of equal size, which cannot be comparable, so a family of one size
+        is accepted with no subset test at all.  Only a rejected family is
+        scanned pair by pair, to name the first comparable pair in
+        canonical order, which puts every proper subset before its
+        supersets."""
         canon = tuple(sorted(set(masks), key=sort_key))
         if len(_minimal_in_order(canon)) < len(canon):
-            # word the error by the first comparable pair of the pairwise
-            # scan; canonical order puts every proper subset before its supersets
             for i, a in enumerate(canon):
                 for b in canon[i + 1 :]:
                     if a & b == a:
@@ -342,6 +361,9 @@ def minimal_transversals(family: SpernerFamily) -> SpernerFamily:
     Incremental construction: fold members in canonical order, keeping the
     minimal transversals of the prefix.  A transversal of the prefix either
     already meets the next member or must be extended by one of its elements.
+    A prefix's transversals need minimality, not canonical order, so each
+    step sorts the staged sets by size alone, as `_minimal_in_order` needs,
+    and the result is sorted canonically once, at the end.
 
     Conventions: a family containing the empty set has no transversals at
     all (empty result); the empty family has exactly the empty transversal.
@@ -349,7 +371,7 @@ def minimal_transversals(family: SpernerFamily) -> SpernerFamily:
     `(0,)`, and folding in the member 0 extends no transversal, so the
     prefix's `(0,)` becomes `()` in one step.
     """
-    partial: tuple[int, ...] = (0,)
+    partial = [0]
     for a in family.masks:
         staged: list[int] = []
         for t in partial:
@@ -357,8 +379,8 @@ def minimal_transversals(family: SpernerFamily) -> SpernerFamily:
                 staged.append(t)
             else:
                 staged.extend(t | (1 << e) for e in _bits(a))
-        partial = minimal_masks(staged)
-    return SpernerFamily._canonical(family.universe, partial)
+        partial = _minimal_in_order(sorted(set(staged), key=int.bit_count))
+    return SpernerFamily._canonical(family.universe, tuple(sorted(partial, key=sort_key)))
 
 
 def brute_force_transversals(family: SpernerFamily) -> SpernerFamily:

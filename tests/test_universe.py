@@ -12,9 +12,10 @@ from oni_kit import (
     SquareFreeIdeal,
     Universe,
     brute_force_transversals,
+    minimal_odd_td_sets,
     minimal_transversals,
 )
-from oni_kit.universe import maximal_masks, minimal_masks, sort_key
+from oni_kit.universe import _minimal_in_order, maximal_masks, minimal_masks, sort_key
 
 LABELS = tuple("abcdefgh")
 
@@ -149,6 +150,59 @@ def test_subset_index_matches_oracles(masks):
         with pytest.raises(InputError) as caught:
             SpernerFamily(WIDE, masks)
         assert str(caught.value) == expected
+
+
+@st.composite
+def size_classes(draw):
+    """Distinct masks in non-decreasing size, shuffled inside each size, as
+    the fold hands them to `_minimal_in_order`: mostly one to three large
+    classes of one size each, on a narrow window of positions (so that
+    members of different classes are often comparable) that may sit high
+    in a wide mask."""
+    width = draw(st.integers(1, 10))
+    sizes = draw(st.lists(st.integers(0, width), min_size=1, max_size=3, unique=True))
+    shift = draw(st.sampled_from((0, 0, 70)))
+    masks = []
+    for size in sorted(sizes):
+        subsets = st.sets(st.integers(0, width - 1), min_size=size, max_size=size)
+        drawn = draw(st.sets(subsets.map(lambda ps: sum(1 << p + shift for p in ps)), max_size=60))
+        masks += draw(st.permutations(sorted(drawn)))
+    return masks
+
+
+@given(size_classes())
+@example([0, 1, 2])
+@example([1, 2, 3, 5, 6])
+@settings(max_examples=300, deadline=None)
+def test_minimal_in_order_is_size_order_blind_inside_a_class(masks):
+    kept = _minimal_in_order(masks)
+    assert sorted(kept, key=oracles.reference_sort_key) == oracles.reference_minimal_masks(masks)
+    assert kept == [m for m in masks if m in set(kept)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+def test_dualization_of_disjoint_pairs_makes_one_size_class(k):
+    """k disjoint pairs have 2^k minimal transversals, all of size k."""
+    u = Universe(f"v{i:02d}" for i in range(2 * k))
+    pairs = SpernerFamily(u, (0b11 << 2 * i for i in range(k)))
+    tau = minimal_transversals(pairs)
+    assert len(tau) == 2**k and {m.bit_count() for m in tau.masks} == {k}
+    assert tau == brute_force_transversals(pairs)
+
+
+def test_constructor_on_grown_tree_16s_odd_td_sets():
+    """7,728 sets; one proper subset added makes the first pair of the scan."""
+    tds = minimal_odd_td_sets(oracles.seeded_grown_tree(16))
+    assert len(tds) == 7728
+    assert SpernerFamily(tds.universe, tds.masks) == tds
+    first = tds.masks[0]
+    inner = first ^ 1 << first.bit_length() - 1
+    masks = tds.masks + (inner,)
+    expected = oracles.reference_antichain_error(tds.universe, masks)
+    assert expected is not None
+    with pytest.raises(InputError) as caught:
+        SpernerFamily(tds.universe, masks)
+    assert str(caught.value) == expected
 
 
 def test_family_json_round_trip():
