@@ -177,7 +177,8 @@ def size_classes(draw):
 def test_minimal_in_order_is_size_order_blind_inside_a_class(masks):
     kept = _minimal_in_order(masks)
     assert sorted(kept, key=oracles.reference_sort_key) == oracles.reference_minimal_masks(masks)
-    assert kept == [m for m in masks if m in set(kept)]
+    chosen = set(kept)
+    assert kept == [m for m in masks if m in chosen]  # in input order
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10])
