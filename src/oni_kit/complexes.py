@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Union
 from .errors import InputError
 from .ideals import SquareFreeIdeal
 from .universe import (
+    _MISSING,
     SpernerFamily,
     Universe,
     _bits,
@@ -241,6 +242,14 @@ def is_vertex_decomposable(
     root, since `_shed` keeps it.  A complex with at most one facet is a
     leaf: the `empty` leaf for VOID, the `simplex` leaf for EMPTY and for
     every simplex.
+
+    Cone points, the vertices in every facet, are not tried either: the
+    loop that ORs a node's facets into its support ANDs them too.  A cone
+    point never sheds, since every facet of its deletion misses it and so
+    is no facet of the complex (cf. Provan and Billera, Math. Oper. Res.
+    1980).  `_shed` rejects it at its first link facet, as its deletion
+    keeps no facet, so the loop tries the same vertices with the same
+    verdicts and returns the same certificate with the same sharing.
     """
     if not cx.is_pure():
         raise InputError("vertex decomposability is defined for pure complexes")
@@ -249,18 +258,21 @@ def is_vertex_decomposable(
     facet_set_cache: dict[tuple[int, ...], Optional[SheddingCertificate]] = {}
 
     def search(facets: tuple[int, ...]) -> Optional[SheddingCertificate]:
-        if facets in facet_set_cache:
-            return facet_set_cache[facets]
+        result = facet_set_cache.get(facets, _MISSING)
+        if result is not _MISSING:
+            return result
         if len(facets) <= 1:
-            facet_set_cache[facets] = Leaf("simplex" if facets else "empty")
-            return facet_set_cache[facets]
-        support = 0
+            facet_set_cache[facets] = result = Leaf("simplex" if facets else "empty")
+            return result
+        support, cones = 0, -1
         for f in facets:
             support |= f
-        result: Optional[SheddingCertificate] = None
-        while support:  # popped inline, lowest first: no `_bits` generator per node
-            bit = support & -support
-            support ^= bit
+            cones &= f
+        candidates = support ^ cones  # no cone point sheds (see above)
+        result = None
+        while candidates:  # popped inline, lowest first: no `_bits` generator per node
+            bit = candidates & -candidates
+            candidates ^= bit
             parts = _shed(facets, bit)
             if parts is None:
                 continue

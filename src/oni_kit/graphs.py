@@ -241,15 +241,30 @@ def odd_oni(graph: Graph) -> SquareFreeIdeal:
     even vertices.  Balance puts every odd vertex's neighborhood in the
     even strata, so the minimal ones, read over the even vertices, whose
     positions keep their order (see `universe._masks_into`), are the
-    ideal's canonical generators."""
+    ideal's canonical generators.
+
+    They are read over the even vertices by position, with no label: one
+    table, built from the even mask, maps each graph position to its
+    position among the even vertices.  Both universes are sorted, so that
+    map is increasing, and each generator's bits are moved through it."""
     u = graph.universe
     strata, _, _, balanced = _heights_of_adj(graph.adj, u.full_mask())
     if not balanced:
         raise InputError("graph is not a balanced forest")
-    even = Universe(u.labels_of(sum(strata[0::2])))
-    gens = minimal_masks(graph.adj[p] for p in _bits(sum(strata[1::2])))
-    masks = tuple(even.mask_of(u.labels_of(m)) for m in gens)
-    return SquareFreeIdeal(SpernerFamily._canonical(even, masks))
+    evens = tuple(_bits(sum(strata[0::2])))
+    even_at = [0] * len(u)
+    for i, p in enumerate(evens):
+        even_at[p] = i
+    masks = []
+    for m in minimal_masks(graph.adj[p] for p in _bits(sum(strata[1::2]))):
+        mask = 0
+        while m:  # popped inline, lowest first: no `_bits` generator per generator
+            low = m & -m
+            mask |= 1 << even_at[low.bit_length() - 1]
+            m ^= low
+        masks.append(mask)
+    even = Universe(u.labels[p] for p in evens)
+    return SquareFreeIdeal(SpernerFamily._canonical(even, tuple(masks)))
 
 
 def induced_odd_oni(sub: Graph, graph: Graph) -> SquareFreeIdeal:

@@ -40,6 +40,7 @@ from .errors import InputError
 from .graphs import Graph, _heights_of_adj, _split_vertex, _structurally_unmixed
 from .ideals import SquareFreeIdeal
 from .universe import (
+    _MISSING,
     SpernerFamily,
     Universe,
     _bits,
@@ -447,8 +448,9 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
     def search(live: int, gens: tuple[int, ...]) -> Optional[tuple]:
         """(certificate, height) if GVD, else None."""
         key = (live, gens)
-        if key in memo:
-            return memo[key]
+        found = memo.get(key, _MISSING)
+        if found is not _MISSING:
+            return found
         found = _base(gens)
         if found:
             return found
@@ -517,8 +519,9 @@ def validate_certificate(ideal: SquareFreeIdeal, cert: GvdCertificate) -> bool:
         `node` certifies it, and the node's used(); raises _Rejected
         otherwise."""
         key = (id(node), gens)
-        if key in memo:
-            return memo[key]
+        known = memo.get(key)  # a memoized value is a (height, used) pair, never None
+        if known is not None:
+            return known
         if isinstance(node, Base):
             found = _base(gens)
             if not gens and node.kind == BASE_VARIABLES:  # zero: generated by no variable

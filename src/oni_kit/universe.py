@@ -16,6 +16,10 @@ from .errors import CapExceeded, InputError
 
 BRUTE_FORCE_SUPPORT_CAP = 20
 
+# The default of a memo's one `dict.get` probe, where None is a memoized
+# verdict: a hit then hashes its key once, not twice as `in` and `[]` do.
+_MISSING = object()
+
 
 def _bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of mask in ascending order."""

@@ -3,8 +3,8 @@
 Everything here is deliberately naive: plain set arithmetic over explicit
 subset enumeration, the Stanley-Reisner complex with its unit and zero
 cases by hand, the Stanley-Reisner ideal through the validating family
-constructor, universe extension and join through labels, the pairwise
-antichain test, the two-pass forms of the per-node split kernels, the
+constructor, universe extension, join and the odd ideal through
+labels, the pairwise antichain test, the two-pass forms of the per-node split kernels, the
 canonical order as position tuples, networkx for
 chordality and forests, leaf-distance heights as a dict filled by a
 deque BFS, Faridi's leaf test on every facet subcollection
@@ -309,6 +309,18 @@ def covers_unmixed(cx) -> bool:
 def reference_stable_complex(graph):
     """Complements of the minimal TD-sets found by subset search."""
     return complements_complex(graph.universe, td_sets_oracle(graph.vertices, graph.edges))
+
+
+def reference_odd_oni(graph):
+    """The odd ideal of a balanced forest through labels, the route
+    `odd_oni` took before it moved generators by position: the strata by
+    heights_oracle, each odd vertex's neighbourhood as a set of labels,
+    minimalized as sets and read over a universe of the even labels."""
+    height = heights_oracle(graph.vertices, graph.edges)
+    even = Universe(v for v, h in height.items() if h % 2 == 0)
+    odd = (v for v, h in height.items() if h % 2 == 1)
+    gens = minimalize(frozenset(graph.neighbors(v)) for v in odd)
+    return SquareFreeIdeal(SpernerFamily.from_sets(even, gens))
 
 
 def reference_even_stable_complex(graph):

@@ -244,6 +244,41 @@ def test_odd_ideal_of_many_components_matches_reference():
     assert list(ideal.generators.masks) == oracles.reference_minimal_masks(neighbourhoods)
 
 
+@st.composite
+def balanced_forests(draw):
+    """1-3 uniform random trees on 3-12 vertices, each redrawn until it is
+    balanced, with vertex i of tree j labelled f"v{i:02d}t{j}", so that the
+    trees' positions interleave in the sorted universe."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    vertices, edges = [], []
+    for j in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(3, 12))
+        while True:
+            tree = Graph.from_vertices(map(str, range(n)), oracles.random_tree_edges(rng, n))
+            if heights(tree).balanced:
+                break
+        vertices += (f"v{i:02d}t{j}" for i in range(n))
+        edges += ((f"v{int(a):02d}t{j}", f"v{int(b):02d}t{j}") for a, b in tree.edges)
+    return Graph.from_vertices(vertices, edges)
+
+
+@given(balanced_forests())
+@settings(max_examples=100, deadline=None)
+def test_odd_ideal_matches_label_route_on_random_forests(forest):
+    assert odd_oni(forest) == oracles.reference_odd_oni(forest)
+
+
+def test_odd_ideal_matches_label_route_on_grown_trees_and_paths():
+    # the position map against the label route it replaced, on grown trees
+    # 0-14 and on 200 disjoint 7-vertex paths, whose labels "tj_i" sort the
+    # paths' positions out of order ("t10_0" before "t2_0")
+    for k in range(15):
+        tree = oracles.seeded_grown_tree(k)
+        assert odd_oni(tree) == oracles.reference_odd_oni(tree), k
+    paths = oracles.disjoint_paths(200)
+    assert odd_oni(paths) == oracles.reference_odd_oni(paths)
+
+
 def test_induced_odd_ideal():
     ambient = p6()
     sub = ambient.delete_vertices(["3"])
