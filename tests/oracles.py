@@ -10,7 +10,8 @@ chordality and forests, leaf-distance heights as a dict filled by a
 deque BFS, Faridi's leaf test on every facet subcollection
 for simplicial forests and cycles, the GVD split that rebuilds both parts from
 labels, the GVD search and replay that re-check unmixedness and the split
-identity C ∩ (N + (y)) = I over labels at every node, the shedding test
+identity C ∩ (N + (y)) = I over labels at every node, the GVD search
+with lemma 2 tested at every node's entry, the shedding test
 and replay that rebuild deletion and link complexes, the tree certifier
 that rebuilds every piece as a graph and an ideal, and the tree
 decomposition check and search that do the same.  The tests trust these
@@ -55,6 +56,7 @@ from oni_kit import (
     split,
 )
 from oni_kit.fixtures import p6
+from oni_kit.gvd import _base, _disconnected, _split_height, _split_masks
 from oni_kit.universe import _bits
 
 Sets = set[frozenset[str]]
@@ -534,6 +536,16 @@ def seeded_grown_tree(steps):
     return tree
 
 
+def seeded_pure_complex(seed):
+    """A pure complex of 2-7 facets of one size between 2 and n - 2 on
+    n = 6 or 7 vertices, drawn by random.Random(seed)."""
+    rng = random.Random(seed)
+    labels = tuple("abcdefg")[: rng.choice((6, 7))]
+    k = rng.randint(2, len(labels) - 2)
+    facets = [rng.sample(labels, k) for _ in range(rng.randint(2, 7))]
+    return SimplicialComplex.from_facets(Universe(labels), facets)
+
+
 def disjoint_paths(k):
     """k disjoint 7-vertex paths, the j-th on "tj_0".."tj_6": the tree
     certificate's DAG has 5k - 3 splits, and its tree expansion
@@ -763,6 +775,54 @@ def reference_is_gvd(ideal):
 
     cert = search(ideal)
     return cert is not None, cert
+
+
+def entry_lemma_2_is_gvd(ideal):
+    """The `is_gvd` search with lemma 2 tested at the entry of every
+    non-base node, before any split: the package's own node kernels
+    (`_base`, `_disconnected`, `_split_masks`, `_split_height`), with each
+    split built by the public `Split` constructor and interned by
+    (variable, C node, N node).  Where lemma 2 is tested decides how soon a
+    node that is not GVD is settled, and nothing else; the tests hold
+    `is_gvd` to this search's verdicts, certificates and sharing."""
+    labels = ideal.universe.labels
+    splits = {}
+    memo = {}
+
+    def search(live, gens):
+        key = (live, gens)
+        if key in memo:
+            return memo[key]
+        found = _base(gens)
+        if found:
+            return found
+        if _disconnected(live, gens):
+            memo[key] = None
+            return None
+        rest = live
+        while rest:
+            ybit = rest & -rest
+            rest ^= ybit
+            c_gens, n_gens = _split_masks(gens, ybit)
+            c_found = search(live ^ ybit, c_gens)
+            if c_found is None:
+                break
+            n_found = search(live ^ ybit, n_gens)
+            if n_found is None:
+                continue
+            height = _split_height(c_gens, c_found[1], n_gens, n_found[1])
+            if height is not None:
+                split_key = (labels[ybit.bit_length() - 1], id(c_found[0]), id(n_found[0]))
+                node = splits.get(split_key)
+                if node is None:
+                    node = splits[split_key] = Split(split_key[0], c_found[0], n_found[0])
+                found = node, height
+            break
+        memo[key] = found
+        return found
+
+    found = search(ideal.universe.full_mask(), ideal.generators.masks)
+    return (True, found[0]) if found else (False, None)
 
 
 def reference_validate_certificate(ideal, cert) -> bool:

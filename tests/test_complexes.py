@@ -545,15 +545,6 @@ def shedding_digest(found):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def seeded_pure_complex(seed):
-    """A pure complex of 2-7 facets of one size between 2 and n - 2 on
-    n = 6 or 7 vertices, drawn by random.Random(seed)."""
-    rng = random.Random(seed)
-    labels = LABELS8[: rng.choice((6, 7))]
-    k = rng.randint(2, len(labels) - 2)
-    return cx(labels, [rng.sample(labels, k) for _ in range(rng.randint(2, 7))])
-
-
 SHEDDING_DIGESTS = {
     "even_stable-0": "faecbacfc89e91c2", "even_stable-1": "0de1701669db9482",
     "even_stable-2": "27677fc797cadf2c", "even_stable-3": "db01606e3c716de3",
@@ -575,7 +566,7 @@ def test_shedding_certificates_pinned():
         complex_ = even_stable_complex(oracles.seeded_grown_tree(k))
         got[f"even_stable-{k}"] = shedding_digest(is_vertex_decomposable(complex_))
     assert got == SHEDDING_DIGESTS
-    found = [is_vertex_decomposable(seeded_pure_complex(seed)) for seed in range(200)]
+    found = [is_vertex_decomposable(oracles.seeded_pure_complex(seed)) for seed in range(200)]
     assert sum(ok for ok, _ in found) == 92
     digests = "".join(shedding_digest(one) for one in found)
     assert hashlib.sha256(digests.encode()).hexdigest()[:16] == "c3e254449e656c6a"
@@ -628,7 +619,7 @@ def test_shedding_certificate_json_pinned():
         got[f"even_stable-{k}"] = shedding_json_digest(is_vertex_decomposable(complex_))
     assert got == SHEDDING_JSON_DIGESTS
     digests = "".join(
-        shedding_json_digest(is_vertex_decomposable(seeded_pure_complex(seed)))
+        shedding_json_digest(is_vertex_decomposable(oracles.seeded_pure_complex(seed)))
         for seed in range(200)
     )
     assert hashlib.sha256(digests.encode()).hexdigest()[:16] == "e54120af4f88a5c7"

@@ -359,6 +359,30 @@ def test_disconnected_complex_is_refuted_with_no_split(split_calls, ideal):
     assert split_calls[0] == 0
 
 
+def assert_matches_entry_lemma_2_search(ideal):
+    ok, cert = is_gvd(ideal)
+    ref_ok, ref_cert = oracles.entry_lemma_2_is_gvd(ideal)
+    assert ok == ref_ok
+    assert (dag_digest([cert]) if ok else cert) == (dag_digest([ref_cert]) if ok else None)
+
+
+@given(ideals(max_gens=6))
+@example(("abcd", [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]))  # two disjoint edges
+@settings(max_examples=300, deadline=None)
+def test_is_gvd_matches_the_search_with_lemma_2_at_entry(case):
+    # Where lemma 2 is tested moves only how soon a node that is not GVD is
+    # settled: verdicts, certificates and their sharing stay those of the
+    # search that tests it at every node's entry.
+    assert_matches_entry_lemma_2_search(build(*case))
+
+
+def test_is_gvd_matches_the_search_with_lemma_2_at_entry_on_seeded_complexes():
+    # the Stanley-Reisner ideals of the 200 seeded pure complexes of
+    # test_complexes::test_shedding_certificates_pinned, 92 of them VD
+    for seed in range(200):
+        assert_matches_entry_lemma_2_search(stanley_reisner_ideal(oracles.seeded_pure_complex(seed)))
+
+
 def test_search_cuts_off_below_a_mixed_c_branch(monkeypatch):
     # Many subproblems of this 22-variable ideal are mixed.  The search
     # makes about 1,000 splits; searching each mixed subproblem until the
