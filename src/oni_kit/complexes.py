@@ -194,6 +194,24 @@ class Shed:
 
 SheddingCertificate = Union[Leaf, Shed]
 
+# One Leaf per kind, shared by every certificate the library builds.
+_LEAVES = {kind: Leaf(kind) for kind in ("simplex", "empty")}
+_SIMPLEX, _EMPTY_LEAF = _LEAVES["simplex"], _LEAVES["empty"]
+_new = object.__new__
+
+
+def _make_shed(vertex: str, deletion: SheddingCertificate, link: SheddingCertificate) -> Shed:
+    """`Shed(vertex, deletion, link)`, made by `object.__new__` and three
+    writes to its `__dict__` in field order: the frozen dataclass
+    `__init__` sets each field through `object.__setattr__` and costs
+    about twice as much.  Equality, hash, repr and `dataclasses.replace`
+    are the constructor's, and assigning to a field still raises
+    `FrozenInstanceError`."""
+    node = _new(Shed)
+    fields = node.__dict__
+    fields["vertex"], fields["deletion"], fields["link"] = vertex, deletion, link
+    return node
+
 
 def shedding_certificate_to_json(cert: SheddingCertificate) -> dict:
     """The certificate as nested JSON objects, built by one `_fold`, so
@@ -213,13 +231,15 @@ def shedding_certificate_from_json(obj: dict) -> SheddingCertificate:
         raise InputError("certificate must be a JSON object")
     keys = obj.keys()
     if keys == _LEAF_KEYS:
-        if obj["leaf"] not in ("simplex", "empty"):
-            raise InputError(f'unknown leaf kind {obj["leaf"]!r}')
-        return Leaf(obj["leaf"])
+        kind = obj["leaf"]
+        leaf = _LEAVES.get(kind) if isinstance(kind, str) else None
+        if leaf is None:
+            raise InputError(f"unknown leaf kind {kind!r}")
+        return leaf
     if keys == _SHED_KEYS:
         if not isinstance(obj["shed"], str):
             raise InputError("shed vertex must be a string label")
-        return Shed(
+        return _make_shed(
             obj["shed"],
             shedding_certificate_from_json(obj["del"]),
             shedding_certificate_from_json(obj["lk"]),
@@ -241,7 +261,8 @@ def is_vertex_decomposable(
     memoized per call on their facet form.  Purity is checked once, at the
     root, since `_shed` keeps it.  A complex with at most one facet is a
     leaf: the `empty` leaf for VOID, the `simplex` leaf for EMPTY and for
-    every simplex.
+    every simplex, one `Leaf` per kind shared by every certificate, as GVD
+    certificates share one `Base` per kind.
 
     Cone points, the vertices in every facet, are not tried either: the
     loop that ORs a node's facets into its support ANDs them too.  A cone
@@ -262,7 +283,7 @@ def is_vertex_decomposable(
         if result is not _MISSING:
             return result
         if len(facets) <= 1:
-            facet_set_cache[facets] = result = Leaf("simplex" if facets else "empty")
+            facet_set_cache[facets] = result = _SIMPLEX if facets else _EMPTY_LEAF
             return result
         support, cones = 0, -1
         for f in facets:
@@ -282,7 +303,7 @@ def is_vertex_decomposable(
             cert_link = search(parts[1])
             if cert_link is None:
                 continue
-            result = Shed(labels[bit.bit_length() - 1], cert_del, cert_link)
+            result = _make_shed(labels[bit.bit_length() - 1], cert_del, cert_link)
             break
         facet_set_cache[facets] = result
         return result

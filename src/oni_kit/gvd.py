@@ -19,8 +19,8 @@ returns the node's split variables with its height: a split whose
 variable is already split below it is rejected, which checks that every
 split variable is live wherever it is met, so the live mask decides
 nothing more.  Both take their base cases from `_base`.  The
-search also settles as not GVD, with no split, a node whose complex has
-an edge and a disconnected 1-skeleton.
+search also settles as not GVD a node whose first variable's N is not
+GVD when its complex has an edge and a disconnected 1-skeleton.
 The forest certifier likewise recurses on vertex masks of the forest, a
 piece's ideal being the minimal masks of its odd vertices' neighborhoods
 in it, which splits carry down from the forest's.  A piece's ideal is
@@ -88,6 +88,7 @@ _SPLIT_FIELDS = frozenset({"y", "C", "N"})
 # One Base per kind, shared by every certificate the library builds.
 _BASES = {kind: Base(kind) for kind in _BASE_KINDS}
 _UNIT, _ZERO, _VARS = (_BASES[kind] for kind in _BASE_KINDS)
+_new = object.__new__
 
 
 def _interning() -> Callable[[str, GvdCertificate, GvdCertificate], Split]:
@@ -97,14 +98,23 @@ def _interning() -> Callable[[str, GvdCertificate, GvdCertificate], Split]:
     the `_BASES`, equal subtrees are one node, by induction on depth: the
     result is the maximally shared DAG.  Its table holds every node it
     returned, and each node its branches, so no id in a key is reused
-    while the constructor lives."""
+    while the constructor lives.
+
+    A node is made by `object.__new__` and three writes to its `__dict__`,
+    in field order: the frozen dataclass `__init__` sets each field through
+    `object.__setattr__` and costs about twice as much.  The node is the
+    one `Split(y, c_node, n_node)` builds, with the same equality, hash,
+    repr and `dataclasses.replace`, and assigning to a field still raises
+    `FrozenInstanceError`."""
     splits: dict[tuple[str, int, int], Split] = {}
 
     def make(y: str, c_node: GvdCertificate, n_node: GvdCertificate) -> Split:
         key = (y, id(c_node), id(n_node))
         node = splits.get(key)
-        if node is None:
-            node = splits[key] = Split(y, c_node, n_node)
+        if node is None:  # Split(y, c_node, n_node), without the frozen __init__
+            node = splits[key] = _new(Split)
+            fields = node.__dict__
+            fields["variable"], fields["c_branch"], fields["n_branch"] = y, c_node, n_node
         return node
 
     return make
@@ -336,23 +346,27 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
     """Decide geometric vertex decomposability, with a witness.
 
     Each node looks up the memo first, then `_base` (unit, zero,
-    generated by variables).  A node whose complex has an edge and a
-    disconnected 1-skeleton, which `_disconnected` finds in one pass, is
-    not GVD (the second lemma below) and is settled with no split.  Any
-    other node loops over its live variables in canonical order: the first
-    variable whose C and N are both GVD yields the witness reported, and
-    the first whose C is not GVD ends the loop, as the node is then not
-    GVD (the first lemma).  A GVD ideal must also be unmixed.  Rather than
-    dualize, the search carries heights up from the bases and settles
-    unmixedness at that first variable with `_split_height`; it does not
-    depend on the variable, so a mixed ideal fails there.  A mixed C is
-    not GVD, so it ends the loop too, which keeps the search out of the
-    rest of a mixed ideal.  Nodes are (live, gens) mask pairs in the
-    ideal's own universe, split by `_split_masks`, and are memoized on
-    that pair.  Every split is built by one `_interning` constructor and
-    every base is one of the `_BASES`, so the certificate is the maximally
-    shared DAG: equal subtrees are one node, as in the decoded copy of its
-    JSON.
+    generated by variables).  Any other node loops over its live variables
+    in canonical order: the first variable whose C and N are both GVD
+    yields the witness reported, and the first whose C is not GVD ends the
+    loop, as the node is then not GVD (the first lemma).  A GVD ideal must
+    also be unmixed.  Rather than dualize, the search carries heights up
+    from the bases and settles unmixedness with `_split_height` at the
+    first variable whose C and N are GVD; it does not depend on the
+    variable, so a mixed ideal fails there.  A mixed C is not GVD, so it
+    ends the loop too, which keeps the search out of the rest of a mixed
+    ideal.  The loop goes past the first variable only when that
+    variable's C is GVD and its N is not.  Before it does, `_disconnected`
+    tests in one pass whether the node's complex has an edge and a
+    disconnected 1-skeleton; if so, the node is not GVD (the second lemma
+    below) and the loop ends.  So lemma 2 is tested at most once per node,
+    and never on the nodes a split settles at their first variable, most
+    of them GVD, where it would refute nothing.  Nodes are (live, gens)
+    mask pairs in the ideal's own universe, split by `_split_masks`, and
+    are memoized on that pair.  Every split is built by one `_interning`
+    constructor and every base is one of the `_BASES`, so the certificate
+    is the maximally shared DAG: equal subtrees are one node, as in the
+    decoded copy of its JSON.
 
     The first lemma is the ideal form of Provan and Billera's fact that
     links of vertex decomposable complexes are vertex decomposable (C of a
@@ -437,9 +451,14 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
     then Δ(N) has no edge, and neither has Δ(I).
 
     So a node whose complex has an edge and a disconnected 1-skeleton is
-    not GVD, and settling it as such at once returns None only where the
-    loop would.  Every node's value is the one the loop alone gives, and
-    so is every certificate and its sharing.
+    not GVD, and ending its loop after the first variable returns None
+    only where the loop would: a GVD node never takes that exit, and a
+    node that is not GVD ends as None either way.  Every node's value
+    depends on (live, gens) alone and is the one the loop alone gives,
+    wherever lemma 2 is tested, so every certificate is the same, and so
+    is its sharing, which the `_interning` constructor fixes from the
+    certificate alone.  Where the test sits changes only how many splits
+    a node that is not GVD makes before it is settled.
     """
     labels = ideal.universe.labels
     make_split = _interning()
@@ -454,9 +473,6 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
         found = _base(gens)
         if found:
             return found
-        if _disconnected(live, gens):  # not GVD (lemma 2)
-            memo[key] = None
-            return None
         rest = live
         while rest:  # popped inline, lowest first: no `_bits` generator per node
             ybit = rest & -rest
@@ -467,6 +483,8 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
                 break
             n_found = search(live ^ ybit, n_gens)
             if n_found is None:
+                if ybit == live & -live and _disconnected(live, gens):  # not GVD (lemma 2)
+                    break
                 continue
             height = _split_height(c_gens, c_found[1], n_gens, n_found[1])
             if height is not None:

@@ -1,9 +1,9 @@
 """Facet-level simplicial complex tests: kinds, Stanley-Reisner
 bridges, vertex decomposability, and the forest/cycle classifiers."""
 
+import dataclasses
 import hashlib
 import json
-import random
 from functools import reduce
 from operator import and_
 
@@ -546,14 +546,14 @@ def shedding_digest(found):
 
 
 SHEDDING_DIGESTS = {
-    "even_stable-0": "faecbacfc89e91c2", "even_stable-1": "0de1701669db9482",
-    "even_stable-2": "27677fc797cadf2c", "even_stable-3": "db01606e3c716de3",
-    "even_stable-4": "052d65325a9ffe63", "even_stable-5": "36f7867149eca375",
-    "even_stable-6": "28d021025da22fb0", "even_stable-7": "855c29a5427de873",
-    "even_stable-8": "d2e8409233eb3ea6", "even_stable-9": "7c5e5e7284f17f6f",
-    "even_stable-10": "86515510aa5370fb", "even_stable-11": "fc8c3fcca53854fc",
-    "even_stable-12": "20a8e074f6d58a20", "even_stable-13": "2441f737260fcaff",
-    "even_stable-14": "e3bfeff54c91cc7b",
+    "even_stable-0": "a47e226541d3bc92", "even_stable-1": "594d99e08244943c",
+    "even_stable-2": "b5a7309140b5e798", "even_stable-3": "396be530acb6df84",
+    "even_stable-4": "67545567543df057", "even_stable-5": "10aebb430a8ba3fa",
+    "even_stable-6": "e83b6c802504cba3", "even_stable-7": "b71a15743b5f5fb2",
+    "even_stable-8": "62ff3af0ec52e6ce", "even_stable-9": "d3c65181a59a82bb",
+    "even_stable-10": "c8a86220fa53c1e5", "even_stable-11": "50863ad7d6fed14b",
+    "even_stable-12": "8b84c6228a0d0fe7", "even_stable-13": "5b74484613ddabb6",
+    "even_stable-14": "fe834cc0ed6bf04b",
 }
 
 
@@ -561,6 +561,9 @@ def test_shedding_certificates_pinned():
     # The first witness the VD search returns, and its sharing, on the even
     # stable complexes of grown trees 0-14 and on 200 seeded pure complexes,
     # 92 of them VD: a faster search must try vertices in the same order.
+    # Every leaf is one of the two shared `Leaf`s, one per kind; the
+    # certificates are those the search returned with one `Leaf` per
+    # memoized facet tuple, with their leaves merged by kind.
     got = {}
     for k in range(15):
         complex_ = even_stable_complex(oracles.seeded_grown_tree(k))
@@ -569,7 +572,7 @@ def test_shedding_certificates_pinned():
     found = [is_vertex_decomposable(oracles.seeded_pure_complex(seed)) for seed in range(200)]
     assert sum(ok for ok, _ in found) == 92
     digests = "".join(shedding_digest(one) for one in found)
-    assert hashlib.sha256(digests.encode()).hexdigest()[:16] == "c3e254449e656c6a"
+    assert hashlib.sha256(digests.encode()).hexdigest()[:16] == "45900cb712208b96"
 
 
 def test_vd_search_tries_no_cone_point(monkeypatch):
@@ -630,6 +633,42 @@ def test_shedding_json_encodes_a_shared_node_once():
     doc = shedding_certificate_to_json(Shed("a", shared, shared))
     assert doc["shed"] == "a" and doc["del"] is doc["lk"]
     assert doc["del"] == {"shed": "b", "del": {"leaf": "empty"}, "lk": {"leaf": "simplex"}}
+
+
+def shed_nodes_and_leaves(cert):
+    """The distinct Shed nodes and the Leaf nodes of a certificate."""
+    sheds, leaves, stack = {}, {}, [cert]
+    while stack:
+        node = stack.pop()
+        found = sheds if isinstance(node, Shed) else leaves
+        if id(node) not in found:
+            found[id(node)] = node
+            if isinstance(node, Shed):
+                stack += (node.deletion, node.link)
+    return list(sheds.values()), list(leaves.values())
+
+
+def test_search_and_decoder_nodes_behave_as_constructed_and_share_leaves():
+    # The search and the decoder build each Shed without the frozen
+    # dataclass __init__ and return one shared Leaf per kind: the nodes must
+    # be those the public constructors build, and still frozen.
+    shared_leaves = (complexes_module._LEAVES["simplex"], complexes_module._LEAVES["empty"])
+    certs = [is_vertex_decomposable(even_stable_complex(oracles.seeded_grown_tree(k)))[1] for k in range(8)]
+    certs += [cert for ok, cert in map(is_vertex_decomposable, map(oracles.seeded_pure_complex, range(200))) if ok]
+    certs += [shedding_certificate_from_json(shedding_certificate_to_json(cert)) for cert in certs]
+    for cert in certs:
+        sheds, leaves = shed_nodes_and_leaves(cert)
+        assert all(leaf is shared_leaves[0] or leaf is shared_leaves[1] for leaf in leaves)
+        for node in sheds:
+            public = Shed(node.vertex, node.deletion, node.link)
+            assert type(node) is Shed and vars(node) == vars(public)
+            assert node == public and hash(node) == hash(public) and repr(node) == repr(public)
+            assert dataclasses.replace(node) == public
+            assert dataclasses.replace(node, vertex="z") == Shed("z", node.deletion, node.link)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.vertex = "z"
+    assert is_vertex_decomposable(cx("ab", [[]]))[1] is shared_leaves[0]
+    assert shedding_certificate_from_json({"leaf": "empty"}) is shared_leaves[1]
 
 
 def test_certificate_json_round_trip_and_errors():

@@ -1,6 +1,7 @@
 """Geometric vertex decomposition tests: splits, search, certificates,
 and the structural construction for balanced forests."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -274,9 +275,11 @@ def test_seven_cycle_edge_ideal_is_not_gvd(split_calls):
     # edge ideal plus the two neighbours of the split vertex as variables):
     # the search never stops early at a C.  Below the Ns, 16 nodes are a
     # 3-vertex path's edge ideal plus variables.  Their complex is an edge
-    # and the path's middle vertex alone, so lemma 2 settles each with no
-    # split (splitting them too would make 124 splits).
-    assert split_calls[0] == 79
+    # and the path's middle vertex alone.  Lemma 2 is tested once a node's
+    # first N is not GVD, so each of them is split at its first variable
+    # (C and N, each settled below) and then settled: 98 splits, where
+    # testing it at every node's entry made 79 and no test at all 124.
+    assert split_calls[0] == 98
 
 
 def test_search_stops_at_the_first_c_that_is_not_gvd(split_calls):
@@ -344,19 +347,22 @@ def heaviest_seed_1_negative():
 
 
 @pytest.mark.parametrize(
-    "ideal",
+    "ideal, splits",
     [
-        build("abcd", [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]),  # 10 splits without lemma 2
-        heaviest_seed_1_negative(),  # 351 without it
+        (build("abcd", [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]), 3),  # 10 without lemma 2
+        (heaviest_seed_1_negative(), 11),  # 351 without it
     ],
     ids=["four_cycle", "heaviest_seed_1_negative"],
 )
-def test_disconnected_complex_is_refuted_with_no_split(split_calls, ideal):
-    # the 4-cycle's complex is two disjoint edges; in the other, the facet
-    # dg lies apart from the rest
+def test_disconnected_complex_is_refuted_at_its_first_failed_n(split_calls, ideal, splits):
+    # The 4-cycle's complex is two disjoint edges; in the other, the facet
+    # dg lies apart from the rest.  Lemma 2 is tested once the root's first
+    # N is not GVD, so the root makes one split, and settling its C and N
+    # takes the rest; tested at every node's entry, it refuted both roots
+    # with no split.
     assert skeleton_has_an_edge_and_is_disconnected(stanley_reisner_complex(ideal))
     assert is_gvd(ideal) == (False, None)
-    assert split_calls[0] == 0
+    assert split_calls[0] == splits
 
 
 def assert_matches_entry_lemma_2_search(ideal):
@@ -1066,6 +1072,25 @@ def test_many_components_certify_under_the_default_recursion_limit(paths, digest
     cert = certify_tree_gvd(oracles.disjoint_paths(paths))
     assert sum(isinstance(node, Split) for node in dag_nodes(cert)) == 5 * paths - 3
     assert dag_digest([cert]) == digest
+
+
+def test_interned_splits_behave_as_constructed():
+    # `_interning` builds each Split without the frozen dataclass __init__;
+    # the search, the tree certifier and the decoder all use it.  Their
+    # nodes must be those the public constructor builds, and still frozen.
+    tree = oracles.seeded_grown_tree(6)
+    cert = certify_tree_gvd(tree)
+    certs = [cert, is_gvd(odd_oni(tree))[1], json_round_trip(cert), is_gvd(p6_odd_ideal())[1]]
+    for node in (node for cert in certs for node in dag_nodes(cert)):
+        if isinstance(node, Base):
+            continue
+        public = Split(node.variable, node.c_branch, node.n_branch)
+        assert type(node) is Split and vars(node) == vars(public)
+        assert node == public and hash(node) == hash(public) and repr(node) == repr(public)
+        assert dataclasses.replace(node) == public
+        assert dataclasses.replace(node, variable="z") == Split("z", node.c_branch, node.n_branch)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.variable = "z"
 
 
 def interleaved_forest(trees):
