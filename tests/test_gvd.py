@@ -369,7 +369,10 @@ def assert_matches_entry_lemma_2_search(ideal):
     ok, cert = is_gvd(ideal)
     ref_ok, ref_cert = oracles.entry_lemma_2_is_gvd(ideal)
     assert ok == ref_ok
-    assert (dag_digest([cert]) if ok else cert) == (dag_digest([ref_cert]) if ok else None)
+    if ok:
+        assert dag_digest([cert]) == dag_digest([ref_cert])
+    else:
+        assert cert is None and ref_cert is None
 
 
 @given(ideals(max_gens=6))
