@@ -27,6 +27,7 @@ from .universe import (
     _sweep,
     minimal_masks,
     minimal_transversals,
+    sort_key,
 )
 
 _FRESH_LABEL = re.compile(r"^p(\d+)_\d+$")
@@ -236,34 +237,39 @@ def oni(graph: Graph) -> SquareFreeIdeal:
     return SquareFreeIdeal(SpernerFamily._canonical(graph.universe, minimal_masks(graph.adj)))
 
 
-def odd_oni(graph: Graph) -> SquareFreeIdeal:
-    """Odd-vertex neighborhood ideal of a balanced forest, read over the
-    even vertices.  Balance puts every odd vertex's neighborhood in the
-    even strata, so the minimal ones, read over the even vertices, whose
-    positions keep their order (see `universe._masks_into`), are the
-    ideal's canonical generators.
+def _parity(graph: Graph) -> tuple[tuple[int, ...], int, list[int], Universe]:
+    """Components, odd-height mask, even-bit table and even universe of a
+    balanced forest, from one heights pass; InputError on any other graph.
 
-    They are read over the even vertices by position, with no label: one
-    table, built from the even mask, maps each graph position to its
-    position among the even vertices.  Both universes are sorted, so that
-    map is increasing, and each generator's bits are moved through it."""
+    The table maps each even graph position to its bit among the even
+    vertices, so a set of even positions is read over the even universe
+    with no label.  Both universes are sorted, so that map is increasing,
+    and it keeps canonical order (see `universe._masks_into`)."""
     u = graph.universe
-    strata, _, _, balanced = _heights_of_adj(graph.adj, u.full_mask())
+    strata, comps, _, balanced = _heights_of_adj(graph.adj, u.full_mask())
     if not balanced:
         raise InputError("graph is not a balanced forest")
     evens = tuple(_bits(sum(strata[0::2])))
-    even_at = [0] * len(u)
+    even_bit = [0] * len(u)
     for i, p in enumerate(evens):
-        even_at[p] = i
+        even_bit[p] = 1 << i
+    return comps, sum(strata[1::2]), even_bit, Universe(u.labels[p] for p in evens)
+
+
+def odd_oni(graph: Graph) -> SquareFreeIdeal:
+    """Odd-vertex neighborhood ideal of a balanced forest, read over the
+    even vertices.  Balance puts every odd vertex's neighborhood in the
+    even strata, so the minimal ones, moved bit by bit through `_parity`'s
+    increasing table, are the ideal's canonical generators."""
+    _, odd, even_bit, even = _parity(graph)
     masks = []
-    for m in minimal_masks(graph.adj[p] for p in _bits(sum(strata[1::2]))):
+    for m in minimal_masks(graph.adj[p] for p in _bits(odd)):
         mask = 0
         while m:  # popped inline, lowest first: no `_bits` generator per generator
             low = m & -m
-            mask |= 1 << even_at[low.bit_length() - 1]
+            mask |= even_bit[low.bit_length() - 1]
             m ^= low
         masks.append(mask)
-    even = Universe(u.labels[p] for p in evens)
     return SquareFreeIdeal(SpernerFamily._canonical(even, tuple(masks)))
 
 
@@ -299,8 +305,105 @@ def minimal_td_sets(graph: Graph) -> SpernerFamily:
 
 def minimal_odd_td_sets(graph: Graph) -> SpernerFamily:
     """Minimal sets dominating every odd vertex of a balanced forest;
-    always contained in the even stratum, and returned over it."""
-    return minimal_transversals(odd_oni(graph).generators)
+    always contained in the even stratum, and returned over it.  They are
+    the minimal transversals of `odd_oni(graph).generators`, found with no
+    dualization by one walk per component, bottom up.
+
+    Parity.  Adjacent vertices' heights differ by at most one, and balance
+    forbids equal heights across an edge, so every edge joins an odd and an
+    even vertex: odd neighbourhoods lie in the even stratum, and in a
+    rooted component the children of an even vertex are odd and those of
+    an odd vertex even.
+
+    Criterion.  A set S of even vertices meets every odd neighbourhood iff
+    every odd vertex has a neighbour in S.  It is a minimal such set iff,
+    besides, each v in S has a private odd neighbour w, one with
+    N(w) & S = {v}: S - {v} fails exactly when some neighbourhood meets S
+    in v alone.  That reads every odd neighbourhood, not only the minimal
+    ones, which is right: a set meets all of them iff it meets the minimal
+    ones, so both families have the same minimal transversals.
+
+    States.  Root each component at its lowest position.  For a vertex x,
+    a partial set is a set T of even vertices below x, x included, and its
+    state is fixed by T.  The list of a state holds exactly the T of that
+    state for which every condition above holds that reads no vertex
+    outside x's subtree; the state says what the conditions that read x's
+    parent ask of it.  Even x:
+    - E0: x not in T; nothing asked.
+    - E1: x in T, with an odd child that has no child in T, so N(child) &
+      S = {x}: nothing asked.
+    - E2: x in T, and every odd child has a child in T: x's parent must
+      be its private neighbour.
+    Odd x:
+    - O0: no child in T: x's parent must be in S to dominate x.
+    - O1: a child in T, and every child in T is E1: nothing asked.
+    - O2: exactly one child in T, which is E2: x's parent must stay out
+      of S, so that x is that child's private neighbour.
+    An even v out of S takes children in O1 or O2, and is E0.  An even v
+    in S dominates its children, which then have two neighbours in S if
+    they have one below, so no child can be private for its own child: v
+    takes children in O0 or O1, and is E1 iff one of them is O0, else E2.
+    An odd w folds its children one at a time: an E0 child keeps the
+    state, an E1 child takes O0 or O1 to O1, an E2 child takes O0 to O2,
+    and anything else breaks the criterion.  A root has no parent, so what
+    a state asks of it must hold with none: an odd root keeps O1 and O2,
+    an even root E0 and E1.  By induction from the leaves every list holds
+    exactly its sets, and holds each once, since a set has one state at
+    each vertex.  No condition crosses components, so the forest's sets
+    are the unions of one root set per component.
+
+    The walk runs over an explicit preorder, reversed, so every child is
+    done before its parent, and a stack of child lists that the parent
+    takes and drops.  One `sort_key` sort at the end gives canonical
+    order: the sets are distinct and, being the minimal transversals,
+    pairwise incomparable."""
+    comps, odd, even_bit, even = _parity(graph)
+    up = [0] * len(graph.adj)
+    found = [0]
+    for comp in comps:
+        found = [a | b for a in found for b in _odd_td_walk(graph.adj, odd, even_bit, up, comp)]
+    return SpernerFamily._canonical(even, tuple(sorted(found, key=sort_key)))
+
+
+def _odd_td_walk(
+    adj: Sequence[int], odd: int, even_bit: Sequence[int], up: list[int], comp: int
+) -> list[int]:
+    """The root sets of `minimal_odd_td_sets`'s walk on the component
+    `comp`, rooted at its lowest position, as even-universe masks.  `up`
+    receives each vertex's parent bit; the lists die with the call."""
+    root = (comp & -comp).bit_length() - 1
+    order, stack = [], [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        kids = adj[v] ^ up[v]
+        while kids:
+            low = kids & -kids
+            w = low.bit_length() - 1
+            up[w] = 1 << v
+            stack.append(w)
+            kids ^= low
+    done: list[tuple[list[int], list[int], list[int]]] = []
+    for v in reversed(order):
+        cut = len(done) - (adj[v] ^ up[v]).bit_count()
+        kids = done[cut:]
+        del done[cut:]
+        if odd >> v & 1:
+            o0, o1, o2 = [0], [], []
+            for e0, e1, e2 in kids:
+                o2 = [a | b for a in o2 for b in e0] + [a | b for a in o0 for b in e2]
+                o1 = [a | b for a in o1 for b in e0 + e1] + [a | b for a in o0 for b in e1]
+                o0 = [a | b for a in o0 for b in e0]
+            done.append((o0, o1, o2))
+        else:
+            e0, e1, e2 = [0], [], [even_bit[v]]
+            for o0, o1, o2 in kids:
+                e0 = [a | b for a in e0 for b in o1 + o2]
+                e1 = [a | b for a in e1 for b in o0 + o1] + [a | b for a in e2 for b in o0]
+                e2 = [a | b for a in e2 for b in o1]
+            done.append((e0, e1, e2))
+    (s0, s1, s2), = done
+    return s1 + s2 if odd >> root & 1 else s0 + s1
 
 
 def is_td_unmixed(graph: Graph) -> bool:

@@ -631,6 +631,7 @@ def test_shedding_certificate_json_pinned():
 def test_shedding_json_encodes_a_shared_node_once():
     shared = Shed("b", Leaf("empty"), Leaf("simplex"))
     doc = shedding_certificate_to_json(Shed("a", shared, shared))
+    assert doc.keys() == {"shed", "del", "lk"}
     assert doc["shed"] == "a" and doc["del"] is doc["lk"]
     assert doc["del"] == {"shed": "b", "del": {"leaf": "empty"}, "lk": {"leaf": "simplex"}}
 

@@ -2,6 +2,7 @@
 complexes, tree surgery, decompositions, chordality, and realization."""
 
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -25,6 +26,7 @@ from oni_kit import (
     is_td_unmixed,
     minimal_odd_td_sets,
     minimal_td_sets,
+    minimal_transversals,
     o_extend,
     o_sequence,
     odd_oni,
@@ -318,6 +320,76 @@ def test_td_sets_on_trees_match_oracle(case):
     if profile.balanced:
         odd_found = {frozenset(m) for m in minimal_odd_td_sets(g).members}
         assert odd_found == oracles.odd_td_sets_oracle(labels, edges)
+
+
+@st.composite
+def forests_with_isolated_vertices(draw, max_vertices: int):
+    """0-5 uniform random trees, each redrawn until it is balanced, of at
+    most `max_vertices` vertices in all; a tree on one vertex is an
+    isolated vertex, and K2, the only tree on two, is never balanced.
+    Vertex i of tree j is labelled f"v{i:02d}t{j}", so that the trees'
+    positions interleave in the sorted universe."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    vertices, edges, left = [], [], max_vertices
+    for j in range(draw(st.integers(0, 5))):
+        if not left:
+            break
+        n = draw(st.integers(1, left))
+        n = 1 if n == 2 else n
+        left -= n
+        while True:
+            tree = Graph.from_vertices(map(str, range(n)), oracles.random_tree_edges(rng, n))
+            if heights(tree).balanced:
+                break
+        vertices += (f"v{i:02d}t{j}" for i in range(n))
+        edges += ((f"v{int(a):02d}t{j}", f"v{int(b):02d}t{j}") for a, b in tree.edges)
+    return Graph.from_vertices(vertices, edges)
+
+
+def assert_walk_is_fold(forest):
+    # the tree walk against the dualization it replaced: same universe,
+    # same masks, in the same canonical order
+    walked = minimal_odd_td_sets(forest)
+    folded = minimal_transversals(odd_oni(forest).generators)
+    assert walked.universe == folded.universe
+    assert walked.masks == folded.masks
+
+
+@given(forests_with_isolated_vertices(30))
+@settings(max_examples=150, deadline=None)
+def test_odd_td_sets_walk_matches_dualization_on_random_forests(forest):
+    assert_walk_is_fold(forest)
+
+
+def test_odd_td_sets_walk_matches_dualization_on_grown_trees_and_paths():
+    assert_walk_is_fold(Graph(Universe(()), ()))  # the one empty set
+    assert minimal_odd_td_sets(Graph(Universe(()), ())).masks == (0,)
+    assert_walk_is_fold(graph("abc", []))
+    assert_walk_is_fold(oracles.disjoint_paths(4))
+    for k in range(21):
+        assert_walk_is_fold(oracles.seeded_grown_tree(k))
+
+
+@given(forests_with_isolated_vertices(12))
+@settings(max_examples=150, deadline=None)
+def test_odd_td_sets_of_small_forests_match_oracle(forest):
+    found = {frozenset(m) for m in minimal_odd_td_sets(forest).members}
+    assert found == oracles.odd_td_sets_oracle(forest.vertices, forest.edges)
+
+
+def test_odd_td_sets_need_a_balanced_forest():
+    for g in (cycle_graph(4), path_graph(1), path_graph(3), spider().delete_vertices(["lb"])):
+        with pytest.raises(InputError, match="^graph is not a balanced forest$"):
+            minimal_odd_td_sets(g)
+
+
+def test_odd_td_sets_of_grown_trees_20_and_22_take_little_cpu():
+    for k, bound, count in ((20, 0.2, 51832), (22, 0.5, 68032)):
+        tree = oracles.seeded_grown_tree(k)
+        start = time.process_time()
+        found = minimal_odd_td_sets(tree)
+        assert time.process_time() - start < bound, k
+        assert len(found) == count
 
 
 def test_no_td_set_with_isolated_vertex():
