@@ -3,6 +3,10 @@ domination, neighborhood ideals, stable complexes, tree builders, the
 two-piece decomposition machinery, chordality by simplicial-vertex
 removal, and the Sperner-family realization construction.
 
+Minimal TD-sets are minimal transversals of `oni`; the minimal odd
+TD-sets of a balanced forest come from one bottom-up walk per component
+instead, with no dualization.
+
 Vertices are labels in a Universe; adjacency is a bitmask per position.
 All builders return new immutable graphs.
 """
@@ -336,7 +340,8 @@ def minimal_odd_td_sets(graph: Graph) -> SpernerFamily:
       be its private neighbour.
     Odd x:
     - O0: no child in T: x's parent must be in S to dominate x.
-    - O1: a child in T, and every child in T is E1: nothing asked.
+    - O1: one or more children in T, all E1: nothing asked.  How many
+      matters to no rule below, so one state serves one and several.
     - O2: exactly one child in T, which is E2: x's parent must stay out
       of S, so that x is that child's private neighbour.
     An even v out of S takes children in O1 or O2, and is E0.  An even v

@@ -315,8 +315,9 @@ class SpernerFamily:
     def _canonical(cls, universe: Universe, masks: tuple[int, ...]) -> "SpernerFamily":
         """The family of `masks`, stored as given.  The caller has proven
         them distinct, pairwise incomparable and in canonical order, as the
-        output of `minimal_masks`, `maximal_masks` or `minimal_transversals`
-        is, or its image under a map shown to keep that order."""
+        output of `minimal_masks`, `maximal_masks`, `minimal_transversals`
+        or `graphs.minimal_odd_td_sets` is, or its image under a map shown
+        to keep that order."""
         family = object.__new__(cls)
         family.universe, family.masks = universe, masks
         return family

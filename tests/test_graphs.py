@@ -347,7 +347,7 @@ def forests_with_isolated_vertices(draw, max_vertices: int):
 
 
 def assert_walk_is_fold(forest):
-    # the tree walk against the dualization it replaced: same universe,
+    # the tree walk against the dualization of odd_oni: same universe,
     # same masks, in the same canonical order
     walked = minimal_odd_td_sets(forest)
     folded = minimal_transversals(odd_oni(forest).generators)
@@ -362,10 +362,10 @@ def test_odd_td_sets_walk_matches_dualization_on_random_forests(forest):
 
 
 def test_odd_td_sets_walk_matches_dualization_on_grown_trees_and_paths():
-    assert_walk_is_fold(Graph(Universe(()), ()))  # the one empty set
-    assert minimal_odd_td_sets(Graph(Universe(()), ())).masks == (0,)
-    assert_walk_is_fold(graph("abc", []))
-    assert_walk_is_fold(oracles.disjoint_paths(4))
+    empty = Graph(Universe(()), ())
+    assert minimal_odd_td_sets(empty).masks == (0,)  # the one empty set
+    for forest in (empty, graph("abc", []), oracles.disjoint_paths(4)):
+        assert_walk_is_fold(forest)
     for k in range(21):
         assert_walk_is_fold(oracles.seeded_grown_tree(k))
 
