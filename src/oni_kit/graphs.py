@@ -5,7 +5,8 @@ removal, and the Sperner-family realization construction.
 
 Minimal TD-sets are minimal transversals of `oni`; the minimal odd
 TD-sets of a balanced forest come from one bottom-up walk per component
-instead, with no dualization.
+instead, with no dualization: a fold over the depth layers of one
+`_sweep` from the component's root, deepest first.
 
 Vertices are labels in a Universe; adjacency is a bitmask per position.
 All builders return new immutable graphs.
@@ -357,58 +358,46 @@ def minimal_odd_td_sets(graph: Graph) -> SpernerFamily:
     each vertex.  No condition crosses components, so the forest's sets
     are the unions of one root set per component.
 
-    The walk runs over an explicit preorder, reversed, so every child is
-    done before its parent, and a stack of child lists that the parent
-    takes and drops.  One `sort_key` sort at the end gives canonical
-    order: the sets are distinct and, being the minimal transversals,
-    pairwise incomparable."""
+    The walk takes the layers of one `_sweep` from the root: in a tree
+    they are the depths, so the children of a vertex are its neighbours in
+    the next layer.  It folds the layers deepest first, so a vertex's
+    children are done before it, and it pops their lists from a dict:
+    each child's lists die when its parent pops them.  One `sort_key` sort
+    at the end gives canonical order: the sets are distinct and, being the
+    minimal transversals, pairwise incomparable."""
     comps, odd, even_bit, even = _parity(graph)
-    up = [0] * len(graph.adj)
     found = [0]
     for comp in comps:
-        found = [a | b for a in found for b in _odd_td_walk(graph.adj, odd, even_bit, up, comp)]
+        found = [a | b for a in found for b in _odd_td_walk(graph.adj, odd, even_bit, comp)]
     return SpernerFamily._canonical(even, tuple(sorted(found, key=sort_key)))
 
 
-def _odd_td_walk(
-    adj: Sequence[int], odd: int, even_bit: Sequence[int], up: list[int], comp: int
-) -> list[int]:
+def _odd_td_walk(adj: Sequence[int], odd: int, even_bit: Sequence[int], comp: int) -> list[int]:
     """The root sets of `minimal_odd_td_sets`'s walk on the component
-    `comp`, rooted at its lowest position, as even-universe masks.  `up`
-    receives each vertex's parent bit; the lists die with the call."""
-    root = (comp & -comp).bit_length() - 1
-    order, stack = [], [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        kids = adj[v] ^ up[v]
-        while kids:
-            low = kids & -kids
-            w = low.bit_length() - 1
-            up[w] = 1 << v
-            stack.append(w)
-            kids ^= low
-    done: list[tuple[list[int], list[int], list[int]]] = []
-    for v in reversed(order):
-        cut = len(done) - (adj[v] ^ up[v]).bit_count()
-        kids = done[cut:]
-        del done[cut:]
-        if odd >> v & 1:
-            o0, o1, o2 = [0], [], []
-            for e0, e1, e2 in kids:
-                o2 = [a | b for a in o2 for b in e0] + [a | b for a in o0 for b in e2]
-                o1 = [a | b for a in o1 for b in e0 + e1] + [a | b for a in o0 for b in e1]
-                o0 = [a | b for a in o0 for b in e0]
-            done.append((o0, o1, o2))
-        else:
-            e0, e1, e2 = [0], [], [even_bit[v]]
-            for o0, o1, o2 in kids:
-                e0 = [a | b for a in e0 for b in o1 + o2]
-                e1 = [a | b for a in e1 for b in o0 + o1] + [a | b for a in e2 for b in o0]
-                e2 = [a | b for a in e2 for b in o1]
-            done.append((e0, e1, e2))
-    (s0, s1, s2), = done
-    return s1 + s2 if odd >> root & 1 else s0 + s1
+    `comp`, rooted at its lowest position, as even-universe masks."""
+    lists: dict[int, tuple[list[int], list[int], list[int]]] = {}
+    below = 0
+    for layer in reversed(_sweep(adj, comp, comp & -comp)):
+        for v in _bits(layer):
+            if odd >> v & 1:
+                o0, o1, o2 = [0], [], []
+                for w in _bits(adj[v] & below):
+                    e0, e1, e2 = lists.pop(w)
+                    o2 = [a | b for a in o2 for b in e0] + [a | b for a in o0 for b in e2]
+                    o1 = [a | b for a in o1 for b in e0 + e1] + [a | b for a in o0 for b in e1]
+                    o0 = [a | b for a in o0 for b in e0]
+                lists[v] = o0, o1, o2
+            else:
+                e0, e1, e2 = [0], [], [even_bit[v]]
+                for w in _bits(adj[v] & below):
+                    o0, o1, o2 = lists.pop(w)
+                    e0 = [a | b for a in e0 for b in o1 + o2]
+                    e1 = [a | b for a in e1 for b in o0 + o1] + [a | b for a in e2 for b in o0]
+                    e2 = [a | b for a in e2 for b in o1]
+                lists[v] = e0, e1, e2
+        below = layer
+    (s0, s1, s2), = lists.values()
+    return s1 + s2 if odd & comp & -comp else s0 + s1
 
 
 def is_td_unmixed(graph: Graph) -> bool:

@@ -46,7 +46,6 @@ from .universe import (
     _bits,
     _component_masks,
     _fold,
-    _sweep,
     minimal_masks,
 )
 
@@ -231,12 +230,13 @@ def _disconnected(live: int, gens: tuple[int, ...]) -> bool:
     are an antichain.  A vertex in no two-variable generator is joined to
     every other vertex, so the 1-skeleton is then connected or a single
     vertex, and one pass over the small generators finds such a vertex
-    when there is one.  Otherwise one `_sweep` from the lowest vertex,
-    whose adjacency masks hold every position but a vertex and its
+    when there is one.  Otherwise `_component_masks` reads the components
+    over adjacency masks that hold every position but a vertex and its
     partners in two-variable generators (the sweep reads them only inside
-    the vertices), reaches its component.  The 1-skeleton is disconnected
-    when that is not every vertex, and has an edge when that component
-    has two vertices or a vertex outside it has a neighbour.
+    the vertices).  The 1-skeleton is disconnected when there are two or
+    more, and has an edge iff one of them has two vertices, as an edge
+    lies inside one component and a connected set of two or more vertices
+    holds one: that is, iff there are fewer components than vertices.
     """
     covered = 0
     for g in gens:
@@ -257,18 +257,7 @@ def _disconnected(live: int, gens: tuple[int, ...]) -> bool:
             adj[low.bit_length() - 1] &= ~g
             adj[(g ^ low).bit_length() - 1] &= ~g
     vertices = live & ~singles
-    reached = sum(_sweep(adj, vertices, vertices & -vertices))
-    outside = vertices ^ reached
-    if not outside:
-        return False
-    if reached != reached & -reached:
-        return True
-    while outside:
-        low = outside & -outside
-        if adj[low.bit_length() - 1] & vertices:
-            return True
-        outside ^= low
-    return False
+    return 1 < len(_component_masks(adj, vertices)) < vertices.bit_count()
 
 
 def split(ideal: SquareFreeIdeal, y: str) -> tuple[SquareFreeIdeal, SquareFreeIdeal]:
@@ -357,9 +346,9 @@ def is_gvd(ideal: SquareFreeIdeal) -> tuple[bool, Optional[GvdCertificate]]:
     ends the loop too, which keeps the search out of the rest of a mixed
     ideal.  The loop goes past the first variable only when that
     variable's C is GVD and its N is not.  Before it does, `_disconnected`
-    tests in one pass whether the node's complex has an edge and a
-    disconnected 1-skeleton; if so, the node is not GVD (the second lemma
-    below) and the loop ends.  So lemma 2 is tested at most once per node,
+    tests whether the node's complex has an edge and a disconnected
+    1-skeleton; if so, the node is not GVD (the second lemma below) and
+    the loop ends.  So lemma 2 is tested at most once per node,
     and never on the nodes a split settles at their first variable, most
     of them GVD, where it would refute nothing.  Nodes are (live, gens)
     mask pairs in the ideal's own universe, split by `_split_masks`, and

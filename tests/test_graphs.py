@@ -1,6 +1,8 @@
 """Graph-side tests: heights, neighborhood ideals, TD-sets, stable
 complexes, tree surgery, decompositions, chordality, and realization."""
 
+import hashlib
+import json
 import random
 import time
 
@@ -346,6 +348,16 @@ def forests_with_isolated_vertices(draw, max_vertices: int):
     return Graph.from_vertices(vertices, edges)
 
 
+# The walk roots each component at its lowest label.  The 3-vertex path
+# whose centre has the lowest label is rooted at an odd vertex, whose root
+# sets are its O1 and O2 lists; beside it, a 7-vertex path rooted at a leaf.
+ODD_ROOTED_PATH = graph("abc", [("a", "b"), ("a", "c")])
+ODD_AND_EVEN_ROOTED = graph(
+    "abcdefghij",
+    [("a", "b"), ("a", "c")] + [(x, y) for x, y in zip("defghi", "efghij")],
+)
+
+
 def assert_walk_is_fold(forest):
     # the tree walk against the dualization of odd_oni: same universe,
     # same masks, in the same canonical order
@@ -356,6 +368,8 @@ def assert_walk_is_fold(forest):
 
 
 @given(forests_with_isolated_vertices(30))
+@example(ODD_ROOTED_PATH)
+@example(ODD_AND_EVEN_ROOTED)
 @settings(max_examples=150, deadline=None)
 def test_odd_td_sets_walk_matches_dualization_on_random_forests(forest):
     assert_walk_is_fold(forest)
@@ -371,6 +385,8 @@ def test_odd_td_sets_walk_matches_dualization_on_grown_trees_and_paths():
 
 
 @given(forests_with_isolated_vertices(12))
+@example(ODD_ROOTED_PATH)
+@example(ODD_AND_EVEN_ROOTED)
 @settings(max_examples=150, deadline=None)
 def test_odd_td_sets_of_small_forests_match_oracle(forest):
     found = {frozenset(m) for m in minimal_odd_td_sets(forest).members}
@@ -390,6 +406,9 @@ def test_odd_td_sets_of_grown_trees_20_and_22_take_little_cpu():
         found = minimal_odd_td_sets(tree)
         assert time.process_time() - start < bound, k
         assert len(found) == count
+    # tree 22 has no dualization to compare with in tier-1: pin its bytes
+    text = json.dumps(found.to_json_obj(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "9bf114c1ccbcd0f5"
 
 
 def test_no_td_set_with_isolated_vertex():
